@@ -67,12 +67,35 @@ def _record(out: Tensor, backward_fn) -> None:
         _tape.append((out, backward_fn))
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` to ``t.grad``, taking over the first gradient. ``owned`` says
+    the caller just allocated ``g`` for ``t`` alone, so it is adopted as is;
+    otherwise it is copied, never aliased (add's backward hands one array to
+    both of its inputs)."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = g if owned else np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
+
+
+def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad`` at index ``idx`` along the first axis; an
+    index array may repeat rows, whose gradients then add up."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if isinstance(idx, int):
+        t.grad[idx] += g
+    elif idx.size:
+        # sum each row's gradients (a stable sort keeps their order), then one
+        # fancy-index add over distinct rows; several times faster than np.add.at
+        order = np.argsort(idx, kind="stable")
+        rows = idx[order]
+        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+        t.grad[rows[starts]] += np.add.reduceat(g[order], starts, axis=0)
 
 
 def backward(loss: Tensor) -> None:
@@ -81,9 +104,12 @@ def backward(loss: Tensor) -> None:
         raise ShapeMismatch(f"backward expects a scalar, got shape {loss.data.shape}")
     try:
         loss.grad = np.ones(())
-        for out, fn in reversed(_tape):
+        while _tape:
+            # popping frees each op's saved arrays and output gradient once used
+            out, fn = _tape.pop()
             if out.grad is not None:
                 fn(out.grad)
+                out.grad = None
     finally:
         reset_tape()
 
@@ -99,29 +125,63 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """``a @ b`` over the last two axes. ``b`` is either one matrix shared by
+    every leading index of ``a`` (a weight) or has ``a``'s leading axes."""
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or (
+        b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]
+    ):
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
     a_data, b_data = a.data, b.data
+    if b_data.ndim == 2:
+        # one GEMM over all leading rows instead of one per leading index
+        rows = a_data.reshape(-1, a.shape[-1])
+        out = Tensor((rows @ b_data).reshape(a.shape[:-1] + b.shape[-1:]),
+                     a.requires_grad or b.requires_grad)
 
-    def fn(g):
-        _accumulate(a, g @ b_data.T)
-        _accumulate(b, a_data.T @ g)
+        def fn(g):
+            g_rows = g.reshape(-1, b.shape[-1])
+            _accumulate(a, (g_rows @ b_data.T).reshape(a.shape), owned=True)
+            _accumulate(b, rows.T @ g_rows, owned=True)
+    else:
+        out = Tensor(a_data @ b_data, a.requires_grad or b.requires_grad)
+
+        def fn(g):
+            _accumulate(a, g @ b_data.swapaxes(-1, -2), owned=True)
+            _accumulate(b, a_data.swapaxes(-1, -2) @ g, owned=True)
 
     _record(out, fn)
+    return out
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    out = Tensor(a.data.reshape(shape), a.requires_grad)
+    _record(out, lambda g: _accumulate(a, g.reshape(a.shape)))
+    return out
+
+
+def permute(a: Tensor, axes) -> Tensor:
+    """Reorder the axes of ``a`` (``numpy.transpose`` with explicit axes)."""
+    axes = tuple(ax % a.data.ndim for ax in axes)
+    out = Tensor(a.data.transpose(axes), a.requires_grad)
+    inverse = tuple(np.argsort(axes))
+    _record(out, lambda g: _accumulate(a, g.transpose(inverse)))
     return out
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got {a.shape}")
-    out = Tensor(a.data.T, a.requires_grad)
+    return permute(a, (1, 0))
 
-    def fn(g):
-        _accumulate(a, g.T)
 
-    _record(out, fn)
-    return out
+def unstack(a: Tensor) -> list[Tensor]:
+    """Split ``a`` along its first axis into ``a.shape[0]`` tensors."""
+    outs = []
+    for i in range(a.shape[0]):
+        out = Tensor(a.data[i], a.requires_grad)
+        _record(out, lambda g, i=i: _scatter_add(a, i, g))
+        outs.append(out)
+    return outs
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -141,23 +201,22 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s, a.requires_grad)
-
-    def fn(g):
-        _accumulate(a, g * s)
-
-    _record(out, fn)
+    _record(out, lambda g: _accumulate(a, g * s, owned=True))
     return out
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, a.requires_grad)
 
     def fn(g):
-        _accumulate(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
+        grad = g * y
+        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
+        grad *= y
+        _accumulate(a, grad, owned=True)
 
     _record(out, fn)
     return out
@@ -168,22 +227,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs d={d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad or bias.requires_grad)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv_std
+    np.multiply(xhat, gain.data, out=y)
+    y += bias.data
+    out = Tensor(y, x.requires_grad or gain.requires_grad or bias.requires_grad)
     gain_data = gain.data
 
     def fn(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead))
-        _accumulate(bias, g.sum(axis=lead))
+        _accumulate(gain, (g * xhat).sum(axis=lead), owned=True)
+        _accumulate(bias, g.sum(axis=lead), owned=True)
         if x.requires_grad:
             gx = g * gain_data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, term * inv_std)
+            term = xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= term
+            gx *= inv_std
+            _accumulate(x, gx, owned=True)
 
     _record(out, fn)
     return out
@@ -194,33 +257,48 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
-    u = _GELU_C * (x.data + 0.044715 * x.data**3)
-    t = np.tanh(u)
-    out = Tensor(0.5 * x.data * (1.0 + t), x.requires_grad)
+    # in place where possible: each fresh array costs page faults, not just arithmetic
     x_data = x.data
+    x2 = x_data * x_data
+    t = x2 * x_data
+    t *= 0.044715
+    t += x_data
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = t + 1.0
+    y *= x_data
+    y *= 0.5
+    out = Tensor(y, x.requires_grad)
 
     def fn(g):
-        du = _GELU_C * (1.0 + 3 * 0.044715 * x_data**2)
-        grad = 0.5 * (1.0 + t) + 0.5 * x_data * (1.0 - t**2) * du
-        _accumulate(x, g * grad)
+        du = x2 * (3 * 0.044715)
+        du += 1.0
+        du *= _GELU_C
+        grad = t * t
+        np.subtract(1.0, grad, out=grad)
+        grad *= x_data
+        grad *= 0.5
+        grad *= du
+        du = t + 1.0
+        du *= 0.5
+        grad += du
+        grad *= g
+        _accumulate(x, grad, owned=True)
 
     _record(out, fn)
     return out
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table``; the backward pass scatter-adds into it."""
+    """Gather rows of ``table`` for an id array of any shape; the backward pass
+    scatter-adds every row's gradient into the table at once."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeMismatch(f"embedding ids must be 1-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding id out of range [0, {table.shape[0]})")
     out = Tensor(table.data[idx], table.requires_grad)
 
     def fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accumulate(table, full)
+        _scatter_add(table, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
 
     _record(out, fn)
     return out
@@ -236,55 +314,29 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
-
-    def fn(g):
-        _accumulate(x, g * keep)
-
-    _record(out, fn)
+    _record(out, lambda g: _accumulate(x, g * keep, owned=True))
     return out
 
 
 def take_rows(x: Tensor, rows) -> Tensor:
-    """Select matrix rows by index (e.g. the [CLS] position)."""
+    """Select rows along the first axis by index (e.g. the masked positions)."""
     idx = np.asarray(rows, dtype=np.int64)
     out = Tensor(x.data[idx], x.requires_grad)
-
-    def fn(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        _accumulate(x, full)
-
-    _record(out, fn)
+    _record(out, lambda g: _scatter_add(x, idx, g))
     return out
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
-    sizes = [t.shape[axis] for t in tensors]
-
-    def fn(g):
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(offset, offset + size)
-            _accumulate(t, g[tuple(sl)])
-            offset += size
-
-    _record(out, fn)
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), any(t.requires_grad for t in tensors))
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    _record(out, lambda g: [_accumulate(t, part) for t, part in zip(tensors, np.split(g, splits, axis=axis))])
     return out
 
 
 def sum_all(a: Tensor) -> Tensor:
     """Sum every element down to a scalar."""
     out = Tensor(np.float64(a.data.sum()), a.requires_grad)
-
-    def fn(g):
-        _accumulate(a, np.full_like(a.data, float(g)))
-
-    _record(out, fn)
+    _record(out, lambda g: _accumulate(a, np.full_like(a.data, float(g)), owned=True))
     return out
 
 
@@ -318,7 +370,8 @@ def cross_entropy(logits: Tensor, target_ids, ignore_index: int = IGNORE_INDEX) 
         grad = np.zeros_like(logits.data)
         grad[selected] = probs[selected]
         grad[selected, live] -= 1.0
-        _accumulate(logits, grad * (float(g) / m))
+        grad *= float(g) / m
+        _accumulate(logits, grad, owned=True)
 
     _record(out, fn)
     return out
@@ -327,15 +380,8 @@ def cross_entropy(logits: Tensor, target_ids, ignore_index: int = IGNORE_INDEX) 
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 5e-5,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
@@ -358,11 +404,21 @@ class AdamW:
                 p.data -= self.lr * self.weight_decay * p.data
             if g is None:
                 g = np.zeros_like(p.data)
+            # in place, two scratch arrays: fresh parameter-sized arrays cost page faults
+            tmp = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(p.data))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = m / bc1
+            step *= self.lr
+            step /= tmp
+            p.data -= step
         self.step_count = t
 
     def zero_grad(self) -> None:
@@ -371,11 +427,7 @@ class AdamW:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         """Moment arrays keyed by parameter position, for checkpointing."""
-        out = {}
-        for i, (m, v) in enumerate(zip(self.m, self.v)):
-            out[f"m.{i}"] = m
-            out[f"v.{i}"] = v
-        return out
+        return {f"{k}.{i}": a for i, pair in enumerate(zip(self.m, self.v)) for k, a in zip("mv", pair)}
 
 
 def grad_check(

@@ -28,6 +28,9 @@ from .errors import DigestMismatch, VerseBertError
 log = logging.getLogger("versebert")
 
 PRESETS = ("tiny", "paper")
+TRAIN_FLAGS = {"batch_size": int, "lr": float, "weight_decay": float, "dropout": float,
+               "mask_ratio": float, "max_steps": int, "seed": int, "eval_every": int}
+MODEL_FLAGS = {"num_layers": int, "num_heads": int, "hidden": int, "max_len": int}
 
 
 def _digest_file(path) -> str:
@@ -60,37 +63,26 @@ def _load_config_file(path) -> dict:
         return json.load(fh)
 
 
+def _given_flags(args, flags) -> dict:
+    """The flags in ``flags`` that were passed explicitly."""
+    return {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
+
+
 def _resolve_train_config(args, overrides: dict) -> training.TrainConfig:
     """Merge precedence: explicit CLI flags > --config JSON > preset defaults."""
-    if args.preset == "tiny":
-        cfg = training.tiny_train_config()
-    else:
-        cfg = training.TrainConfig()
+    cfg = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
     merged = cfg.to_dict()
     merged.update(_load_config_file(getattr(args, "config", None)))
-    for key in ("batch_size", "lr", "weight_decay", "dropout", "mask_ratio",
-                "max_steps", "seed", "eval_every"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update(_given_flags(args, TRAIN_FLAGS))
     merged.update(overrides)
     return training.TrainConfig.from_dict(merged)
 
 
 def _resolve_model_config(args, vocab_size: int) -> mdl.ModelConfig:
-    if args.preset == "tiny":
-        cfg = mdl.tiny_config(vocab_size=vocab_size)
-    else:
-        cfg = mdl.paper_config(vocab_size=vocab_size)
-    merged = cfg.to_dict()
+    merged = (mdl.tiny_config if args.preset == "tiny" else mdl.paper_config)(vocab_size=vocab_size).to_dict()
     file_cfg = _load_config_file(getattr(args, "config", None))
-    for key in merged:
-        if key in file_cfg:
-            merged[key] = file_cfg[key]
-    for key in ("num_layers", "num_heads", "hidden", "max_len"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+    merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
+    merged.update(_given_flags(args, MODEL_FLAGS))
     merged["vocab_size"] = vocab_size
     return mdl.ModelConfig.from_dict(merged)
 
@@ -98,18 +90,8 @@ def _resolve_model_config(args, vocab_size: int) -> mdl.ModelConfig:
 def _add_train_flags(p):
     p.add_argument("--preset", choices=PRESETS, default="tiny")
     p.add_argument("--config", help="JSON file with config overrides")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float)
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eval-every", dest="eval_every", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--num-heads", dest="num_heads", type=int)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
+    for key, kind in {**TRAIN_FLAGS, **MODEL_FLAGS}.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
 def cmd_synth(args) -> int:
@@ -261,25 +243,18 @@ def cmd_predict(args) -> int:
     if task_id not in params.heads:
         print(f"checkpoint has no head for task {task_id}", file=sys.stderr)
         return 2
-    head_w, head_b = params.heads[task_id]
     config = ckpt.model_config
 
-    from . import autograd as ag
-
-    with ag.no_grad():
-        for raw in sys.stdin:
-            raw = raw.rstrip("\n")
-            if not raw.strip():
-                continue
-            record = _predict_record(raw)
-            line = preprocess.preprocess_verse(record).line
-            seq = tokenizer.encode(line, vocab, config.max_len)
-            hidden = mdl.encoder_forward(seq, config, params)
-            logits = mdl.classify(hidden, head_w, head_b).data.reshape(-1)
-            probs = np.exp(logits - logits.max())
-            probs /= probs.sum()
-            pred = int(np.argmax(logits))
-            print(f"{tax.name(pred)}\t{probs[pred]:.4f}")
+    for raw in sys.stdin:
+        raw = raw.rstrip("\n")
+        if not raw.strip():
+            continue
+        seq = tokenizer.encode(preprocess.preprocess_verse(_predict_record(raw)).line, vocab, config.max_len)
+        logits = mdl.predict_logits([seq], config, params, params.heads[task_id])[0]
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        pred = int(np.argmax(logits))
+        print(f"{tax.name(pred)}\t{probs[pred]:.4f}")
     return 0
 
 

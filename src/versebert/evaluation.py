@@ -10,16 +10,19 @@ support-weighted mean of per-class F1 values (not derived from weighted P/R).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import autograd as ag
 from . import model as mdl
 from . import preprocess
 from .corpus import CorpusStore, LabelTaxonomy, task_label
 from .errors import DigestMismatch, LabelOutOfRange, LengthMismatch
 from .tokenizer import Vocab, encode
+
+# Sequences per forward pass in predict_corpus: scoring a whole corpus in one
+# batch would hold every layer's activations for all of it at once.
+EVAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -42,21 +45,13 @@ class EvalReport:
     total_samples: int
 
     def to_dict(self) -> dict:
+        metrics = ("precision", "recall", "f1")
         return {
             "task_id": self.task_id,
-            "per_class": [
-                {
-                    "label": c.label,
-                    "precision": c.precision,
-                    "recall": c.recall,
-                    "f1": c.f1,
-                    "support": c.support,
-                }
-                for c in self.per_class
-            ],
+            "per_class": [asdict(c) for c in self.per_class],
             "accuracy": self.accuracy,
-            "macro_avg": {"precision": self.macro_avg[0], "recall": self.macro_avg[1], "f1": self.macro_avg[2]},
-            "weighted_avg": {"precision": self.weighted_avg[0], "recall": self.weighted_avg[1], "f1": self.weighted_avg[2]},
+            "macro_avg": dict(zip(metrics, self.macro_avg)),
+            "weighted_avg": dict(zip(metrics, self.weighted_avg)),
             "confusion": self.confusion.tolist(),
             "total_samples": self.total_samples,
         }
@@ -146,26 +141,26 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
 
 
 def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vocab):
-    """(pred_id, truth_id) pairs over the records that carry the task label."""
+    """(pred_id, truth_id) pairs over the records that carry the task label,
+    scored ``EVAL_CHUNK`` sequences per forward pass."""
     if ckpt.vocab_digest != vocab.digest():
         raise DigestMismatch("vocab content does not match the checkpoint's digest")
     if taxonomy.task_id not in ckpt.head_tasks():
         raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
     config = ckpt.model_config
     params = ckpt.to_params()
-    head_w, head_b = params.heads[taxonomy.task_id]
+    head = params.heads[taxonomy.task_id]
 
-    preds, truths = [], []
-    with ag.no_grad():
-        for record in corpus.records:
-            label = task_label(record, taxonomy.task_id)
-            if label is None:
-                continue
-            line = preprocess.preprocess_verse(record).line
-            hidden = mdl.encoder_forward(encode(line, vocab, config.max_len), config, params)
-            logits = mdl.classify(hidden, head_w, head_b)
-            preds.append(mdl.predicted_label(logits))
-            truths.append(taxonomy.index(label))
+    seqs, truths = [], []
+    for record in corpus.records:
+        label = task_label(record, taxonomy.task_id)
+        if label is None:
+            continue
+        seqs.append(encode(preprocess.preprocess_verse(record).line, vocab, config.max_len))
+        truths.append(taxonomy.index(label))
+    preds = []
+    for i in range(0, len(seqs), EVAL_CHUNK):
+        preds += np.argmax(mdl.predict_logits(seqs[i : i + EVAL_CHUNK], config, params, head), axis=1).tolist()
     return preds, truths
 
 

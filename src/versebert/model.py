@@ -10,13 +10,13 @@ formulation (a learned table is available via ``positional_mode="learned"``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import AllMasked, ShapeMismatch
+from .errors import AllMasked, EmptyReduction, ShapeMismatch
 from .tokenizer import TokenSequence
 
 MASK_BIAS = -1e9
@@ -34,6 +34,8 @@ class ModelConfig:
     positional_mode: str = "sinusoidal"  # or "learned"
 
     def __post_init__(self):
+        if min(self.num_layers, self.num_heads, self.hidden, self.vocab_size) < 1:
+            raise ValueError("layer, head, hidden and vocab sizes must be positive")
         if self.hidden % self.num_heads != 0:
             raise ValueError(f"hidden {self.hidden} not divisible by heads {self.num_heads}")
         if self.max_len < 2:
@@ -48,16 +50,7 @@ class ModelConfig:
         return self.hidden // self.num_heads
 
     def to_dict(self) -> dict:
-        return {
-            "num_layers": self.num_layers,
-            "num_heads": self.num_heads,
-            "hidden": self.hidden,
-            "ffn_dim": self.ffn_dim,
-            "vocab_size": self.vocab_size,
-            "max_len": self.max_len,
-            "dropout": self.dropout,
-            "positional_mode": self.positional_mode,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -66,10 +59,7 @@ class ModelConfig:
 
 def tiny_config(vocab_size: int = 512, max_len: int = 32) -> ModelConfig:
     """Desk-scale preset: 2 layers, 32 hidden, 2 heads, no dropout."""
-    return ModelConfig(
-        num_layers=2, num_heads=2, hidden=32, vocab_size=vocab_size,
-        max_len=max_len, dropout=0.0,
-    )
+    return ModelConfig(num_layers=2, num_heads=2, hidden=32, vocab_size=vocab_size, max_len=max_len, dropout=0.0)
 
 
 def paper_config(vocab_size: int = 50_000) -> ModelConfig:
@@ -88,8 +78,7 @@ def sinusoidal_table(max_len: int, d: int) -> np.ndarray:
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (idx - (idx % 2)) / d)
-    table = np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
-    return table
+    return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -104,9 +93,7 @@ def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.n
 
 @dataclass
 class LayerParams:
-    w_q: list[Tensor]
-    w_k: list[Tensor]
-    w_v: list[Tensor]
+    w_qkv: Tensor  # (d, 3d), columns [Q head 0..H-1 | K heads | V heads]
     w_o: Tensor
     ffn_w1: Tensor
     ffn_w2: Tensor
@@ -114,6 +101,9 @@ class LayerParams:
     ln1_bias: Tensor
     ln2_gain: Tensor
     ln2_bias: Tensor
+
+
+LAYER_FIELDS = tuple(f.name for f in fields(LayerParams))
 
 
 @dataclass
@@ -133,17 +123,7 @@ class ModelParams:
         if self.positional is not None:
             out.append(("positional", self.positional))
         for li, layer in enumerate(self.layers):
-            for hi, (q, k, v) in enumerate(zip(layer.w_q, layer.w_k, layer.w_v)):
-                out.append((f"layers.{li}.heads.{hi}.w_q", q))
-                out.append((f"layers.{li}.heads.{hi}.w_k", k))
-                out.append((f"layers.{li}.heads.{hi}.w_v", v))
-            out.append((f"layers.{li}.w_o", layer.w_o))
-            out.append((f"layers.{li}.ffn_w1", layer.ffn_w1))
-            out.append((f"layers.{li}.ffn_w2", layer.ffn_w2))
-            out.append((f"layers.{li}.ln1_gain", layer.ln1_gain))
-            out.append((f"layers.{li}.ln1_bias", layer.ln1_bias))
-            out.append((f"layers.{li}.ln2_gain", layer.ln2_gain))
-            out.append((f"layers.{li}.ln2_bias", layer.ln2_bias))
+            out.extend((f"layers.{li}.{name}", getattr(layer, name)) for name in LAYER_FIELDS)
         out.append(("mlm_w", self.mlm_w))
         out.append(("mlm_b", self.mlm_b))
         for task in sorted(self.heads):
@@ -155,10 +135,6 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
-    def encoder_parameters(self) -> list[Tensor]:
-        """Everything except the classification heads."""
-        return [t for name, t in self.named_parameters() if not name.startswith("heads.")]
-
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""
@@ -167,28 +143,26 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     def w(shape):
         return Tensor(truncated_normal(rng, shape), requires_grad=True)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape), requires_grad=True)
+    def const(value, shape):
+        return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True)
 
     layers = []
     token_embedding = w((config.vocab_size, d))
     positional = w((config.max_len, d)) if config.positional_mode == "learned" else None
     for _ in range(config.num_layers):
+        # drawn head by head (all Q, then all K, then all V) so a seed gives the
+        # same weights as the per-head layout it replaced
+        w_qkv = np.concatenate([truncated_normal(rng, (d, dk)) for _ in range(3 * config.num_heads)], axis=1)
         layers.append(
             LayerParams(
-                w_q=[w((d, dk)) for _ in range(config.num_heads)],
-                w_k=[w((d, dk)) for _ in range(config.num_heads)],
-                w_v=[w((d, dk)) for _ in range(config.num_heads)],
+                w_qkv=Tensor(w_qkv, requires_grad=True),
                 w_o=w((d, d)),
                 ffn_w1=w((d, config.ffn_dim)),
                 ffn_w2=w((config.ffn_dim, d)),
-                ln1_gain=ones((d,)),
-                ln1_bias=zeros((d,)),
-                ln2_gain=ones((d,)),
-                ln2_bias=zeros((d,)),
+                ln1_gain=const(1.0, (d,)),
+                ln1_bias=const(0.0, (d,)),
+                ln2_gain=const(1.0, (d,)),
+                ln2_bias=const(0.0, (d,)),
             )
         )
     return ModelParams(
@@ -196,7 +170,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
         positional=positional,
         layers=layers,
         mlm_w=w((d, config.vocab_size)),
-        mlm_b=zeros((config.vocab_size,)),
+        mlm_b=const(0.0, (config.vocab_size,)),
     )
 
 
@@ -210,18 +184,24 @@ def init_head(config: ModelConfig, num_labels: int, rng: np.random.Generator) ->
 def scaled_dot_attention(
     q: Tensor, k: Tensor, v: Tensor, mask, return_weights: bool = False
 ):
-    """softmax(QK^T / sqrt(d_k) + mask_bias) V with -1e9 bias at masked keys."""
-    if q.shape[1] != k.shape[1]:
+    """softmax(QK^T / sqrt(d_k) + mask_bias) V with -1e9 bias at masked keys.
+
+    Any leading batch axes are allowed. ``mask`` holds one entry per key and
+    broadcasts against ``k.shape[:-1]``; every query needs an attendable key.
+    """
+    if q.shape[-1] != k.shape[-1]:
         raise ShapeMismatch(f"query dim {q.shape} vs key dim {k.shape}")
-    if k.shape[0] != v.shape[0]:
+    if k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(f"key count {k.shape} vs value count {v.shape}")
-    mask = np.asarray(mask)
-    if mask.shape != (k.shape[0],):
-        raise ShapeMismatch(f"mask shape {mask.shape} vs key count {k.shape[0]}")
-    if not mask.any():
+    mask, keys = np.asarray(mask), k.shape[:-1]
+    lead_ok = mask.ndim <= len(keys) and all(m in (1, n) for m, n in zip(mask.shape[-2::-1], keys[-2::-1]))
+    if mask.shape[-1:] != keys[-1:] or not lead_ok:
+        raise ShapeMismatch(f"mask shape {mask.shape} vs keys {keys}")
+    if not mask.any(axis=-1).all():
         raise AllMasked("every key is masked; at least one must be attendable")
-    scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
-    bias = Tensor(np.where(mask == 0, MASK_BIAS, 0.0))
+    k_t = ag.permute(k, (*range(k.data.ndim - 2), -1, -2))
+    scores = ag.scale(ag.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    bias = Tensor(np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :])
     weights = ag.softmax_rows(ag.add(scores, bias))
     out = ag.matmul(weights, v)
     if return_weights:
@@ -229,38 +209,49 @@ def scaled_dot_attention(
     return out
 
 
-def multi_head_attention(x: Tensor, layer: LayerParams, mask) -> Tensor:
-    """Per-head projected attention, concatenated and projected by W_O."""
-    heads = []
-    for w_q, w_k, w_v in zip(layer.w_q, layer.w_k, layer.w_v):
-        heads.append(
-            scaled_dot_attention(ag.matmul(x, w_q), ag.matmul(x, w_k), ag.matmul(x, w_v), mask)
-        )
-    return ag.matmul(ag.concat(heads, axis=1), layer.w_o)
+def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int) -> Tensor:
+    """All heads at once: one fused QKV projection, attention over a
+    (..., H, T, d_k) layout, heads merged back in column order and projected
+    by W_O. ``x`` is (..., T, d) and ``mask`` is (..., T)."""
+    *lead, t, d = x.shape
+    n = len(lead)
+    qkv = ag.reshape(ag.matmul(x, layer.w_qkv), (*lead, t, 3, num_heads, d // num_heads))
+    q, k, v = ag.unstack(ag.permute(qkv, (n + 1, *range(n), n + 2, n, n + 3)))
+    heads = scaled_dot_attention(q, k, v, np.expand_dims(mask, -2))
+    merged = ag.reshape(ag.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
+    return ag.matmul(merged, layer.w_o)
+
+
+def stack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) id and mask matrices of ``seqs``, cut after the last attended position."""
+    ids = np.array([s.ids for s in seqs], dtype=np.int64)
+    mask = np.array([s.attention_mask for s in seqs], dtype=np.int64)
+    t = int(mask.any(axis=0).nonzero()[0].max(initial=0)) + 1
+    return ids[:, :t], mask[:, :t]
 
 
 def encoder_forward(
-    seq: TokenSequence,
-    config: ModelConfig,
-    params: ModelParams,
-    train: bool = False,
-    dropout_rng: np.random.Generator | None = None,
-    dropout_rate: float | None = None,
+    ids, mask, config: ModelConfig, params: ModelParams, train: bool = False,
+    dropout_rng: np.random.Generator | None = None, dropout_rate: float | None = None,
 ) -> Tensor:
-    """Hidden states (max_len x hidden) for one token sequence.
+    """Hidden states (B x T x hidden) for a (B, T) id matrix and its mask.
 
-    Deterministic when ``train`` is false (dropout becomes identity).
+    Padded positions never change real ones: their keys get zero attention
+    weight. Deterministic when ``train`` is false (dropout becomes identity).
     """
     rate = config.dropout if dropout_rate is None else dropout_rate
-    ids = np.asarray(seq.ids, dtype=np.int64)
+    ids = np.asarray(ids, dtype=np.int64)
+    mask = np.asarray(mask)
+    if ids.ndim != 2 or mask.shape != ids.shape or ids.shape[1] > config.max_len:
+        raise ShapeMismatch(f"ids {ids.shape} / mask {mask.shape} vs max_len {config.max_len}")
+    t = ids.shape[1]
     x = ag.embedding_lookup(params.token_embedding, ids)
     if config.positional_mode == "learned":
-        x = ag.add(x, take_positions(params.positional, len(ids)))
+        x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
     else:
-        x = ag.add(x, Tensor(sinusoidal_table(len(ids), config.hidden)))
-    mask = np.asarray(seq.attention_mask)
+        x = ag.add(x, Tensor(sinusoidal_table(t, config.hidden)))
     for layer in params.layers:
-        attn = multi_head_attention(x, layer, mask)
+        attn = multi_head_attention(x, layer, mask, config.num_heads)
         attn = ag.dropout(attn, rate, train, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
@@ -269,19 +260,35 @@ def encoder_forward(
     return x
 
 
-def take_positions(positional: Tensor, n: int) -> Tensor:
-    return ag.take_rows(positional, np.arange(n))
-
-
 def mlm_logits(hidden: Tensor, params: ModelParams) -> Tensor:
-    """Vocabulary logits at every position."""
+    """Vocabulary logits at every given position."""
     return ag.add(ag.matmul(hidden, params.mlm_w), params.mlm_b)
 
 
+def mlm_loss(hidden: Tensor, targets, params: ModelParams) -> Tensor:
+    """Mean MLM cross-entropy over the positions whose target (one per
+    position) is not ignored; only those rows reach the vocabulary projection."""
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    rows = np.flatnonzero(targets != ag.IGNORE_INDEX)
+    if rows.size == 0:
+        raise EmptyReduction("no masked position to score")
+    picked = ag.take_rows(ag.reshape(hidden, (-1, hidden.shape[-1])), rows)
+    return ag.cross_entropy(mlm_logits(picked, params), targets[rows])
+
+
 def classify(hidden: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """Class logits (1 x num_labels) from the [CLS] position (row 0)."""
-    cls_row = ag.take_rows(hidden, [0])
-    return ag.add(ag.matmul(cls_row, head_w), head_b)
+    """Class logits (B x num_labels) from each sequence's [CLS] position
+    (row 0); a single (T x d) sequence gives one row."""
+    t, d = hidden.shape[-2:]
+    flat = ag.reshape(hidden, (-1, d))
+    cls_rows = ag.take_rows(flat, np.arange(0, flat.shape[0], t))
+    return ag.add(ag.matmul(cls_rows, head_w), head_b)
+
+
+def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:
+    """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
+    with ag.no_grad():
+        return classify(encoder_forward(*stack_batch(seqs), config, params), *head).data
 
 
 def predicted_label(logits: Tensor) -> int:

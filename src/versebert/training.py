@@ -3,17 +3,19 @@
 Randomness comes from one master seed split into named streams (stream order:
 init, masking, dropout, data), so runs are bit-reproducible in a single
 execution context. Checkpoints are a small self-describing binary: magic +
-version, a JSON header (config, vocab digest, array manifest with shapes and
-offsets), then raw little-endian float64 array payloads.
+version, a JSON header (config, vocab digest, payload sha256, array manifest
+with shapes and offsets), then raw little-endian float64 array payloads.
+Version 1 files, which stored per-head Q/K/V arrays, still load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,7 +39,8 @@ IGNORE_INDEX = ag.IGNORE_INDEX
 N_RESERVED = 7  # ids 0-6 are special and never masked or drawn as replacements
 
 CHECKPOINT_MAGIC = b"VBC1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1000
     checkpoint_path: Optional[str] = None
-    lr_schedule: str = "constant"  # hook; only "constant" is implemented
 
     def __post_init__(self):
         if abs(self.mask_prob + self.random_prob + self.keep_prob - 1.0) > 1e-12:
@@ -63,24 +65,9 @@ class TrainConfig:
             raise ValueError("mask_ratio must be in [0, 1]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.lr_schedule != "constant":
-            raise ValueError(f"unsupported lr_schedule {self.lr_schedule!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "dropout": self.dropout,
-            "mask_ratio": self.mask_ratio,
-            "mask_prob": self.mask_prob,
-            "random_prob": self.random_prob,
-            "keep_prob": self.keep_prob,
-            "max_steps": self.max_steps,
-            "seed": self.seed,
-            "eval_every": self.eval_every,
-            "lr_schedule": self.lr_schedule,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "checkpoint_path"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -157,56 +144,33 @@ class Checkpoint:
         cfg = self.model_config
 
         def t(name):
+            if name not in self.arrays:
+                raise CorruptFile(f"checkpoint has no array {name}")
             return Tensor(self.arrays[name].copy(), requires_grad=True)
 
-        layers = []
-        for li in range(cfg.num_layers):
-            layers.append(
-                mdl.LayerParams(
-                    w_q=[t(f"layers.{li}.heads.{hi}.w_q") for hi in range(cfg.num_heads)],
-                    w_k=[t(f"layers.{li}.heads.{hi}.w_k") for hi in range(cfg.num_heads)],
-                    w_v=[t(f"layers.{li}.heads.{hi}.w_v") for hi in range(cfg.num_heads)],
-                    w_o=t(f"layers.{li}.w_o"),
-                    ffn_w1=t(f"layers.{li}.ffn_w1"),
-                    ffn_w2=t(f"layers.{li}.ffn_w2"),
-                    ln1_gain=t(f"layers.{li}.ln1_gain"),
-                    ln1_bias=t(f"layers.{li}.ln1_bias"),
-                    ln2_gain=t(f"layers.{li}.ln2_gain"),
-                    ln2_bias=t(f"layers.{li}.ln2_bias"),
-                )
-            )
-        params = mdl.ModelParams(
+        layers = [
+            mdl.LayerParams(**{f: t(f"layers.{li}.{f}") for f in mdl.LAYER_FIELDS})
+            for li in range(cfg.num_layers)
+        ]
+        return mdl.ModelParams(
             token_embedding=t("token_embedding"),
             positional=t("positional") if "positional" in self.arrays else None,
             layers=layers,
             mlm_w=t("mlm_w"),
             mlm_b=t("mlm_b"),
+            heads={task: (t(f"heads.{task}.w"), t(f"heads.{task}.b")) for task in self.head_tasks()},
         )
-        for name in self.arrays:
-            if name.startswith("heads."):
-                task = name[len("heads."):].rsplit(".", 1)[0]
-                if task not in params.heads:
-                    params.heads[task] = (t(f"heads.{task}.w"), t(f"heads.{task}.b"))
-        return params
 
     def head_tasks(self) -> list[str]:
         return sorted({n[len("heads."):].rsplit(".", 1)[0] for n in self.arrays if n.startswith("heads.")})
 
 
-def checkpoint_from_params(
-    params: mdl.ModelParams,
-    config: mdl.ModelConfig,
-    vocab_digest: str,
-    global_step: int,
-    optimizer: Optional[AdamW] = None,
-) -> Checkpoint:
+def checkpoint_from_params(params: mdl.ModelParams, config: mdl.ModelConfig, vocab_digest: str,
+                           global_step: int, optimizer: Optional[AdamW] = None) -> Checkpoint:
     arrays = {name: t.data.copy() for name, t in params.named_parameters()}
-    opt_state = None
-    if optimizer is not None:
-        opt_state = {
-            "step": optimizer.step_count,
-            "arrays": {k: v.copy() for k, v in optimizer.state_arrays().items()},
-        }
+    opt_state = None if optimizer is None else {
+        "step": optimizer.step_count, "arrays": {k: v.copy() for k, v in optimizer.state_arrays().items()},
+    }
     return Checkpoint(CHECKPOINT_VERSION, config, arrays, vocab_digest, global_step, opt_state)
 
 
@@ -233,76 +197,84 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "global_step": ckpt.global_step,
         "optimizer": opt_meta,
         "arrays": entries,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.format_version))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(payload))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", ckpt.format_version, len(header_bytes)))
+        fh.write(header_bytes + payload)
+
+
+def _read_arrays(entries: list, data: bytes) -> tuple[dict, dict]:
+    """(params, optimizer arrays) from the header's array manifest; every shape
+    must be non-negative integers and every span must lie inside ``data``
+    without overlapping another."""
+    found: dict[str, dict[str, np.ndarray]] = {"param": {}, "opt": {}}
+    spans = []
+    for entry in entries:
+        name, shape, start = entry["name"], entry["shape"], entry["offset"]
+        kind, _, key = name.partition(":")
+        if kind not in found or key in found[kind]:
+            raise CorruptFile(f"unknown or repeated array name {name!r}")
+        if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in [*shape, start]):
+            raise CorruptFile(f"bad shape {shape!r} or offset {start!r} for {name}")
+        end = start + 8 * math.prod(shape)
+        if end > len(data):
+            raise CorruptFile(f"payload of {name} runs past the end of the file")
+        found[kind][key] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64)
+        spans.append((start, end, name))
+    reach = 0
+    for start, end, name in sorted(spans):
+        if start < reach and end > start:
+            raise CorruptFile(f"payload of {name} overlaps another array")
+        reach = max(reach, end)
+    return found["param"], found["opt"]
+
+
+def _fuse_v1_heads(arrays: dict, config: mdl.ModelConfig) -> None:
+    """Replace version 1's per-head Q/K/V arrays with each layer's fused
+    ``w_qkv``, in column order [Q heads | K heads | V heads]."""
+    for li in range(config.num_layers):
+        names = [f"layers.{li}.heads.{hi}.{w}" for w in ("w_q", "w_k", "w_v")
+                 for hi in range(config.num_heads)]
+        arrays[f"layers.{li}.w_qkv"] = np.concatenate([arrays.pop(n) for n in names], axis=1)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a version 1 or 2 checkpoint; any malformed part raises CorruptFile.
+
+    A version 1 file comes back in the version 2 layout. Its AdamW moments are
+    indexed by the old parameter order, so they are dropped.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"{path}: format version {version}, reader supports {CHECKPOINT_VERSION}")
-    header_len = struct.unpack("<Q", blob[8:16])[0]
+    version, header_len = struct.unpack("<IQ", blob[4:16])
+    if version not in READABLE_VERSIONS:
+        raise VersionMismatch(f"{path}: format version {version}, reader supports {READABLE_VERSIONS}")
     if len(blob) < 16 + header_len:
         raise CorruptFile(f"{path}: truncated header")
+    data = blob[16 + header_len :]
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFile(f"{path}: unreadable header ({exc})") from None
-    data = blob[16 + header_len :]
-
-    arrays: dict[str, np.ndarray] = {}
-    opt_arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
-        if end > len(data):
-            raise CorruptFile(f"{path}: truncated payload for {entry['name']}")
-        arr = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64)
-        kind, name = entry["name"].split(":", 1)
-        (arrays if kind == "param" else opt_arrays)[name] = arr
-
-    optimizer = None
-    if header.get("optimizer") is not None:
-        optimizer = {"step": header["optimizer"]["step"], "arrays": opt_arrays}
-    return Checkpoint(
-        format_version=version,
-        model_config=mdl.ModelConfig.from_dict(header["model_config"]),
-        arrays=arrays,
-        vocab_digest=header["vocab_digest"],
-        global_step=header["global_step"],
-        optimizer=optimizer,
-    )
-
-
-def _batched_mlm_loss(
-    sequences: list[TokenSequence],
-    targets: list[np.ndarray],
-    config: mdl.ModelConfig,
-    params: mdl.ModelParams,
-    cfg: TrainConfig,
-    rngs: RunRngs,
-    train: bool = True,
-) -> Tensor:
-    logits = []
-    for seq in sequences:
-        hidden = mdl.encoder_forward(
-            seq, config, params, train=train,
-            dropout_rng=rngs.dropout, dropout_rate=cfg.dropout,
-        )
-        logits.append(mdl.mlm_logits(hidden, params))
-    return ag.cross_entropy(ag.concat(logits, axis=0), np.concatenate(targets))
+        if version >= 2 and header["payload_sha256"] != hashlib.sha256(data).hexdigest():
+            raise CorruptFile(f"{path}: payload does not match its sha256")
+        arrays, opt_arrays = _read_arrays(header["arrays"], data)
+        config = mdl.ModelConfig.from_dict(header["model_config"])
+        step, digest = header["global_step"], header["vocab_digest"]
+        if type(step) is not int or step < 0 or not isinstance(digest, str):
+            raise CorruptFile(f"{path}: bad global_step or vocab_digest")
+        optimizer = None
+        if version == 1:
+            _fuse_v1_heads(arrays, config)
+            if header["optimizer"] is not None:
+                log.warning("%s: dropping version 1 optimizer state", path)
+        elif header["optimizer"] is not None:
+            optimizer = {"step": header["optimizer"]["step"], "arrays": opt_arrays}
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+        raise CorruptFile(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
+    return Checkpoint(CHECKPOINT_VERSION, config, arrays, digest, step, optimizer)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -315,33 +287,19 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
                 yield [int(i) for i in chunk]
 
 
-def pretrain(
-    lines: list[str],
-    vocab: Vocab,
-    config: mdl.ModelConfig,
-    cfg: TrainConfig,
-    on_step: Optional[Callable[[int, float], None]] = None,
-) -> Checkpoint:
-    """Run the masked-language-model objective for ``cfg.max_steps`` steps.
+def _train_forward(seqs, config: mdl.ModelConfig, params, cfg: TrainConfig, rngs: RunRngs) -> Tensor:
+    """Training-mode hidden states (B x T x d) of ``seqs`` as one trimmed batch."""
+    ids, mask = mdl.stack_batch(seqs)
+    return mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
 
-    Deterministic for a fixed seed. Aborts with ``NonFiniteLoss`` if the loss
-    leaves the finite range; steps whose batch has no masked position are
-    skipped (no update) but still counted.
-    """
-    rngs = make_rngs(cfg.seed)
-    params = mdl.init_params(config, rngs.init)
-    sequences = [encode(line, vocab, config.max_len) for line in lines]
-    if not sequences:
-        raise ValueError("no input lines to pretrain on")
-    opt = AdamW(params.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _epoch_batches(len(sequences), cfg.batch_size, rngs.data)
 
+def _run_steps(cfg: TrainConfig, opt: AdamW, batch_loss, on_step, name: str) -> None:
+    """Take ``cfg.max_steps`` AdamW steps on ``batch_loss()``. A non-finite loss raises
+    ``NonFiniteLoss``; a batch raising ``EmptyReduction`` is skipped but counted."""
     for step in range(1, cfg.max_steps + 1):
-        batch = [sequences[i] for i in next(batches)]
-        masked, targets = zip(*(apply_mlm_masking(s, cfg, rngs.masking, len(vocab)) for s in batch))
         opt.zero_grad()
         try:
-            loss = _batched_mlm_loss(list(masked), list(targets), config, params, cfg, rngs)
+            loss = batch_loss()
         except EmptyReduction:
             ag.reset_tape()
             continue
@@ -354,8 +312,33 @@ def pretrain(
         if on_step is not None:
             on_step(step, value)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            log.info("pretrain step %d/%d loss %.4f", step, cfg.max_steps, value)
+            log.info("%s step %d/%d loss %.4f", name, step, cfg.max_steps, value)
 
+
+def pretrain(
+    lines: list[str],
+    vocab: Vocab,
+    config: mdl.ModelConfig,
+    cfg: TrainConfig,
+    on_step: Optional[Callable[[int, float], None]] = None,
+) -> Checkpoint:
+    """Run the masked-language-model objective for ``cfg.max_steps`` steps;
+    deterministic for a fixed seed. A batch without masked positions is skipped."""
+    rngs = make_rngs(cfg.seed)
+    params = mdl.init_params(config, rngs.init)
+    sequences = [encode(line, vocab, config.max_len) for line in lines]
+    if not sequences:
+        raise ValueError("no input lines to pretrain on")
+    opt = AdamW(params.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    batches = _epoch_batches(len(sequences), cfg.batch_size, rngs.data)
+
+    def batch_loss():
+        batch = [sequences[i] for i in next(batches)]
+        masked, targets = zip(*(apply_mlm_masking(s, cfg, rngs.masking, len(vocab)) for s in batch))
+        hidden = _train_forward(masked, config, params, cfg, rngs)
+        return mdl.mlm_loss(hidden, np.stack(targets)[:, : hidden.shape[1]], params)
+
+    _run_steps(cfg, opt, batch_loss, on_step, "pretrain")
     ckpt = checkpoint_from_params(params, config, vocab.digest(), cfg.max_steps)
     if cfg.checkpoint_path:
         save_checkpoint(ckpt, cfg.checkpoint_path)
@@ -396,28 +379,12 @@ def finetune(
     opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     batches = _epoch_batches(len(sequences), cfg.batch_size, rngs.data)
 
-    for step in range(1, cfg.max_steps + 1):
+    def batch_loss():
         idx = next(batches)
-        opt.zero_grad()
-        logits = []
-        for i in idx:
-            hidden = mdl.encoder_forward(
-                sequences[i], config, params, train=True,
-                dropout_rng=rngs.dropout, dropout_rate=cfg.dropout,
-            )
-            logits.append(mdl.classify(hidden, head_w, head_b))
-        loss = ag.cross_entropy(ag.concat(logits, axis=0), labels[idx])
-        value = float(loss.data)
-        if not math.isfinite(value):
-            ag.reset_tape()
-            raise NonFiniteLoss(f"step {step}: loss={value}")
-        ag.backward(loss)
-        opt.step()
-        if on_step is not None:
-            on_step(step, value)
-        if step % cfg.eval_every == 0 or step == cfg.max_steps:
-            log.info("finetune[%s] step %d/%d loss %.4f", taxonomy.task_id, step, cfg.max_steps, value)
+        hidden = _train_forward([sequences[i] for i in idx], config, params, cfg, rngs)
+        return ag.cross_entropy(mdl.classify(hidden, head_w, head_b), labels[idx])
 
+    _run_steps(cfg, opt, batch_loss, on_step, f"finetune[{taxonomy.task_id}]")
     out = checkpoint_from_params(params, config, ckpt.vocab_digest, ckpt.global_step + cfg.max_steps)
     if cfg.checkpoint_path:
         save_checkpoint(out, cfg.checkpoint_path)

@@ -76,8 +76,8 @@ def test_criterion_01_gradient_correctness():
         targets[pos] = t
 
     def f():
-        hidden = mdl.encoder_forward(seq, cfg, params)
-        return ag.cross_entropy(mdl.mlm_logits(hidden, params), targets)
+        hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
+        return mdl.mlm_loss(hidden, targets, params)
 
     end_to_end = ag.grad_check(f, params.parameters(), max_samples=200, rng=np.random.default_rng(100))
     elapsed = time.time() - started
@@ -154,8 +154,9 @@ def test_criterion_04_oracle_equivalence():
         params = mdl.init_params(cfg, np.random.default_rng(trial))
         x = rng.normal(size=(4, 8))
         mask = [1, 1, 1, 0]
-        got = mdl.multi_head_attention(Tensor(x), params.layers[0], mask).data
-        worst_mha = max(worst_mha, float(np.abs(got - multi_head_oracle(x, params.layers[0], mask)).max()))
+        got = mdl.multi_head_attention(Tensor(x), params.layers[0], mask, cfg.num_heads).data
+        oracle = multi_head_oracle(x, params.layers[0], mask, cfg.num_heads)
+        worst_mha = max(worst_mha, float(np.abs(got - oracle).max()))
 
     worst_prf = 0.0
     for _ in range(100):

@@ -142,6 +142,44 @@ class TestGradientsAgainstFiniteDifferences:
 
         self.check(f, [a, b])
 
+    def test_take_rows_repeated(self, rng):
+        # the masked-row gather: rows picked out of order, one of them twice
+        a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        self.check(lambda: ag.cross_entropy(ag.take_rows(a, [3, 0, 3, 4]), [0, 1, 2, 0]), [a])
+
+    def test_matmul_batched_against_shared_weight(self, rng):
+        a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        self.check(lambda: ag.cross_entropy(ag.reshape(ag.matmul(a, w), (6, 5)), [0, 1, 2, 3, 4, 0]), [a, w])
+
+    def test_matmul_batched_both_sides(self, rng):
+        a = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 2, 4, 3)), requires_grad=True)
+        self.check(
+            lambda: ag.cross_entropy(ag.reshape(ag.matmul(a, b), (12, 3)), [0, 1, 2] * 4), [a, b]
+        )
+
+    def test_reshape_permute_unstack_qkv_split(self, rng):
+        # (B, T, 3*H*d_k) -> (B, T, 3, H, d_k) -> (3, B, H, T, d_k) -> q, k, v
+        x = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
+
+        def f():
+            split = ag.permute(ag.reshape(x, (2, 3, 3, 2, 2)), (2, 0, 3, 1, 4))
+            q, k, v = ag.unstack(split)
+            scores = ag.matmul(q, ag.permute(k, (0, 1, 3, 2)))
+            mixed = ag.matmul(ag.softmax_rows(scores), v)
+            return ag.cross_entropy(ag.reshape(mixed, (12, 2)), [0, 1] * 6)
+
+        self.check(f, [x])
+
+    def test_embedding_lookup_batched_one_scatter(self, rng):
+        table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+        ids = np.array([[1, 3, 3], [5, 1, 0]])
+        self.check(
+            lambda: ag.cross_entropy(ag.reshape(ag.embedding_lookup(table, ids), (6, 4)), [0, 1, 2, 3, 0, 1]),
+            [table],
+        )
+
     def test_softmax_cross_entropy_composite(self, rng):
         logits = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         self.check(
@@ -186,6 +224,15 @@ class TestTape:
         with pytest.raises(ShapeMismatch):
             ag.backward(out)
         ag.reset_tape()
+
+    def test_first_gradient_is_copied_not_aliased(self):
+        # add's backward hands one array to both inputs; each must own its grad
+        a = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        b = Tensor(np.array([[3.0, -1.0]]), requires_grad=True)
+        ag.backward(ag.cross_entropy(ag.add(a, b), [0]))
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        assert not np.array_equal(a.grad, b.grad)
 
     def test_gradient_accumulates_across_reuse(self):
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)

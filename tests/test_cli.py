@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from versebert import cli
-from versebert.corpus import load_corpus
+from versebert import cli, evaluation, training
+from versebert.corpus import load_corpus, task_label, taxonomy
+from versebert.tokenizer import Vocab
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,21 @@ class TestPipelineSmoke:
         label, confidence = out.split("\t")
         assert len(label) >= 1
         assert 0.0 <= float(confidence) <= 1.0
+
+
+    def test_predict_labels_equal_evaluate_labels(self, pipeline, monkeypatch, capsys):
+        # predict runs each verse alone; predict_corpus scores chunks of 32
+        store = load_corpus(pipeline["corpus"])
+        tax = taxonomy("rhyme")
+        vocab = Vocab.load(pipeline["vocab"])
+        preds, _ = evaluation.predict_corpus(training.load_checkpoint(pipeline["tuned"]), store, tax, vocab)
+        labeled = [r for r in store.records if task_label(r, tax.task_id) is not None]
+        raw = "".join(r.hemistich1 + "\t" + (r.hemistich2 or "") + "\n" for r in labeled)
+        monkeypatch.setattr("sys.stdin", io.StringIO(raw))
+        assert cli.main(["predict", "--ckpt", str(pipeline["tuned"]), "--vocab", str(pipeline["vocab"])]) == 0
+        printed = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+        assert len(preds) > evaluation.EVAL_CHUNK
+        assert printed == [tax.name(p) for p in preds]
 
 
 class TestExitCodes:

@@ -33,12 +33,14 @@ def dense_attention_oracle(q, k, v, mask):
     return out
 
 
-def multi_head_oracle(x, layer, mask):
+def multi_head_oracle(x, layer, mask, num_heads):
+    """Per-head dense attention with each head's Q/K/V sliced from the fused weight."""
+    d_k = layer.w_qkv.shape[0] // num_heads
+    d = num_heads * d_k
     heads = []
-    for w_q, w_k, w_v in zip(layer.w_q, layer.w_k, layer.w_v):
-        heads.append(
-            dense_attention_oracle(x @ w_q.data, x @ w_k.data, x @ w_v.data, mask)
-        )
+    for h in range(num_heads):
+        w_q, w_k, w_v = (layer.w_qkv.data[:, i * d + h * d_k : i * d + (h + 1) * d_k] for i in range(3))
+        heads.append(dense_attention_oracle(x @ w_q, x @ w_k, x @ w_v, mask))
     return np.concatenate(heads, axis=1) @ layer.w_o.data
 
 
@@ -150,10 +152,9 @@ class TestScaledDotAttention:
 class TestMultiHeadAttention:
     def test_single_head_identity_projection(self, rng):
         d = 4
+        w_q, w_k, w_v = (Tensor(rng.normal(size=(d, d))) for _ in range(3))
         layer = mdl.LayerParams(
-            w_q=[Tensor(rng.normal(size=(d, d)))],
-            w_k=[Tensor(rng.normal(size=(d, d)))],
-            w_v=[Tensor(rng.normal(size=(d, d)))],
+            w_qkv=Tensor(np.concatenate([w_q.data, w_k.data, w_v.data], axis=1)),
             w_o=Tensor(np.eye(d)),
             ffn_w1=Tensor(np.zeros((d, d))),
             ffn_w2=Tensor(np.zeros((d, d))),
@@ -164,17 +165,15 @@ class TestMultiHeadAttention:
         )
         x = Tensor(rng.normal(size=(5, d)))
         mask = [1] * 5
-        out = mdl.multi_head_attention(x, layer, mask)
-        direct = mdl.scaled_dot_attention(
-            ag.matmul(x, layer.w_q[0]), ag.matmul(x, layer.w_k[0]), ag.matmul(x, layer.w_v[0]), mask
-        )
+        out = mdl.multi_head_attention(x, layer, mask, 1)
+        direct = mdl.scaled_dot_attention(ag.matmul(x, w_q), ag.matmul(x, w_k), ag.matmul(x, w_v), mask)
         assert np.allclose(out.data, direct.data, atol=1e-12)
 
     def test_output_shape(self, rng):
         cfg = mdl.ModelConfig(num_layers=1, num_heads=4, hidden=16, vocab_size=32, max_len=8, dropout=0.0)
         params = mdl.init_params(cfg, rng)
         x = Tensor(rng.normal(size=(8, 16)))
-        out = mdl.multi_head_attention(x, params.layers[0], [1] * 8)
+        out = mdl.multi_head_attention(x, params.layers[0], [1] * 8, cfg.num_heads)
         assert out.shape == (8, 16)
 
     def test_matches_per_head_oracle(self, rng):
@@ -183,8 +182,8 @@ class TestMultiHeadAttention:
             params = mdl.init_params(cfg, rng)
             x = rng.normal(size=(5, 8))
             mask = [1, 1, 1, 1, 0]
-            out = mdl.multi_head_attention(Tensor(x), params.layers[0], mask)
-            assert np.allclose(out.data, multi_head_oracle(x, params.layers[0], mask), atol=1e-10)
+            out = mdl.multi_head_attention(Tensor(x), params.layers[0], mask, cfg.num_heads)
+            assert np.allclose(out.data, multi_head_oracle(x, params.layers[0], mask, cfg.num_heads), atol=1e-10)
 
 
 def _make_seq(ids, max_len=16):
@@ -192,18 +191,24 @@ def _make_seq(ids, max_len=16):
     return TokenSequence(tuple(ids) + (0,) * (max_len - n), (1,) * n + (0,) * (max_len - n), max_len)
 
 
+def _forward(seq, cfg, params):
+    """Hidden states (max_len x hidden) of one untrimmed sequence."""
+    hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
+    return ag.reshape(hidden, hidden.shape[1:])
+
+
 class TestEncoderForward:
     def test_hidden_shape(self, tiny):
         cfg, params = tiny
         seq = _make_seq([2, 9, 10, 3])
-        hidden = mdl.encoder_forward(seq, cfg, params)
-        assert hidden.shape == (16, 32)
+        hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
+        assert hidden.shape == (1, 16, 32)
 
     def test_deterministic_in_eval_mode(self, tiny):
         cfg, params = tiny
         seq = _make_seq([2, 9, 10, 11, 3])
-        a = mdl.encoder_forward(seq, cfg, params).data
-        b = mdl.encoder_forward(seq, cfg, params).data
+        a = _forward(seq, cfg, params).data
+        b = _forward(seq, cfg, params).data
         assert np.array_equal(a, b)
         ag.reset_tape()
 
@@ -217,8 +222,8 @@ class TestEncoderForward:
         params.positional.data[:] = 0.0
         seq_a = _make_seq([2, 8, 9, 3], max_len=8)
         seq_b = _make_seq([2, 9, 8, 3], max_len=8)
-        ha = mdl.encoder_forward(seq_a, cfg, params).data
-        hb = mdl.encoder_forward(seq_b, cfg, params).data
+        ha = _forward(seq_a, cfg, params).data
+        hb = _forward(seq_b, cfg, params).data
         assert np.allclose(ha[1], hb[2], atol=1e-10)
         assert np.allclose(ha[2], hb[1], atol=1e-10)
         assert np.allclose(ha[0], hb[0], atol=1e-10)
@@ -231,15 +236,15 @@ class TestEncoderForward:
         params = mdl.init_params(cfg, rng)
         seq_a = _make_seq([2, 8, 9, 3], max_len=8)
         seq_b = _make_seq([2, 9, 8, 3], max_len=8)
-        ha = mdl.encoder_forward(seq_a, cfg, params).data
-        hb = mdl.encoder_forward(seq_b, cfg, params).data
+        ha = _forward(seq_a, cfg, params).data
+        hb = _forward(seq_b, cfg, params).data
         assert not np.allclose(ha[1], hb[2], atol=1e-6)
 
 
 class TestHeads:
     def test_mlm_logits_shape(self, tiny):
         cfg, params = tiny
-        hidden = mdl.encoder_forward(_make_seq([2, 9, 3]), cfg, params)
+        hidden = _forward(_make_seq([2, 9, 3]), cfg, params)
         logits = mdl.mlm_logits(hidden, params)
         assert logits.shape == (16, 64)
         ag.reset_tape()
@@ -300,8 +305,7 @@ class TestEndToEndGradient:
             targets[pos] = t
 
         def f():
-            hidden = mdl.encoder_forward(seq, cfg, params)
-            return ag.cross_entropy(mdl.mlm_logits(hidden, params), targets)
+            return mdl.mlm_loss(_forward(seq, cfg, params), targets, params)
 
         err = ag.grad_check(f, params.parameters(), max_samples=150, rng=np.random.default_rng(3))
         assert err < 1e-4

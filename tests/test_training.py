@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from versebert import corpus, evaluation, model as mdl, preprocess, tokenizer, t
 from versebert.errors import (
     CorruptFile,
     DigestMismatch,
+    EmptyReduction,
     LabelOutOfRange,
     NonFiniteLoss,
     VersionMismatch,
@@ -181,6 +185,29 @@ class TestPretrain:
         ckpt = training.pretrain(lines, vocab, cfg, training.tiny_train_config(max_steps=1, seed=0))
         assert ckpt.vocab_digest == vocab.digest()
 
+    def test_batch_without_masked_positions_is_skipped_and_counted(self, overfit_setup):
+        lines, vocab, cfg = overfit_setup
+        steps = []
+        tcfg = training.tiny_train_config(max_steps=3, seed=2, mask_ratio=0.0)
+        ckpt = training.pretrain(lines, vocab, cfg, tcfg, on_step=lambda s, l: steps.append(s))
+        assert steps == [] and ckpt.global_step == 3
+        with pytest.raises(EmptyReduction):
+            params = ckpt.to_params()
+            mdl.mlm_loss(ag.Tensor(np.zeros((2, 4, cfg.hidden))), np.full((2, 4), ag.IGNORE_INDEX), params)
+        ag.reset_tape()
+
+    def test_dropout_is_bit_reproducible_per_seed(self, overfit_setup):
+        lines, vocab, cfg = overfit_setup
+        runs = [
+            training.pretrain(lines, vocab, cfg, training.tiny_train_config(max_steps=4, seed=s, dropout=0.3))
+            for s in (5, 5, 6)
+        ]
+        names = runs[0].arrays.keys()
+        assert all(np.array_equal(runs[0].arrays[n], runs[1].arrays[n]) for n in names)
+        assert not all(np.array_equal(runs[0].arrays[n], runs[2].arrays[n]) for n in names)
+        no_dropout = training.pretrain(lines, vocab, cfg, training.tiny_train_config(max_steps=4, seed=5))
+        assert not all(np.array_equal(runs[0].arrays[n], no_dropout.arrays[n]) for n in names)
+
     def test_non_finite_loss_aborts_with_step_number(self, overfit_setup):
         lines, vocab, cfg = overfit_setup
         # an absurd learning rate drives parameters to inf after step 1, so
@@ -259,6 +286,101 @@ class TestCheckpointIO:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def save_v1(ckpt, path):
+    """The version 1 writer: per-head Q/K/V arrays and no payload digest."""
+    cfg = ckpt.model_config
+    arrays = dict(ckpt.arrays)
+    for li in range(cfg.num_layers):
+        cols = np.split(arrays.pop(f"layers.{li}.w_qkv"), 3 * cfg.num_heads, axis=1)
+        for i, w in enumerate(("w_q", "w_k", "w_v")):
+            for hi in range(cfg.num_heads):
+                arrays[f"layers.{li}.heads.{hi}.{w}"] = cols[i * cfg.num_heads + hi]
+    entries, payload = [], bytearray()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        entries.append({"name": f"param:{name}", "shape": list(arr.shape), "offset": len(payload)})
+        payload.extend(arr.tobytes())
+    header = json.dumps({
+        "model_config": cfg.to_dict(), "vocab_digest": ckpt.vocab_digest,
+        "global_step": ckpt.global_step, "optimizer": None, "arrays": entries,
+    }).encode()
+    path.write_bytes(b"VBC1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + bytes(payload))
+
+
+def edit_header(path, change):
+    """Rewrite a saved checkpoint's JSON header in place; the payload is kept."""
+    blob = path.read_bytes()
+    n = struct.unpack("<Q", blob[8:16])[0]
+    header = json.loads(blob[16 : 16 + n])
+    change(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n :])
+
+
+class TestCheckpointV2:
+    @pytest.fixture()
+    def saved(self, overfit_setup, tmp_path):
+        lines, vocab, cfg = overfit_setup
+        ckpt = training.pretrain(lines, vocab, cfg, training.tiny_train_config(max_steps=2, seed=6))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        return ckpt, path
+
+    def test_v1_and_its_v2_migration_give_identical_params(self, saved, tmp_path):
+        ckpt, _ = saved
+        v1, v2 = tmp_path / "old.ckpt", tmp_path / "migrated.ckpt"
+        save_v1(ckpt, v1)
+        from_v1 = load_checkpoint(v1)
+        save_checkpoint(from_v1, v2)
+        assert v2.read_bytes()[4:8] == struct.pack("<I", training.CHECKPOINT_VERSION)
+        a, b = from_v1.to_params(), load_checkpoint(v2).to_params()
+        for (name, x), (_, y), (_, z) in zip(
+            a.named_parameters(), b.named_parameters(), ckpt.to_params().named_parameters()
+        ):
+            assert np.array_equal(x.data, y.data) and np.array_equal(x.data, z.data), name
+
+    def test_header_records_payload_sha256(self, saved):
+        _, path = saved
+        blob = path.read_bytes()
+        n = struct.unpack("<Q", blob[8:16])[0]
+        header = json.loads(blob[16 : 16 + n])
+        assert header["payload_sha256"] == hashlib.sha256(blob[16 + n :]).hexdigest()
+
+    def test_flipped_payload_bit_rejected(self, saved):
+        _, path = saved
+        blob = bytearray(path.read_bytes())
+        blob[-3] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFile, match="sha256"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda h: h.pop("vocab_digest"),
+        lambda h: h.pop("payload_sha256"),
+        lambda h: h["arrays"][0].pop("shape"),
+        lambda h: h["arrays"][0].update(shape=[-1]),
+        lambda h: h["arrays"][0].update(shape=[2.5]),
+        lambda h: h["arrays"][0].update(offset=-8),
+        lambda h: h["arrays"][1].update(offset=h["arrays"][0]["offset"]),
+        lambda h: h["arrays"][-1].update(offset=h["arrays"][-1]["offset"] + 8),
+        lambda h: h["arrays"][0].update(name="bogus:x"),
+        lambda h: h.update(global_step="7"),
+        lambda h: h["model_config"].update(hidden=-4),
+    ], ids=["missing-key", "missing-sha", "missing-shape", "negative-shape", "float-shape",
+            "negative-offset", "overlap", "past-payload", "bad-name", "bad-step", "bad-config"])
+    def test_malformed_header_raises_corrupt_file(self, saved, change):
+        _, path = saved
+        edit_header(path, change)
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path)
+
+    def test_missing_parameter_array_raises_corrupt_file(self, saved):
+        _, path = saved
+        edit_header(path, lambda h: h.update(arrays=[e for e in h["arrays"] if "w_qkv" not in e["name"]]))
+        with pytest.raises(CorruptFile):
+            load_checkpoint(path).to_params()
+
+
 @pytest.fixture(scope="module")
 def rhyme_task():
     store = corpus.generate_synthetic(240, seed=5, signal="rhyme")
@@ -327,15 +449,9 @@ class TestFinetune:
         )
         params = tuned.to_params()
         w, b = params.heads["Gender"]
-        correct = 0
-        with ag.no_grad():
-            for line, _ in pairs:
-                hidden = mdl.encoder_forward(
-                    tokenizer.encode(line, vocab, cfg.max_len), cfg, params
-                )
-                pred = mdl.predicted_label(mdl.classify(hidden, w, b))
-                correct += pred == 1
-        assert correct == len(pairs)  # accuracy 1.0 on a constant task
+        seqs = [tokenizer.encode(line, vocab, cfg.max_len) for line, _ in pairs]
+        preds = np.argmax(mdl.predict_logits(seqs, cfg, params, (w, b)), axis=1)
+        assert np.all(preds == 1)  # accuracy 1.0 on a constant task
 
 
 class TestEvaluateIntegration:
