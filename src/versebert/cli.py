@@ -5,8 +5,9 @@ evaluate, predict. Every file-producing run writes a JSON manifest next to its
 main output (command, resolved config, input digests, seed, artifact paths,
 wall-clock duration) so results can be replayed exactly.
 
-Exit codes: 0 success, 1 domain error (error class name on stderr), 2 usage
-error. Configuration precedence: explicit flags > --config JSON > preset.
+Exit codes: 0 success, 1 domain error or a file that cannot be read or written
+(error class name on stderr), 2 usage error. Configuration precedence: explicit
+flags > --config JSON > preset.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 2
     try:
         return args.func(args)
-    except VerseBertError as exc:
+    except (VerseBertError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

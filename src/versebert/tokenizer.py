@@ -7,19 +7,33 @@ then repeatedly merge the adjacent unit pair maximizing
 exhausted or no pair reaches ``min_frequency``. Scores are compared as exact
 fractions and ties break on the lexicographically smallest merged token, so
 training is fully deterministic.
+
+The trainer is incremental, as in the BPE trainer of Sennrich et al. (2016).
+It counts units and pairs once and keeps a pair -> word-type index and a
+unit -> pairs index. The best pair comes off a lazy max-heap keyed on
+``(-score, merged token, pair)``; an entry whose count or score no longer
+matches the current counts is skipped when popped. A merge of ``(a, b)`` into
+``m`` re-segments only the word types that hold the pair, so its cost is
+proportional to their total length, plus one heap push for every pair that
+contains ``a``, ``b`` or ``m``. Those are the pairs whose count changed and
+the pairs rescored because ``count(a)`` and ``count(b)`` fell, which include
+pairs in words the merge did not touch.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
+import heapq
+import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import EmptyCorpus, IdOutOfRange
+from .errors import CorruptFile, EmptyCorpus, IdOutOfRange
 
 RESERVED = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[s]", "[e]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID, S_ID, E_ID = range(7)
+FRAME_TOKENS = ("[PAD]", "[CLS]", "[SEP]")  # placed only by ``encode``
 CONTINUATION = "##"
 MAX_WORD_CHARS = 100  # longer words fall back to [UNK]
 
@@ -49,15 +63,31 @@ class Vocab:
         return hashlib.sha256(payload).hexdigest()
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for t in self.tokens:
-                fh.write(t + "\n")
+        """Write one token per line to a temp file beside ``path``, then
+        rename it into place, so ``path`` never holds a partial vocabulary."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for t in self.tokens:
+                    fh.write(t + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path, target_size: int | None = None) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            tokens = tuple(line.rstrip("\n") for line in fh if line != "\n")
-        return cls(tokens, target_size if target_size is not None else len(tokens))
+        """Read a saved vocabulary; a file that is not UTF-8 or breaks the
+        reserved-prefix or uniqueness rule raises ``CorruptFile``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = tuple(line.rstrip("\n") for line in fh if line != "\n")
+            return cls(tokens, target_size if target_size is not None else len(tokens))
+        except ValueError as exc:  # UTF-8 decode errors are ValueErrors too
+            raise CorruptFile(f"vocab file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -82,6 +112,21 @@ def _word_counts(lines: list[str]) -> Counter:
     return counts
 
 
+def _merge_units(units: list[str], a: str, b: str, merged: str) -> list[str]:
+    """Replace every adjacent (a, b) in ``units``, scanning left to right, so
+    an overlapping run such as a, a, a with a == b merges only its first two."""
+    out = []
+    i, n = 0, len(units)
+    while i < n:
+        if i + 1 < n and units[i] == a and units[i + 1] == b:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(units[i])
+            i += 1
+    return out
+
+
 def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) -> Vocab:
     """Train a WordPiece vocabulary on whitespace-tokenized lines.
 
@@ -95,44 +140,71 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
 
     alphabet = sorted({ch for word in word_freq for ch in word})
     tokens = list(RESERVED) + alphabet + [CONTINUATION + ch for ch in alphabet]
-    segments = {w: [w[0]] + [CONTINUATION + ch for ch in w[1:]] for w in word_freq}
+    freqs = list(word_freq.values())
+    segments = [[w[0]] + [CONTINUATION + ch for ch in w[1:]] for w in word_freq]
 
+    unit_counts: Counter = Counter()
+    pair_counts: Counter = Counter()
+    words_with: dict[tuple[str, str], set[int]] = defaultdict(set)  # pair -> word ids
+    pairs_with: dict[str, set[tuple[str, str]]] = defaultdict(set)  # unit -> pairs
+    for i, (units, freq) in enumerate(zip(segments, freqs)):
+        for u in units:
+            unit_counts[u] += freq
+        for pair in zip(units, units[1:]):
+            pair_counts[pair] += freq
+            words_with[pair].add(i)
+    for pair in pair_counts:
+        pairs_with[pair[0]].add(pair)
+        pairs_with[pair[1]].add(pair)
+
+    floor = max(min_frequency, 1)  # a pair whose count fell to 0 never merges
+
+    def entry(pair):
+        count = pair_counts[pair]
+        if count < floor:
+            return None
+        a, b = pair
+        return (-Fraction(count, unit_counts[a] * unit_counts[b]), a + b[len(CONTINUATION):], pair)
+
+    heap = [e for e in map(entry, pair_counts) if e is not None]
+    heapq.heapify(heap)
     while len(tokens) < target_size:
-        unit_counts: Counter = Counter()
-        pair_counts: Counter = Counter()
-        for word, freq in word_freq.items():
-            units = segments[word]
-            for u in units:
-                unit_counts[u] += freq
-            for a, b in zip(units, units[1:]):
-                pair_counts[(a, b)] += freq
-
-        best_pair = None
-        best_score = None
-        best_merged = None
-        for (a, b), count in pair_counts.items():
-            if count < min_frequency:
-                continue
-            merged = a + b[len(CONTINUATION):]
-            score = Fraction(count, unit_counts[a] * unit_counts[b])
-            if (
-                best_score is None
-                or score > best_score
-                or (score == best_score and merged < best_merged)
-            ):
-                best_pair, best_score, best_merged = (a, b), score, merged
-        if best_pair is None:
+        while heap:
+            best = heapq.heappop(heap)
+            if entry(best[2]) == best:
+                break
+        else:
             break
 
-        tokens.append(best_merged)
-        a, b = best_pair
-        for word, units in segments.items():
-            i = 0
-            while i < len(units) - 1:
-                if units[i] == a and units[i + 1] == b:
-                    units[i : i + 2] = [best_merged]
-                else:
-                    i += 1
+        _, merged, (a, b) = best
+        tokens.append(merged)
+        delta: Counter = Counter()
+        for i in words_with.pop((a, b)):
+            units = segments[i]
+            new = _merge_units(units, a, b, merged)
+            if len(new) == len(units):  # the index keeps words that lost the pair
+                continue
+            freq = freqs[i]
+            n = (len(units) - len(new)) * freq
+            unit_counts[a] -= n
+            unit_counts[b] -= n
+            unit_counts[merged] += n
+            for pair in zip(units, units[1:]):
+                delta[pair] -= freq
+            for pair in zip(new, new[1:]):
+                delta[pair] += freq
+                words_with[pair].add(i)
+            segments[i] = new
+
+        for pair, d in delta.items():
+            pair_counts[pair] += d
+            pairs_with[pair[0]].add(pair)
+            pairs_with[pair[1]].add(pair)
+        # Every pair whose count or score changed holds a, b or merged.
+        for pair in pairs_with[a] | pairs_with[b] | pairs_with[merged]:
+            e = entry(pair)
+            if e is not None:
+                heapq.heappush(heap, e)
     return Vocab(tuple(tokens), target_size)
 
 
@@ -161,11 +233,15 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
 
 
 def encode(line: str, vocab: Vocab, max_len: int) -> TokenSequence:
-    """Encode a preprocessed line as [CLS] pieces [SEP] with padding to max_len."""
+    """Encode a preprocessed line as [CLS] pieces [SEP] with padding to max_len.
+
+    A reserved word in the line keeps its id, except [PAD]/[CLS]/[SEP]: only
+    the frame places those, so in the text they encode as [UNK].
+    """
     piece_ids: list[int] = []
     for word in line.split():
         if word in RESERVED:
-            piece_ids.append(vocab.token_index[word])
+            piece_ids.append(UNK_ID if word in FRAME_TOKENS else vocab.token_index[word])
         else:
             piece_ids.extend(wordpiece_word(word, vocab))
     piece_ids = piece_ids[: max_len - 2]

@@ -114,6 +114,23 @@ class TestExitCodes:
                          "--out", str(tmp_path / "x.tsv")]) == 1
         assert "UnknownLabel" in capsys.readouterr().err
 
+    def test_malformed_vocab_is_corrupt_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("a\nb\nc\n", encoding="utf-8")
+        assert cli.main(["encode", "--vocab", str(bad), "--in", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptFile: ") and str(bad) in err
+
+    def test_missing_input_file_exits_one(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        out = tmp_path / "vocab.txt"
+        assert cli.main(["train-tokenizer", "--in", str(missing), "--vocab-size", "40",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: ") and str(missing) in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_pretrain_same_seed_bit_identical(self, pipeline, tmp_path):

@@ -1,8 +1,12 @@
+import os
+import random
+
 import pytest
-from hypothesis import given, settings
+import seed_tokenizer
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from versebert.errors import EmptyCorpus, IdOutOfRange
+from versebert.errors import CorruptFile, EmptyCorpus, IdOutOfRange
 from versebert.tokenizer import (
     CLS_ID,
     PAD_ID,
@@ -17,6 +21,31 @@ from versebert.tokenizer import (
 )
 
 ARABIC = st.characters(min_codepoint=0x0621, max_codepoint=0x064A)
+FEW_LETTERS = "ابتث"
+
+
+@st.composite
+def small_corpora(draw):
+    """Lines over 1-4 letters; so few letters give repeated letters (overlapping
+    pairs) and score ties in most draws."""
+    letters = FEW_LETTERS[: draw(st.integers(1, 4))]
+    word = st.text(st.sampled_from(letters), min_size=1, max_size=8)
+    return draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join), min_size=1, max_size=5))
+
+
+def zipf_lines(seed: int, n_lines: int, n_types: int) -> list[str]:
+    """Lines of words drawn by rank r with probability proportional to 1/r over
+    a seeded lexicon of 8 letters, like the Zipfian benchmark corpus in small."""
+    rng = random.Random(seed)
+    letters = "ابتثجحخد"
+    lexicon = ["".join(rng.choice(letters) for _ in range(2 + r % 5)) for r in range(n_types)]
+    weights = [1.0 / (r + 1) for r in range(n_types)]
+    return [" ".join(rng.choices(lexicon, weights, k=rng.randint(3, 8))) for _ in range(n_lines)]
+
+
+def seed_size(lines) -> int:
+    """Vocabulary size before any merge: reserved tokens plus both unit forms."""
+    return len(RESERVED) + 2 * len({ch for line in lines for ch in line.replace(" ", "")})
 
 
 def seq_invariants_hold(seq, vocab_size):
@@ -67,6 +96,32 @@ class TestTrainWordpiece:
         lines = ["ابا باب ابا", "باب ابا اباب"]
         assert train_wordpiece(lines, 30).tokens == train_wordpiece(lines, 30).tokens
 
+    @pytest.mark.parametrize("lines", [["ابت"], ["ابت ابت", "بت"], ["اااا ااا"], ["ابا باب ابا", "باب ابا اباب"]])
+    def test_min_frequency_zero_equals_one(self, lines):
+        # Only pairs that occur can merge: a pair whose count fell to 0 after
+        # an earlier merge must not be taken at min_frequency 0.
+        assert train_wordpiece(lines, 80, min_frequency=0).tokens == train_wordpiece(lines, 80, min_frequency=1).tokens
+
+
+class TestTrainerMatchesSeedTrainer:
+    """The incremental trainer against the full-recount trainer it replaced."""
+
+    @given(small_corpora(), st.integers(0, 3), st.integers(-3, 40))
+    @example(["اااا اااا ااا"], 1, 10)
+    @example(["اااا ابابا", "بااا اااا"], 0, 40)
+    @settings(max_examples=400, deadline=None)
+    def test_identical_tokens(self, lines, min_frequency, extra):
+        target = seed_size(lines) + extra
+        assert (train_wordpiece(lines, target, min_frequency).tokens
+                == seed_tokenizer.train_wordpiece(lines, target, min_frequency).tokens)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_identical_tokens_on_zipfian_corpus(self, seed):
+        lines = zipf_lines(seed, 300, 400)
+        new = train_wordpiece(lines, 160)
+        assert len(new) == 160
+        assert new.tokens == seed_tokenizer.train_wordpiece(lines, 160).tokens
+
 
 class TestEncode:
     def test_empty_line(self):
@@ -98,6 +153,12 @@ class TestEncode:
         vocab = train_wordpiece(["اب اب"], 20)
         seq = encode("ا" * 200, vocab, 8)
         assert seq.ids[1] == UNK_ID
+
+    def test_frame_tokens_in_text_encode_as_unk(self):
+        vocab = train_wordpiece(["اب اب"], 20)
+        seq = encode("[SEP] اب [CLS] [PAD] [s]", vocab, 16)
+        seq_invariants_hold(seq, len(vocab))
+        assert seq.ids[1:7] == (UNK_ID, vocab.id("اب"), UNK_ID, UNK_ID, S_ID, SEP_ID)
 
     @given(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x06FF), max_size=60))
     @settings(max_examples=300)
@@ -165,3 +226,37 @@ class TestVocabIO:
     def test_reserved_prefix_enforced(self):
         with pytest.raises(ValueError):
             Vocab(("x",) + RESERVED[1:], 8)
+
+    def test_save_writes_canonical_bytes_and_no_temp_file(self, tmp_path):
+        vocab = train_wordpiece(["ابا باب ابا"], 40)
+        path = tmp_path / "vocab.txt"
+        path.write_text("stale\n", encoding="utf-8")
+        vocab.save(path)
+        assert path.read_bytes() == ("\n".join(vocab.tokens) + "\n").encode("utf-8")
+        assert Vocab.load(path).digest() == vocab.digest()
+        assert os.listdir(tmp_path) == ["vocab.txt"]
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        old = train_wordpiece(["ابا ابا"], 13)
+        path = tmp_path / "vocab.txt"
+        old.save(path)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            train_wordpiece(["ابت ابت"], 13).save(path)
+        assert Vocab.load(path).digest() == old.digest()
+        assert os.listdir(tmp_path) == ["vocab.txt"]
+
+    @pytest.mark.parametrize("content", [
+        "a\nb\nc\n".encode(),
+        ("\n".join(RESERVED + ("ا", "ا")) + "\n").encode(),
+        ("\n".join(RESERVED) + "\n").encode() + b"\xff\xfe\n",
+    ], ids=["no-reserved-prefix", "duplicate-token", "not-utf8"])
+    def test_load_malformed_raises_corrupt_file(self, tmp_path, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(CorruptFile, match="bad.txt"):
+            Vocab.load(path)
