@@ -377,8 +377,24 @@ def cross_entropy(logits: Tensor, target_ids, ignore_index: int = IGNORE_INDEX) 
     return out
 
 
+# float64 elements per block of the AdamW step. One block of the parameter,
+# its two moments, its gradient and the two scratch blocks is 6 x 256 KiB =
+# 1.5 MiB, which stays in a 2 MiB per-core L2 cache across the step's 14
+# ufuncs (16 with weight decay); whole-array passes stream each one through
+# memory. Blocks of 8,192 pay more Python per element and blocks of 131,072
+# spill (both measured slower on pretrain-mid).
+_ADAMW_BLOCK = 32_768
+
+
 class AdamW:
-    """Decoupled-weight-decay Adam with bias-corrected moments."""
+    """Decoupled-weight-decay Adam with bias-corrected moments.
+
+    ``step`` walks each parameter in blocks of ``_ADAMW_BLOCK`` elements with
+    the same elementwise operations in the same order as a whole-array
+    update, so results are bit-identical to it. It allocates no
+    parameter-sized temporary unless a parameter or gradient is not
+    C-contiguous and has to be flattened by a copy.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0):
@@ -389,36 +405,48 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # C order, so ravel in step is a view whatever the parameter's layout
+        self.m = [np.zeros(p.data.shape) for p in self.params]
+        self.v = [np.zeros(p.data.shape) for p in self.params]
+        self._tmp, self._upd = np.empty((2, _ADAMW_BLOCK))
 
     def step(self) -> None:
+        # Check every gradient before touching any array, so a raise leaves no half step.
+        for p in self.params:
+            if p.grad is not None and p.grad.shape != p.data.shape:
+                raise ShapeMismatch(f"grad shape {p.grad.shape} vs param {p.data.shape}")
         t = self.step_count + 1
-        bc1 = 1.0 - self.beta1**t
-        bc2 = 1.0 - self.beta2**t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1**t
+        bc2 = 1.0 - b2**t
+        decay = lr * self.weight_decay
         for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if g is not None and g.shape != p.data.shape:
-                raise ShapeMismatch(f"grad shape {g.shape} vs param {p.data.shape}")
-            if self.weight_decay != 0.0:
-                p.data -= self.lr * self.weight_decay * p.data
-            if g is None:
-                g = np.zeros_like(p.data)
-            # in place, two scratch arrays: fresh parameter-sized arrays cost page faults
-            tmp = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(p.data))
-            m *= self.beta1
-            m += tmp
-            np.multiply(g, 1.0 - self.beta2, out=tmp)
-            tmp *= g
-            v *= self.beta2
-            v += tmp
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += self.eps
-            step = m / bc1
-            step *= self.lr
-            step /= tmp
-            p.data -= step
+            w, m, v = p.data.ravel(), m.ravel(), v.ravel()
+            g = None if p.grad is None else p.grad.ravel()
+            for lo in range(0, w.size, _ADAMW_BLOCK):
+                hi = lo + _ADAMW_BLOCK
+                wb, mb, vb = w[lo:hi], m[lo:hi], v[lo:hi]
+                gb = 0.0 if g is None else g[lo:hi]  # a missing gradient is all zeros
+                tmp, upd = self._tmp[:wb.size], self._upd[:wb.size]
+                if self.weight_decay != 0.0:
+                    np.multiply(wb, decay, out=tmp)
+                    wb -= tmp
+                np.multiply(gb, 1.0 - b1, out=tmp)
+                mb *= b1
+                mb += tmp
+                np.multiply(gb, 1.0 - b2, out=tmp)
+                tmp *= gb
+                vb *= b2
+                vb += tmp
+                np.divide(vb, bc2, out=tmp)
+                np.sqrt(tmp, out=tmp)
+                tmp += eps
+                np.divide(mb, bc1, out=upd)
+                upd *= lr
+                upd /= tmp
+                wb -= upd
+            if not p.data.flags.c_contiguous:  # ravel copied: write the result back
+                p.data[...] = w.reshape(p.data.shape)
         self.step_count = t
 
     def zero_grad(self) -> None:

@@ -168,10 +168,11 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
 
     heap = [e for e in map(entry, pair_counts) if e is not None]
     heapq.heapify(heap)
+    live = {e[2]: e for e in heap}  # pair -> its current entry; other heap entries are stale
     while len(tokens) < target_size:
         while heap:
             best = heapq.heappop(heap)
-            if entry(best[2]) == best:
+            if live.get(best[2]) is best:
                 break
         else:
             break
@@ -203,8 +204,16 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
         # Every pair whose count or score changed holds a, b or merged.
         for pair in pairs_with[a] | pairs_with[b] | pairs_with[merged]:
             e = entry(pair)
-            if e is not None:
+            if e is None:
+                live.pop(pair, None)
+            else:
+                live[pair] = e
                 heapq.heappush(heap, e)
+        # Compact when stale entries outnumber live ones three to one. At one to
+        # one the rebuilds' Fraction comparisons cost more time than they save.
+        if len(heap) > 4 * len(live):
+            heap = list(live.values())
+            heapq.heapify(heap)
     return Vocab(tuple(tokens), target_size)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from versebert import autograd as ag
 from versebert.autograd import AdamW, Tensor
 from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
+
+import seed_adamw
 
 finite = st.floats(-5, 5, allow_nan=False)
 
@@ -286,3 +289,74 @@ class TestAdamW:
                 opt.step()
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
+
+
+BLOCK = ag._ADAMW_BLOCK
+
+
+def adamw_cases(rng):
+    """(param data, grad per step) pairs: sizes around the block edges, 0-D to
+    3-D shapes, a parameter without a gradient, one with a gradient only on
+    odd steps, a transposed-view gradient and a transposed-view parameter."""
+    steps = 6
+    shapes = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 7,), (), (181, 183), (3, 5, 2185)]
+    cases = [(rng.normal(size=s), [rng.normal(size=s) for _ in range(steps)]) for s in shapes]
+    cases.append((rng.normal(size=(40, 30)), [None] * steps))
+    cases.append((rng.normal(size=(BLOCK + 3,)), [rng.normal(size=BLOCK + 3) if k % 2 else None for k in range(steps)]))
+    cases.append((rng.normal(size=(300, 120)), [rng.normal(size=(120, 300)).T for _ in range(steps)]))
+    cases.append((rng.normal(size=(120, 300)).T, [rng.normal(size=(300, 120)) for _ in range(steps)]))
+    return cases
+
+
+class TestBlockedAdamWMatchesSeedStep:
+    """The blocked step against the whole-array step it replaced (``seed_adamw``)."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_params_and_moments(self, rng, weight_decay):
+        cases = adamw_cases(rng)
+        runs = []
+        for step in (AdamW.step, seed_adamw.step):
+            params = [Tensor(data.copy(order="K"), requires_grad=True) for data, _ in cases]
+            opt = AdamW(params, lr=1e-2, weight_decay=weight_decay)
+            for k in range(len(cases[0][1])):
+                for p, (_, grads) in zip(params, cases):
+                    p.grad = grads[k]
+                step(opt)
+            runs.append(opt)
+        new, old = runs
+        assert new.step_count == old.step_count == 6
+        for i, (p, q) in enumerate(zip(new.params, old.params)):
+            assert np.array_equal(p.data, q.data), i
+            assert np.array_equal(new.m[i], old.m[i]), i
+            assert np.array_equal(new.v[i], old.v[i]), i
+        transposed = new.params[-1].data  # updated in place, not in a flattened copy
+        assert not transposed.flags.c_contiguous and not np.array_equal(transposed, cases[-1][0])
+
+    def test_bad_grad_shape_changes_nothing(self, rng):
+        params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(BLOCK + 5,), (4, 3)]]
+        opt = AdamW(params, lr=1e-2, weight_decay=0.01)
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        opt.step()
+        params[0].grad = rng.normal(size=params[0].shape)
+        params[1].grad = rng.normal(size=(3, 4))
+        before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+        with pytest.raises(ShapeMismatch):
+            opt.step()
+        after = [p.data for p in params] + opt.m + opt.v
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert opt.step_count == 1
+
+    @pytest.mark.parametrize("has_grad", [True, False])
+    def test_step_allocates_no_parameter_sized_array(self, rng, has_grad):
+        n = 1 << 20
+        p = Tensor(rng.normal(size=(n // 256, 256)), requires_grad=True)
+        p.grad = rng.normal(size=p.shape) if has_grad else None
+        opt = AdamW([p], lr=1e-2, weight_decay=0.01)
+        tracemalloc.start()
+        try:
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * BLOCK * 8  # an 8 MiB parameter; one block is 256 KiB

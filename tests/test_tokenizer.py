@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 
@@ -121,6 +122,16 @@ class TestTrainerMatchesSeedTrainer:
         new = train_wordpiece(lines, 160)
         assert len(new) == 160
         assert new.tokens == seed_tokenizer.train_wordpiece(lines, 160).tokens
+
+    def test_identical_tokens_when_the_heap_is_compacted(self, monkeypatch):
+        builds = []
+        heapify = heapq.heapify
+        monkeypatch.setattr(heapq, "heapify", lambda heap: (builds.append(len(heap)), heapify(heap)))
+        lines = zipf_lines(3, 300, 400)
+        new = train_wordpiece(lines, 300)
+        monkeypatch.undo()
+        assert len(builds) > 10  # the first builds the heap; every later one compacts it
+        assert new.tokens == seed_tokenizer.train_wordpiece(lines, 300).tokens
 
 
 class TestEncode:

@@ -25,6 +25,8 @@ from versebert.training import (
     save_checkpoint,
 )
 
+import seed_adamw
+
 
 def full_seq(n_real, max_len=32, first_id=7):
     ids = [2] + list(range(first_id, first_id + n_real - 2)) + [3]
@@ -162,6 +164,18 @@ class TestPretrain:
         assert a.arrays.keys() == b.arrays.keys()
         for name in a.arrays:
             assert np.array_equal(a.arrays[name], b.arrays[name]), name
+
+    def test_checkpoint_bytes_match_seed_adamw_step(self, overfit_setup, tmp_path, monkeypatch):
+        lines, vocab, _ = overfit_setup
+        # hidden 320: the embedding and FFN tables span more than one AdamW block
+        cfg = mdl.ModelConfig(num_layers=1, num_heads=2, hidden=320, vocab_size=len(vocab), max_len=24, dropout=0.0)
+        assert len(vocab) * cfg.hidden > ag._ADAMW_BLOCK
+        paths = [tmp_path / "blocked.ckpt", tmp_path / "seed.ckpt"]
+        for path in paths:
+            tcfg = training.tiny_train_config(max_steps=3, seed=4, weight_decay=0.01, checkpoint_path=str(path))
+            training.pretrain(lines, vocab, cfg, tcfg)
+            monkeypatch.setattr(ag.AdamW, "step", seed_adamw.step)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_loss_decreases(self, overfit_setup):
         lines, vocab, cfg = overfit_setup
