@@ -13,6 +13,7 @@ flags > --config JSON > preset.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -134,16 +135,12 @@ def cmd_encode(args) -> int:
     lines = preprocess.read_lines(args.infile) if args.infile else [
         l.rstrip("\n") for l in sys.stdin if l.strip()
     ]
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with preprocess.atomic_text_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         for line in lines:
             seq = tokenizer.encode(line, vocab, args.max_len)
             ids = " ".join(str(i) for i in seq.ids)
             mask = " ".join(str(m) for m in seq.attention_mask)
             out.write(f"{ids}\t{mask}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -5,12 +5,15 @@ line of the form ``"H1 [s] H2"``, or ``"H1 [s] [e]"`` when the second
 hemistich is absent. Markers are padded with single spaces so downstream
 tokenization sees them as standalone tokens.
 
-All functions here are pure and stateless.
+The normalization functions are pure and stateless; the file helpers at the
+end read and write line files.
 """
 
 from __future__ import annotations
 
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .errors import EmptyHemistich
@@ -121,3 +124,21 @@ def read_lines(path) -> list[str]:
                 continue
             out.append(raw.split("\t", 1)[1] if "\t" in raw else raw)
     return out
+
+
+@contextmanager
+def atomic_text_file(path):
+    """Yield a UTF-8 text file open on ``<path>.<pid>.tmp``. On a clean exit it
+    is fsynced and renamed onto ``path``; on an error it is removed, so
+    ``path`` never holds a partial file."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

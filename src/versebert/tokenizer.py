@@ -5,8 +5,9 @@ with every observed character (word-initial and ``##``-continuation form),
 then repeatedly merge the adjacent unit pair maximizing
 ``count(pair) / (count(first) * count(second))`` until the size budget is
 exhausted or no pair reaches ``min_frequency``. Scores are compared as exact
-fractions and ties break on the lexicographically smallest merged token, so
-training is fully deterministic.
+integer keys (``_score_key``) that order and tie exactly as the fractions do,
+and ties break on the lexicographically smallest merged token, so training is
+fully deterministic.
 
 The trainer is incremental, as in the BPE trainer of Sennrich et al. (2016).
 It counts units and pairs once and keeps a pair -> word-type index and a
@@ -18,24 +19,30 @@ proportional to their total length, plus one heap push for every pair that
 contains ``a``, ``b`` or ``m``. Those are the pairs whose count changed and
 the pairs rescored because ``count(a)`` and ``count(b)`` fell, which include
 pairs in words the merge did not touch.
+
+Encoding is greedy longest-match-first per word. Verse text is Zipfian, so
+``encode`` memoises each word's piece ids on its ``Vocab`` and segments each
+distinct word once; the memo is bounded by ``SEGMENT_CACHE_WORDS``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import CorruptFile, EmptyCorpus, IdOutOfRange
+from .errors import CorruptFile, EmptyCorpus, IdOutOfRange, ShapeMismatch
+from .preprocess import atomic_text_file
 
 RESERVED = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[s]", "[e]")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID, S_ID, E_ID = range(7)
 FRAME_TOKENS = ("[PAD]", "[CLS]", "[SEP]")  # placed only by ``encode``
 CONTINUATION = "##"
 MAX_WORD_CHARS = 100  # longer words fall back to [UNK]
+# Words memoised per vocabulary. Past this, new words are still segmented but
+# not stored, so a long stream of distinct words cannot grow memory unbounded.
+SEGMENT_CACHE_WORDS = 65_536
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,7 @@ class Vocab:
     tokens: tuple[str, ...]
     target_size: int
     token_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    segment_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if tuple(self.tokens[:7]) != RESERVED:
@@ -50,6 +58,7 @@ class Vocab:
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")
         object.__setattr__(self, "token_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "segment_cache", {})  # word -> piece ids, filled by encode
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -65,18 +74,9 @@ class Vocab:
     def save(self, path) -> None:
         """Write one token per line to a temp file beside ``path``, then
         rename it into place, so ``path`` never holds a partial vocabulary."""
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for t in self.tokens:
-                    fh.write(t + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_text_file(path) as fh:
+            for t in self.tokens:
+                fh.write(t + "\n")
 
     @classmethod
     def load(cls, path, target_size: int | None = None) -> "Vocab":
@@ -127,6 +127,26 @@ def _merge_units(units: list[str], a: str, b: str, merged: str) -> list[str]:
     return out
 
 
+def _score_shift(total_units: int) -> int:
+    """The scale of ``_score_key`` for unit counts bounded by ``total_units``.
+
+    Call the bound ``U0``. Each denominator ``first * second`` is at most
+    ``U0**2``, and the difference of two distinct scores has a nonzero integer
+    numerator over the product of their denominators, so it is at least
+    ``1 / U0**4``. Scaled by ``2**shift > U0**4`` the scores differ by more
+    than 1, so their floors keep the order, and equal scores give equal
+    floors.
+    """
+    return 4 * total_units.bit_length()
+
+
+def _score_key(count: int, first: int, second: int, shift: int) -> int:
+    """The heap key of a pair: ``-count / (first * second)`` scaled by
+    ``2**shift`` and floored, an integer that compares and ties exactly as the
+    fraction does when ``shift`` comes from ``_score_shift``."""
+    return -((count << shift) // (first * second))
+
+
 def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) -> Vocab:
     """Train a WordPiece vocabulary on whitespace-tokenized lines.
 
@@ -158,13 +178,15 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
         pairs_with[pair[1]].add(pair)
 
     floor = max(min_frequency, 1)  # a pair whose count fell to 0 never merges
+    # Merges only lower the unit total, so it bounds every unit and pair count.
+    shift = _score_shift(sum(unit_counts.values()))
 
     def entry(pair):
         count = pair_counts[pair]
         if count < floor:
             return None
         a, b = pair
-        return (-Fraction(count, unit_counts[a] * unit_counts[b]), a + b[len(CONTINUATION):], pair)
+        return (_score_key(count, unit_counts[a], unit_counts[b], shift), a + b[len(CONTINUATION):], pair)
 
     heap = [e for e in map(entry, pair_counts) if e is not None]
     heapq.heapify(heap)
@@ -209,8 +231,8 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
             else:
                 live[pair] = e
                 heapq.heappush(heap, e)
-        # Compact when stale entries outnumber live ones three to one. At one to
-        # one the rebuilds' Fraction comparisons cost more time than they save.
+        # Compact when stale entries outnumber live ones three to one: the heap
+        # stays within a few times the live pairs without a rebuild every merge.
         if len(heap) > 4 * len(live):
             heap = list(live.values())
             heapq.heapify(heap)
@@ -221,6 +243,7 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
     """Greedy longest-match-first segmentation of one word into piece ids."""
     if len(word) > MAX_WORD_CHARS:
         return [UNK_ID]
+    lookup = vocab.token_index.get
     pieces = []
     start = 0
     while start < len(word):
@@ -230,7 +253,7 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
             piece = word[start:end]
             if start > 0:
                 piece = CONTINUATION + piece
-            piece_id = vocab.id(piece)
+            piece_id = lookup(piece)
             if piece_id is not None:
                 break
             end -= 1
@@ -241,20 +264,35 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
     return pieces
 
 
+def _word_pieces(word: str, vocab: Vocab) -> tuple[int, ...]:
+    """Piece ids of one word of a line, as ``encode`` describes."""
+    if word in RESERVED:
+        return (UNK_ID if word in FRAME_TOKENS else vocab.token_index[word],)
+    return tuple(wordpiece_word(word, vocab))
+
+
 def encode(line: str, vocab: Vocab, max_len: int) -> TokenSequence:
     """Encode a preprocessed line as [CLS] pieces [SEP] with padding to max_len.
 
     A reserved word in the line keeps its id, except [PAD]/[CLS]/[SEP]: only
-    the frame places those, so in the text they encode as [UNK].
+    the frame places those, so in the text they encode as [UNK]. Each word's
+    pieces come from ``vocab.segment_cache`` when it holds the word; otherwise
+    the word is segmented, and stored while the cache holds fewer than
+    ``SEGMENT_CACHE_WORDS`` words. ``max_len`` below 2 raises ``ShapeMismatch``.
     """
-    piece_ids: list[int] = []
+    if max_len < 2:
+        raise ShapeMismatch(f"max_len must be at least 2 to hold [CLS] and [SEP], got {max_len}")
+    cache = vocab.segment_cache
+    ids = [CLS_ID]
     for word in line.split():
-        if word in RESERVED:
-            piece_ids.append(UNK_ID if word in FRAME_TOKENS else vocab.token_index[word])
-        else:
-            piece_ids.extend(wordpiece_word(word, vocab))
-    piece_ids = piece_ids[: max_len - 2]
-    ids = [CLS_ID] + piece_ids + [SEP_ID]
+        pieces = cache.get(word)
+        if pieces is None:
+            pieces = _word_pieces(word, vocab)
+            if len(cache) < SEGMENT_CACHE_WORDS:
+                cache[word] = pieces
+        ids += pieces
+    del ids[max_len - 1:]
+    ids.append(SEP_ID)
     n_real = len(ids)
     ids.extend([PAD_ID] * (max_len - n_real))
     mask = [1] * n_real + [0] * (max_len - n_real)

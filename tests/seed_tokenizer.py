@@ -1,9 +1,10 @@
-"""The WordPiece trainer that the incremental one replaced, kept as an oracle
-for the differential tests.
+"""The WordPiece trainer and encoder that the current ones replaced, kept as
+oracles for the differential tests.
 
-It recounts every unit and every adjacent pair over every word type on each
-merge, then rescans every segmentation to apply the winner. Scores are exact
-fractions and ties break on the smallest merged token.
+The trainer recounts every unit and every adjacent pair over every word type
+on each merge, then rescans every segmentation to apply the winner. Scores are
+exact fractions and ties break on the smallest merged token. The encoder runs
+the greedy longest-match loop for every word occurrence, with no memo.
 """
 
 from __future__ import annotations
@@ -12,7 +13,19 @@ from collections import Counter
 from fractions import Fraction
 
 from versebert.errors import EmptyCorpus
-from versebert.tokenizer import CONTINUATION, RESERVED, Vocab, _word_counts
+from versebert.tokenizer import (
+    CLS_ID,
+    CONTINUATION,
+    FRAME_TOKENS,
+    MAX_WORD_CHARS,
+    PAD_ID,
+    RESERVED,
+    SEP_ID,
+    UNK_ID,
+    TokenSequence,
+    Vocab,
+    _word_counts,
+)
 
 
 def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) -> Vocab:
@@ -67,3 +80,47 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
                 else:
                     i += 1
     return Vocab(tuple(tokens), target_size)
+
+
+def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
+    """Greedy longest-match-first segmentation of one word into piece ids."""
+    if len(word) > MAX_WORD_CHARS:
+        return [UNK_ID]
+    pieces = []
+    start = 0
+    while start < len(word):
+        end = len(word)
+        piece_id = None
+        while start < end:
+            piece = word[start:end]
+            if start > 0:
+                piece = CONTINUATION + piece
+            piece_id = vocab.id(piece)
+            if piece_id is not None:
+                break
+            end -= 1
+        if piece_id is None:
+            return [UNK_ID]
+        pieces.append(piece_id)
+        start = end
+    return pieces
+
+
+def encode(line: str, vocab: Vocab, max_len: int) -> TokenSequence:
+    """Encode a preprocessed line as [CLS] pieces [SEP] with padding to max_len.
+
+    A reserved word in the line keeps its id, except [PAD]/[CLS]/[SEP]: only
+    the frame places those, so in the text they encode as [UNK].
+    """
+    piece_ids: list[int] = []
+    for word in line.split():
+        if word in RESERVED:
+            piece_ids.append(UNK_ID if word in FRAME_TOKENS else vocab.token_index[word])
+        else:
+            piece_ids.extend(wordpiece_word(word, vocab))
+    piece_ids = piece_ids[: max_len - 2]
+    ids = [CLS_ID] + piece_ids + [SEP_ID]
+    n_real = len(ids)
+    ids.extend([PAD_ID] * (max_len - n_real))
+    mask = [1] * n_real + [0] * (max_len - n_real)
+    return TokenSequence(tuple(ids), tuple(mask), max_len)

@@ -1,9 +1,10 @@
 import io
 import json
+import os
 
 import pytest
 
-from versebert import cli, evaluation, training
+from versebert import cli, evaluation, tokenizer, training
 from versebert.corpus import load_corpus, task_label, taxonomy
 from versebert.tokenizer import Vocab
 
@@ -130,6 +131,39 @@ class TestExitCodes:
         assert err.startswith("FileNotFoundError: ") and str(missing) in err
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+    def test_encode_max_len_below_two_exits_one(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "enc.tsv"
+        assert cli.main(["encode", "--vocab", str(pipeline["vocab"]), "--max-len", "1",
+                         "--in", str(pipeline["lines"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ShapeMismatch: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_encode_leaves_old_output_and_no_temp_file(self, pipeline, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "enc.tsv"
+        argv = ["encode", "--vocab", str(pipeline["vocab"]), "--max-len", "16",
+                "--in", str(pipeline["lines"]), "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert os.listdir(tmp_path) == ["enc.tsv"]
+        old = out.read_bytes()
+        assert old.count(b"\n") == 120
+        encode, calls = tokenizer.encode, []
+
+        def fail_on_third_line(line, vocab, max_len):
+            calls.append(line)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return encode(line, vocab, max_len)
+
+        monkeypatch.setattr(tokenizer, "encode", fail_on_third_line)
+        assert cli.main(argv[:-1] + [str(tmp_path / "new.tsv")]) == 1
+        calls.clear()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.count("OSError: disk full") == 2
+        assert out.read_bytes() == old
+        assert os.listdir(tmp_path) == ["enc.tsv"]
 
 
 class TestDeterminism:

@@ -1,21 +1,26 @@
 import heapq
 import os
 import random
+from fractions import Fraction
 
 import pytest
 import seed_tokenizer
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from versebert.errors import CorruptFile, EmptyCorpus, IdOutOfRange
+from versebert import tokenizer
+from versebert.errors import CorruptFile, EmptyCorpus, IdOutOfRange, ShapeMismatch
 from versebert.tokenizer import (
     CLS_ID,
+    MAX_WORD_CHARS,
     PAD_ID,
     RESERVED,
     SEP_ID,
     S_ID,
     UNK_ID,
     Vocab,
+    _score_key,
+    _score_shift,
     decode,
     encode,
     train_wordpiece,
@@ -197,6 +202,103 @@ class TestEncode:
         for ch in set("".join(lines.copy())) - {" "}:
             seq = encode(ch, vocab, 8)
             assert UNK_ID not in seq.ids
+
+
+class TestEncodeMatchesSeedEncoder:
+    """The memoising encoder against the per-occurrence encoder it replaced."""
+
+    TOKENS = train_wordpiece(zipf_lines(2, 200, 300), 90).tokens
+    WORD = st.one_of(
+        st.sampled_from(RESERVED),
+        st.text(st.sampled_from("ابتثجحخد"), min_size=1, max_size=8),
+        st.integers(MAX_WORD_CHARS - 1, MAX_WORD_CHARS + 2).map(lambda n: "ا" * n),
+        st.text(st.characters(min_codepoint=0x21, max_codepoint=0x06FF), min_size=1, max_size=6),
+    )
+
+    @given(st.lists(WORD, max_size=12), st.lists(st.integers(0, 11), max_size=8), st.integers(2, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_identical_ids_on_arbitrary_words(self, words, repeats, max_len):
+        words += [words[i] for i in repeats if i < len(words)]
+        line = " ".join(words)
+        vocab = Vocab(self.TOKENS, len(self.TOKENS))
+        expected = seed_tokenizer.encode(line, vocab, max_len)
+        assert encode(line, vocab, max_len) == expected  # cold cache
+        assert encode(line, vocab, max_len) == expected  # every word cached
+
+    @given(st.text(st.characters(min_codepoint=0x09, max_codepoint=0x06FF), max_size=80), st.integers(2, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_identical_ids_on_arbitrary_text(self, text, max_len):
+        vocab = Vocab(self.TOKENS, len(self.TOKENS))
+        assert encode(text, vocab, max_len) == seed_tokenizer.encode(text, vocab, max_len)
+
+    def test_identical_ids_on_zipfian_corpus(self):
+        lines = zipf_lines(11, 3000, 2000)
+        vocab = train_wordpiece(lines[:400], 200)
+        expected = [seed_tokenizer.encode(line, vocab, 32) for line in lines]
+        assert [encode(line, vocab, 32) for line in lines] == expected
+        assert len(vocab.segment_cache) == len({w for line in lines for w in line.split()})
+
+    def test_cache_stops_at_its_cap_and_still_encodes_identically(self, monkeypatch):
+        monkeypatch.setattr(tokenizer, "SEGMENT_CACHE_WORDS", 50)
+        lines = zipf_lines(4, 300, 400)
+        assert len({w for line in lines for w in line.split()}) > 50
+        vocab = train_wordpiece(lines, 120)
+        expected = [seed_tokenizer.encode(line, vocab, 16) for line in lines]
+        for _ in range(2):
+            assert [encode(line, vocab, 16) for line in lines] == expected
+            assert len(vocab.segment_cache) == 50
+
+    def test_cache_leaves_equality_hash_and_digest_unchanged(self):
+        a, b = Vocab(self.TOKENS, 90), Vocab(self.TOKENS, 90)
+        encode("ابا باب [s] تاب", a, 16)
+        assert a.segment_cache and not b.segment_cache
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a.digest() == b.digest()
+        assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("max_len", [1, 0, -3])
+    def test_max_len_below_two_raises(self, max_len):
+        with pytest.raises(ShapeMismatch):
+            encode("ابا", Vocab(self.TOKENS, 90), max_len)
+
+
+class TestScoreKey:
+    """``_score_key`` must order and tie exactly as the fractions it replaces."""
+
+    @staticmethod
+    def assert_like_fractions(u0, x, y):
+        shift = _score_shift(u0)
+        kx, ky = _score_key(*x, shift), _score_key(*y, shift)
+        fx, fy = Fraction(x[0], x[1] * x[2]), Fraction(y[0], y[1] * y[2])
+        assert (kx < ky) == (fx > fy) and (kx == ky) == (fx == fy)
+
+    @given(st.integers(1, 2**45), st.data())
+    @settings(max_examples=400)
+    def test_near_ties_at_large_counts(self, u0, data):
+        count = st.integers(1, u0)
+        c, a, b = data.draw(count), data.draw(count), data.draw(count)
+        k = data.draw(st.integers(1, 6))
+        neighbours = [
+            (c, a, b),
+            (c * k, a * k, b) if a * k <= u0 else (c, a, b),  # the same fraction, larger counts
+            (max(1, c * (a - 1) // a), max(1, a - 1), b),  # within about 1/(a*a*b) of it
+            (c * (a - 1) // a + 1, max(1, a - 1), b),
+            (c + 1, a, b) if c < u0 else (c, a, b),
+            (c, a, b + 1) if b < u0 else (c, a, b),
+        ]
+        for y in neighbours:
+            self.assert_like_fractions(u0, (c, a, b), y)
+
+    @pytest.mark.parametrize("u0", [2**40 - 1, 2**40, 10**12])
+    def test_adjacent_fractions_at_the_largest_denominators(self, u0):
+        # 1/m**2 and 1/((m-1)*(m+1)) differ by 1/(m**2*(m**2-1)), about the
+        # 1/u0**4 gap the bound allows; equal scores at other counts must tie.
+        m = u0 - 1
+        for c in (1, 2, u0 // 3, u0 - 1):
+            self.assert_like_fractions(u0, (c, m, m), (c, m - 1, m + 1))
+            self.assert_like_fractions(u0, (c, u0, u0), (c, u0, u0 - 1))
+            self.assert_like_fractions(u0, (c, u0, u0), (c + 1, u0, u0))
+        self.assert_like_fractions(u0, (u0 // 2, u0 // 2, 4), (u0 // 4 * 2, u0 // 4 * 2, 4))
 
 
 class TestDecode:
