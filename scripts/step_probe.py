@@ -1,0 +1,60 @@
+"""Time steady-state pretrain steps on the benchmark's pretrain inputs.
+
+    PYTHONPATH=src python3 scripts/step_probe.py [--workload pretrain-mid]
+        [--seed 3] [--steps 40] [--losses 4]
+
+For each workload it runs ``training.pretrain`` once, in this process, and
+prints the median milliseconds per step (step 1 excluded), the minor page
+faults per step (``ru_minflt`` of this process), the peak RSS of the process
+so far, and the first losses as float hex, so two trees can be compared for
+bit-identical losses. Inputs come from ``perfbench/workloads.pretrain_inputs``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from versebert import training  # noqa: E402
+from workloads import pretrain_inputs  # noqa: E402
+
+
+def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
+    lines, vocab, config, cfg = pretrain_inputs(workload, seed)
+    losses, stamps = [], []
+
+    def on_step(step, loss):
+        losses.append(loss)
+        stamps.append((time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+
+    training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
+    ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
+    faults = (stamps[-1][1] - stamps[0][1]) / max(1, len(stamps) - 1)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, {faults:.0f} minor faults/step, "
+          f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
+    print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", choices=("pretrain-tiny", "pretrain-mid"), action="append")
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--steps", type=int, default=40)
+    ap.add_argument("--losses", type=int, default=4)
+    args = ap.parse_args()
+    if args.steps < 2:
+        ap.error("--steps must be at least 2")
+    for workload in args.workload or ("pretrain-tiny", "pretrain-mid"):
+        probe(workload, args.seed, args.steps, args.losses)
+
+
+if __name__ == "__main__":
+    main()

@@ -3,8 +3,9 @@
 Every op computes its forward value eagerly with numpy and, when gradients are
 enabled and an input requires them, records a backward closure on a global
 tape. ``backward(loss)`` replays the tape in reverse (execution order is a
-valid topological order) and then frees it. Arrays are 64-bit floats
-throughout so finite-difference checks can run at tight tolerances.
+valid topological order) and then frees it; leaf tensors keep their gradient
+arrays across steps. Arrays are 64-bit floats throughout so finite-difference
+checks can run at tight tolerances.
 """
 
 from __future__ import annotations
@@ -20,18 +21,21 @@ from .errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
 class Tensor:
     """A dense array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_grad_buf")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self._grad_buf: np.ndarray | None = None  # the array the tape allocated for grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def zero_grad(self) -> None:
+        """Drop the gradient. The next backward overwrites the array the tape
+        allocated for it, so copy a gradient that must outlive the step."""
         self.grad = None
 
     def __repr__(self) -> str:
@@ -63,21 +67,25 @@ def tape_size() -> int:
 
 
 def _record(out: Tensor, backward_fn) -> None:
-    if _grad_enabled and out.requires_grad:
+    out.requires_grad = out.requires_grad and _grad_enabled  # off the tape, a constant
+    if out.requires_grad:
         _tape.append((out, backward_fn))
 
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
-    """Add ``g`` to ``t.grad``, taking over the first gradient. ``owned`` says
-    the caller just allocated ``g`` for ``t`` alone, so it is adopted as is;
-    otherwise it is copied, never aliased (add's backward hands one array to
-    both of its inputs)."""
+    """Add ``g`` to ``t.grad``; a first gradient goes into the array kept from
+    an earlier step, or is taken over and kept if ``owned`` says the caller
+    just allocated it for ``t`` alone. Otherwise it is copied, never aliased
+    (add's backward hands one array to both of its inputs)."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g if owned else np.array(g, dtype=np.float64)
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif t._grad_buf is not None:
+        t.grad = t._grad_buf
+        np.copyto(t.grad, g)
+    else:
+        t.grad = t._grad_buf = g if owned else np.array(g, dtype=np.float64)
 
 
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
@@ -86,7 +94,8 @@ def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
+        t.grad = t._grad_buf = np.empty_like(t.data) if t._grad_buf is None else t._grad_buf
+        t.grad.fill(0)
     if isinstance(idx, int):
         t.grad[idx] += g
     elif idx.size:
@@ -109,7 +118,7 @@ def backward(loss: Tensor) -> None:
             out, fn = _tape.pop()
             if out.grad is not None:
                 fn(out.grad)
-                out.grad = None
+                out.grad = out._grad_buf = None  # an op output's gradient is used once
     finally:
         reset_tape()
 
@@ -141,7 +150,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def fn(g):
             g_rows = g.reshape(-1, b.shape[-1])
             _accumulate(a, (g_rows @ b_data.T).reshape(a.shape), owned=True)
-            _accumulate(b, rows.T @ g_rows, owned=True)
+            if b.grad is None and b._grad_buf is not None:  # the step's first weight gradient
+                b.grad = np.matmul(rows.T, g_rows, out=b._grad_buf)
+            else:
+                _accumulate(b, rows.T @ g_rows, owned=True)
     else:
         out = Tensor(a_data @ b_data, a.requires_grad or b.requires_grad)
 

@@ -224,8 +224,12 @@ def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int) ->
 
 def stack_batch(seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
     """(B, T) id and mask matrices of ``seqs``, cut after the last attended position."""
-    ids = np.array([s.ids for s in seqs], dtype=np.int64)
-    mask = np.array([s.attention_mask for s in seqs], dtype=np.int64)
+    return trim_batch(np.array([s.ids for s in seqs], dtype=np.int64),
+                      np.array([s.attention_mask for s in seqs], dtype=np.int64))
+
+
+def trim_batch(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ids`` and ``mask`` cut after the last position any row attends to."""
     t = int(mask.any(axis=0).nonzero()[0].max(initial=0)) + 1
     return ids[:, :t], mask[:, :t]
 

@@ -127,13 +127,13 @@ def read_lines(path) -> list[str]:
 
 
 @contextmanager
-def atomic_text_file(path):
-    """Yield a UTF-8 text file open on ``<path>.<pid>.tmp``. On a clean exit it
-    is fsynced and renamed onto ``path``; on an error it is removed, so
-    ``path`` never holds a partial file."""
+def atomic_text_file(path, binary: bool = False):
+    """Yield a UTF-8 text file (a binary one with ``binary``) open on
+    ``<path>.<pid>.tmp``. On a clean exit it is fsynced and renamed onto
+    ``path``; on an error it is removed, so ``path`` never holds a partial file."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())

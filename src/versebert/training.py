@@ -10,6 +10,7 @@ Version 1 files, which stored per-head Q/K/V arrays, still load.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -31,6 +32,7 @@ from .errors import (
     NonFiniteLoss,
     VersionMismatch,
 )
+from .preprocess import atomic_text_file
 from .tokenizer import MASK_ID, TokenSequence, Vocab, encode
 
 log = logging.getLogger(__name__)
@@ -97,37 +99,35 @@ def make_rngs(seed: int) -> RunRngs:
     return RunRngs(*(np.random.default_rng(c) for c in children))
 
 
-def apply_mlm_masking(
-    seq: TokenSequence,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    vocab_size: int,
-) -> tuple[TokenSequence, np.ndarray]:
-    """Independently select unpadded non-special positions with probability
-    ``mask_ratio``; each selected position becomes [MASK] / a random
-    non-special id / its original id per the configured split. Targets hold the
-    original id at selected positions and IGNORE_INDEX elsewhere.
-    """
-    ids = np.array(seq.ids, dtype=np.int64)
-    mask = np.array(seq.attention_mask, dtype=bool)
-    candidates = np.flatnonzero(mask & (ids >= N_RESERVED))
-    targets = np.full(len(ids), IGNORE_INDEX, dtype=np.int64)
-    if candidates.size == 0 or cfg.mask_ratio == 0.0:
-        return seq, targets
-
-    selected = candidates[rng.random(candidates.size) < cfg.mask_ratio]
-    if selected.size == 0:
-        return seq, targets
-    targets[selected] = ids[selected]
-
-    fate = rng.random(selected.size)
-    to_mask = selected[fate < cfg.mask_prob]
-    to_random = selected[(fate >= cfg.mask_prob) & (fate < cfg.mask_prob + cfg.random_prob)]
-    ids[to_mask] = MASK_ID
-    if to_random.size:
-        ids[to_random] = rng.integers(N_RESERVED, vocab_size, size=to_random.size)
-    masked = TokenSequence(tuple(int(i) for i in ids), seq.attention_mask, seq.max_len)
-    return masked, targets
+def apply_mlm_masking(batch, cfg: TrainConfig, rng: np.random.Generator, vocab_size: int):
+    """(masked ids, targets) of an ``(ids, mask)`` pair of (B, T) matrices.
+    Unpadded non-special positions are selected independently with probability
+    ``mask_ratio``; each becomes [MASK] / a random non-special id / its original
+    id per the configured split, and its target is its original id (elsewhere
+    IGNORE_INDEX). The draws go row by row, exactly as if each row were masked
+    alone. A single TokenSequence gives a masked TokenSequence and 1-D targets."""
+    if isinstance(batch, TokenSequence):
+        ids, targets = apply_mlm_masking(([batch.ids], [batch.attention_mask]), cfg, rng, vocab_size)
+        return TokenSequence(tuple(ids[0].tolist()), batch.attention_mask, batch.max_len), targets[0]
+    ids = np.array(batch[0], dtype=np.int64)
+    candidates = np.asarray(batch[1], dtype=bool) & (ids >= N_RESERVED)
+    targets = np.full(ids.shape, IGNORE_INDEX, dtype=np.int64)
+    if cfg.mask_ratio == 0.0:
+        return ids, targets
+    lo, hi = cfg.mask_prob, cfg.mask_prob + cfg.random_prob
+    picks, fates, replacements = [], [], []
+    for n in candidates.sum(axis=1).tolist():  # an empty draw leaves the stream as it was
+        picks.append(rng.random(n) < cfg.mask_ratio)
+        fates.append(rng.random(np.count_nonzero(picks[-1])))
+        n_random = np.count_nonzero((fates[-1] >= lo) & (fates[-1] < hi))
+        replacements.append(rng.integers(N_RESERVED, vocab_size, size=n_random))
+    rows, cols = (axis[np.concatenate(picks)] for axis in np.nonzero(candidates))  # row-major, as drawn
+    targets[rows, cols] = ids[rows, cols]
+    fate = np.concatenate(fates)
+    to_mask, to_random = fate < lo, (fate >= lo) & (fate < hi)
+    ids[rows[to_mask], cols[to_mask]] = MASK_ID
+    ids[rows[to_random], cols[to_random]] = np.concatenate(replacements)
+    return ids, targets
 
 
 @dataclass
@@ -175,21 +175,18 @@ def checkpoint_from_params(params: mdl.ModelParams, config: mdl.ModelConfig, voc
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Serialize with a JSON manifest header followed by raw float64 payloads."""
-    entries = []
-    payload = bytearray()
-    def put(name, arr):
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape), "offset": len(payload)})
-        payload.extend(arr.tobytes())
-
-    for name in sorted(ckpt.arrays):
-        put(f"param:{name}", ckpt.arrays[name])
+    """Atomically write a JSON manifest header, then each raw float64 payload in turn."""
+    named = [(f"param:{name}", ckpt.arrays[name]) for name in sorted(ckpt.arrays)]
     opt_meta = None
     if ckpt.optimizer is not None:
         opt_meta = {"step": ckpt.optimizer["step"]}
-        for name in sorted(ckpt.optimizer["arrays"]):
-            put(f"opt:{name}", ckpt.optimizer["arrays"][name])
+        named += [(f"opt:{name}", ckpt.optimizer["arrays"][name]) for name in sorted(ckpt.optimizer["arrays"])]
+    payload = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in named]
+    entries, digest, offset = [], hashlib.sha256(), 0
+    for (name, _), arr in zip(named, payload):
+        entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        digest.update(arr)
+        offset += arr.nbytes
 
     header = {
         "model_config": ckpt.model_config.to_dict(),
@@ -197,15 +194,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "global_step": ckpt.global_step,
         "optimizer": opt_meta,
         "arrays": entries,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_text_file(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", ckpt.format_version, len(header_bytes)))
-        fh.write(header_bytes + payload)
+        fh.writelines([header_bytes, *payload])
 
 
-def _read_arrays(entries: list, data: bytes) -> tuple[dict, dict]:
+def _read_arrays(entries: list, data: memoryview) -> tuple[dict, dict]:
     """(params, optimizer arrays) from the header's array manifest; every shape
     must be non-negative integers and every span must lie inside ``data``
     without overlapping another."""
@@ -255,7 +252,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise VersionMismatch(f"{path}: format version {version}, reader supports {READABLE_VERSIONS}")
     if len(blob) < 16 + header_len:
         raise CorruptFile(f"{path}: truncated header")
-    data = blob[16 + header_len :]
+    data = memoryview(blob)[16 + header_len :]  # slices of it copy nothing
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         if version >= 2 and header["payload_sha256"] != hashlib.sha256(data).hexdigest():
@@ -282,15 +279,7 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     while True:
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            chunk = order[start : start + batch_size]
-            if chunk.size:
-                yield [int(i) for i in chunk]
-
-
-def _train_forward(seqs, config: mdl.ModelConfig, params, cfg: TrainConfig, rngs: RunRngs) -> Tensor:
-    """Training-mode hidden states (B x T x d) of ``seqs`` as one trimmed batch."""
-    ids, mask = mdl.stack_batch(seqs)
-    return mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
+            yield order[start : start + batch_size]
 
 
 def _run_steps(cfg: TrainConfig, opt: AdamW, batch_loss, on_step, name: str) -> None:
@@ -326,17 +315,18 @@ def pretrain(
     deterministic for a fixed seed. A batch without masked positions is skipped."""
     rngs = make_rngs(cfg.seed)
     params = mdl.init_params(config, rngs.init)
-    sequences = [encode(line, vocab, config.max_len) for line in lines]
-    if not sequences:
+    if not lines:
         raise ValueError("no input lines to pretrain on")
+    all_ids, all_mask = mdl.stack_batch([encode(line, vocab, config.max_len) for line in lines])
     opt = AdamW(params.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _epoch_batches(len(sequences), cfg.batch_size, rngs.data)
+    batches = _epoch_batches(len(lines), cfg.batch_size, rngs.data)
 
     def batch_loss():
-        batch = [sequences[i] for i in next(batches)]
-        masked, targets = zip(*(apply_mlm_masking(s, cfg, rngs.masking, len(vocab)) for s in batch))
-        hidden = _train_forward(masked, config, params, cfg, rngs)
-        return mdl.mlm_loss(hidden, np.stack(targets)[:, : hidden.shape[1]], params)
+        idx = next(batches)
+        ids, mask = mdl.trim_batch(all_ids[idx], all_mask[idx])
+        ids, targets = apply_mlm_masking((ids, mask), cfg, rngs.masking, len(vocab))
+        hidden = mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
+        return mdl.mlm_loss(hidden, targets, params)
 
     _run_steps(cfg, opt, batch_loss, on_step, "pretrain")
     ckpt = checkpoint_from_params(params, config, vocab.digest(), cfg.max_steps)
@@ -370,18 +360,20 @@ def finetune(
     head_w, head_b = mdl.init_head(config, taxonomy.num_labels, rngs.init)
     params.heads[taxonomy.task_id] = (head_w, head_b)
 
-    sequences = [encode(line, vocab, config.max_len) for line, _ in pairs]
     labels = np.array([taxonomy.index(label) for _, label in pairs], dtype=np.int64)
-    if not sequences:
+    if not pairs:
         raise ValueError("no labeled pairs to finetune on")
+    all_ids, all_mask = mdl.stack_batch([encode(line, vocab, config.max_len) for line, _ in pairs])
 
     trainable = [head_w, head_b] if head_only else params.parameters()
     opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _epoch_batches(len(sequences), cfg.batch_size, rngs.data)
+    batches = _epoch_batches(len(pairs), cfg.batch_size, rngs.data)
 
     def batch_loss():
         idx = next(batches)
-        hidden = _train_forward([sequences[i] for i in idx], config, params, cfg, rngs)
+        ids, mask = mdl.trim_batch(all_ids[idx], all_mask[idx])
+        with ag.no_grad() if head_only else contextlib.nullcontext():  # a frozen encoder needs no tape
+            hidden = mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
         return ag.cross_entropy(mdl.classify(hidden, head_w, head_b), labels[idx])
 
     _run_steps(cfg, opt, batch_loss, on_step, f"finetune[{taxonomy.task_id}]")
