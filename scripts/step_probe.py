@@ -8,12 +8,16 @@ prints the median milliseconds per step (step 1 excluded), the minor page
 faults per step (``ru_minflt`` of this process), the peak RSS of the process
 so far, and the first losses as float hex, so two trees can be compared for
 bit-identical losses. Inputs come from ``perfbench/workloads.pretrain_inputs``.
+``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
+held-out verses and prints the padded and real positions of one pass and a
+sha256 of its labels, so two trees can be compared for identical labels.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import resource
 import statistics
 import sys
@@ -22,8 +26,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from versebert import training  # noqa: E402
-from workloads import pretrain_inputs  # noqa: E402
+from versebert import corpus, evaluation, model as mdl, tokenizer, training  # noqa: E402
+from workloads import heldout, prepare_classifier, pretrain_inputs  # noqa: E402
 
 
 def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
@@ -43,9 +47,28 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
 
 
+def probe_classify(seed: int, calls: int) -> None:
+    ckpt_path, vocab_path = prepare_classifier()
+    args = (training.load_checkpoint(ckpt_path), heldout(seed), corpus.taxonomy("rhyme"), tokenizer.Vocab.load(vocab_path))
+    masks, predict_logits = [], mdl.predict_logits
+    mdl.predict_logits = lambda seqs, *rest: masks.append(mdl.stack_batch(seqs)[1]) or predict_logits(seqs, *rest)
+    try:
+        preds, _ = evaluation.predict_corpus(*args)
+    finally:
+        mdl.predict_logits = predict_logits
+    real, ms = sum(int(m.sum()) for m in masks), []
+    for _ in range(calls):
+        t = time.perf_counter()
+        evaluation.evaluate(*args)
+        ms.append(1000.0 * (time.perf_counter() - t))
+    print(f"classify seed {seed}: {statistics.median(ms):.1f} ms/evaluate over {calls} calls, "
+          f"{sum(m.size for m in masks) - real} padded and {real} real positions per pass")
+    print("  labels sha256:", hashlib.sha256(" ".join(map(str, preds)).encode()).hexdigest())
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=("pretrain-tiny", "pretrain-mid"), action="append")
+    ap.add_argument("--workload", choices=("pretrain-tiny", "pretrain-mid", "classify"), action="append")
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--steps", type=int, default=40)
     ap.add_argument("--losses", type=int, default=4)
@@ -53,7 +76,10 @@ def main() -> None:
     if args.steps < 2:
         ap.error("--steps must be at least 2")
     for workload in args.workload or ("pretrain-tiny", "pretrain-mid"):
-        probe(workload, args.seed, args.steps, args.losses)
+        if workload == "classify":
+            probe_classify(args.seed, args.steps)
+        else:
+            probe(workload, args.seed, args.steps, args.losses)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ main output (command, resolved config, input digests, seed, artifact paths,
 wall-clock duration) so results can be replayed exactly.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or written
-(error class name on stderr), 2 usage error. Configuration precedence: explicit
+(error class name on stderr), 2 usage error. ``predict`` answers a stdin line
+that fails preprocessing with an ``ERROR<TAB><ErrorName>: <message>`` row, keeps
+reading, and exits 1 at the end. Configuration precedence: explicit
 flags > --config JSON > preset.
 """
 
@@ -52,8 +54,7 @@ def _write_manifest(out_path, command, config, inputs, seed, artifacts, started)
         "artifacts": [str(a) for a in artifacts],
         "duration_seconds": round(time.time() - started, 3),
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with preprocess.atomic_text_file(str(out_path) + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -202,10 +203,10 @@ def cmd_evaluate(args) -> int:
     tax = corpus_mod.taxonomy(args.task)
     store = corpus_mod.load_corpus(args.corpus)
     report = evaluation.evaluate(ckpt, store, tax, vocab)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with preprocess.atomic_text_file(args.out) as fh:
         fh.write(report.to_json() + "\n")
     csv_path = str(args.out) + ".confusion.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
+    with preprocess.atomic_text_file(csv_path) as fh:
         fh.write(report.confusion_csv())
     print(report.format_table())
     _write_manifest(
@@ -243,17 +244,24 @@ def cmd_predict(args) -> int:
         return 2
     config = ckpt.model_config
 
+    failed = False
     for raw in sys.stdin:
         raw = raw.rstrip("\n")
         if not raw.strip():
             continue
-        seq = tokenizer.encode(preprocess.preprocess_verse(_predict_record(raw)).line, vocab, config.max_len)
+        try:
+            line = preprocess.preprocess_verse(_predict_record(raw)).line
+        except VerseBertError as exc:
+            print(f"ERROR\t{type(exc).__name__}: {exc}")
+            failed = True
+            continue
+        seq = tokenizer.encode(line, vocab, config.max_len)
         logits = mdl.predict_logits([seq], config, params, params.heads[task_id])[0]
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         pred = int(np.argmax(logits))
         print(f"{tax.name(pred)}\t{probs[pred]:.4f}")
-    return 0
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -302,7 +302,7 @@ def split(
 
 def task_label(record: VerseRecord, task_id: str) -> Optional[str]:
     """The record's label for a task, or None when the record is unlabeled for it."""
-    task = taxonomy(task_id).task_id
+    task = _TASK_BY_LOWER.get(task_id.lower()) or taxonomy(task_id).task_id  # taxonomy raises UnknownLabel
     if task == "SentimentT":
         if record.topic is None:
             return None

@@ -21,7 +21,8 @@ from .errors import DigestMismatch, LabelOutOfRange, LengthMismatch
 from .tokenizer import Vocab, encode
 
 # Sequences per forward pass in predict_corpus: scoring a whole corpus in one
-# batch would hold every layer's activations for all of it at once.
+# batch would hold every layer's activations for all of it at once. Chunks of
+# the length-sorted corpus pad only to their own longest verse.
 EVAL_CHUNK = 32
 
 
@@ -89,12 +90,12 @@ def confusion_matrix(preds, truths, num_classes: int) -> np.ndarray:
     truths = np.asarray(truths, dtype=np.int64)
     if preds.shape != truths.shape:
         raise LengthMismatch(f"{preds.shape} predictions vs {truths.shape} truths")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for t, p in zip(truths, preds):
-        if not (0 <= t < num_classes and 0 <= p < num_classes):
-            raise LabelOutOfRange(f"label pair ({t}, {p}) outside [0, {num_classes})")
-        matrix[t, p] += 1
-    return matrix
+    bad = np.flatnonzero((truths < 0) | (truths >= num_classes) | (preds < 0) | (preds >= num_classes))
+    if bad.size:
+        t, p = truths[bad[0]], preds[bad[0]]
+        raise LabelOutOfRange(f"label pair ({t}, {p}) outside [0, {num_classes})")
+    counts = np.bincount(truths * num_classes + preds, minlength=num_classes * num_classes)
+    return counts.reshape(num_classes, num_classes)
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -141,8 +142,8 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
 
 
 def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vocab):
-    """(pred_id, truth_id) pairs over the records that carry the task label,
-    scored ``EVAL_CHUNK`` sequences per forward pass."""
+    """(preds, truths) id lists in corpus order over the records that carry the task
+    label, scored ``EVAL_CHUNK`` per forward pass in a stable sort by real length."""
     if ckpt.vocab_digest != vocab.digest():
         raise DigestMismatch("vocab content does not match the checkpoint's digest")
     if taxonomy.task_id not in ckpt.head_tasks():
@@ -158,10 +159,12 @@ def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vo
             continue
         seqs.append(encode(preprocess.preprocess_verse(record).line, vocab, config.max_len))
         truths.append(taxonomy.index(label))
-    preds = []
-    for i in range(0, len(seqs), EVAL_CHUNK):
-        preds += np.argmax(mdl.predict_logits(seqs[i : i + EVAL_CHUNK], config, params, head), axis=1).tolist()
-    return preds, truths
+    order = np.argsort([s.length for s in seqs], kind="stable")
+    preds = np.zeros(len(seqs), dtype=np.int64)
+    for i in range(0, len(order), EVAL_CHUNK):
+        rows = order[i : i + EVAL_CHUNK]
+        preds[rows] = np.argmax(mdl.predict_logits([seqs[r] for r in rows], config, params, head), axis=1)
+    return preds.tolist(), truths
 
 
 def evaluate(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vocab) -> EvalReport:

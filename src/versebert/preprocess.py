@@ -25,27 +25,16 @@ EMPTY_SECOND = "[e]"
 # plus the decorative tatweel elongation (U+0640).
 _DIACRITIC_RE = re.compile("[ً-ْٰـ]")
 
-# Whitelisted letters: the Arabic block's hamza..yeh range plus alef wasla.
-_ARABIC_LO = 0x0621
-_ARABIC_HI = 0x064A
-_ALEF_WASLA = 0x0671
-
+# Anything but a whitelisted letter (the Arabic block's hamza..yeh range plus
+# alef wasla) or a space.
+_NON_ARABIC_RE = re.compile("[^\u0621-\u064a\u0671 ]")
 _MARKER_RE = re.compile(r"\[s\]|\[e\]")
 _SPACE_RUN_RE = re.compile(r" +")
-
-
-def _is_arabic_letter(ch: str) -> bool:
-    code = ord(ch)
-    return _ARABIC_LO <= code <= _ARABIC_HI or code == _ALEF_WASLA
 
 
 def strip_diacritics(text: str) -> str:
     """Remove Arabic diacritic marks and tatweel; all other characters pass through."""
     return _DIACRITIC_RE.sub("", text)
-
-
-def _keep_arabic(segment: str) -> str:
-    return "".join(ch if _is_arabic_letter(ch) or ch == " " else " " for ch in segment)
 
 
 def strip_symbols(text: str, keep_markers: bool = True) -> str:
@@ -60,10 +49,10 @@ def strip_symbols(text: str, keep_markers: bool = True) -> str:
     pos = 0
     if keep_markers:
         for m in _MARKER_RE.finditer(text):
-            parts.append(_keep_arabic(text[pos : m.start()]))
+            parts.append(_NON_ARABIC_RE.sub(" ", text[pos : m.start()]))
             parts.append(" " + m.group() + " ")
             pos = m.end()
-    parts.append(_keep_arabic(text[pos:]))
+    parts.append(_NON_ARABIC_RE.sub(" ", text[pos:]))
     return _SPACE_RUN_RE.sub(" ", "".join(parts)).strip()
 
 
