@@ -5,9 +5,11 @@
 
 For each workload it runs ``training.pretrain`` once, in this process, and
 prints the median milliseconds per step (step 1 excluded), the minor page
-faults per step (``ru_minflt`` of this process), the peak RSS of the process
-so far, and the first losses as float hex, so two trees can be compared for
-bit-identical losses. Inputs come from ``perfbench/workloads.pretrain_inputs``.
+faults per step (``ru_minflt`` of this process) in all and split into
+``autograd.backward``, ``AdamW.step`` and the rest of the step (the forward,
+masking and loss), the peak RSS of the process so far, and the first losses
+as float hex, so two trees can be compared for bit-identical losses. Inputs
+come from ``perfbench/workloads.pretrain_inputs``.
 ``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
 held-out verses and prints the padded and real positions of one pass and a
 sha256 of its labels, so two trees can be compared for identical labels.
@@ -16,6 +18,7 @@ sha256 of its labels, so two trees can be compared for identical labels.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import resource
@@ -26,23 +29,50 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from versebert import corpus, evaluation, model as mdl, tokenizer, training  # noqa: E402
+from versebert import autograd as ag, corpus, evaluation, model as mdl, tokenizer, training  # noqa: E402
 from workloads import heldout, prepare_classifier, pretrain_inputs  # noqa: E402
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@contextlib.contextmanager
+def count_faults(owner, name: str, totals: dict):
+    """Add the minor faults taken inside ``owner.name`` to ``totals[name]``."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        before = _minflt()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[name] += _minflt() - before
+
+    totals[name] = 0
+    setattr(owner, name, counted)
+    try:
+        yield
+    finally:
+        setattr(owner, name, fn)
 
 
 def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
     lines, vocab, config, cfg = pretrain_inputs(workload, seed)
-    losses, stamps = [], []
+    losses, stamps, totals = [], [], {}
 
     def on_step(step, loss):
         losses.append(loss)
-        stamps.append((time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+        stamps.append((time.perf_counter(), _minflt(), totals["backward"], totals["step"]))
 
-    training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
+    with count_faults(ag, "backward", totals), count_faults(ag.AdamW, "step", totals):
+        training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
-    faults = (stamps[-1][1] - stamps[0][1]) / max(1, len(stamps) - 1)
+    n = max(1, len(stamps) - 1)
+    total, backward, adamw = ((stamps[-1][k] - stamps[0][k]) / n for k in (1, 2, 3))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, {faults:.0f} minor faults/step, "
+    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, {total:.0f} minor faults/step "
+          f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
 

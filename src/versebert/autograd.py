@@ -74,9 +74,9 @@ def _record(out: Tensor, backward_fn) -> None:
 
 def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` to ``t.grad``; a first gradient goes into the array kept from
-    an earlier step, or is taken over and kept if ``owned`` says the caller
-    just allocated it for ``t`` alone. Otherwise it is copied, never aliased
-    (add's backward hands one array to both of its inputs)."""
+    an earlier step, or is taken over if ``owned`` says no other tensor holds
+    it, or else copied, never aliased. Only a C-contiguous array is kept, so
+    a kept buffer ravels without a copy in ``AdamW.step``."""
     if not t.requires_grad:
         return
     if t.grad is not None:
@@ -85,7 +85,9 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
         t.grad = t._grad_buf
         np.copyto(t.grad, g)
     else:
-        t.grad = t._grad_buf = g if owned else np.array(g, dtype=np.float64)
+        t.grad = g if owned else np.array(g, dtype=np.float64, order="C")
+        if t.grad.flags.c_contiguous:
+            t._grad_buf = t.grad
 
 
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
@@ -114,7 +116,9 @@ def backward(loss: Tensor) -> None:
     try:
         loss.grad = np.ones(())
         while _tape:
-            # popping frees each op's saved arrays and output gradient once used
+            # popping frees each op's saved arrays and output gradient once used;
+            # no other tensor holds that gradient, so ``fn`` may write it in place
+            # and hand it down to one input
             out, fn = _tape.pop()
             if out.grad is not None:
                 fn(out.grad)
@@ -167,7 +171,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape), a.requires_grad)
-    _record(out, lambda g: _accumulate(a, g.reshape(a.shape)))
+    _record(out, lambda g: _accumulate(a, g.reshape(a.shape), owned=True))
     return out
 
 
@@ -176,7 +180,7 @@ def permute(a: Tensor, axes) -> Tensor:
     axes = tuple(ax % a.data.ndim for ax in axes)
     out = Tensor(a.data.transpose(axes), a.requires_grad)
     inverse = tuple(np.argsort(axes))
-    _record(out, lambda g: _accumulate(a, g.transpose(inverse)))
+    _record(out, lambda g: _accumulate(a, g.transpose(inverse), owned=True))
     return out
 
 
@@ -204,8 +208,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(data, a.requires_grad or b.requires_grad)
 
     def fn(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        # g goes to one input of its full shape, after the other took a copy;
+        # an input broadcast up to g's shape gets a fresh sum
+        a_takes = a.requires_grad and a.shape == g.shape
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape), owned=not a_takes or b.shape != g.shape)
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape), owned=True)
 
     _record(out, fn)
     return out
@@ -213,7 +222,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s, a.requires_grad)
-    _record(out, lambda g: _accumulate(a, g * s, owned=True))
+
+    def fn(g):
+        g *= s
+        _accumulate(a, g, owned=True)
+
+    _record(out, fn)
     return out
 
 
@@ -250,52 +264,69 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
 
     def fn(g):
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, (g * xhat).sum(axis=lead), owned=True)
+        prod = g * xhat
+        _accumulate(gain, prod.sum(axis=lead), owned=True)
         _accumulate(bias, g.sum(axis=lead), owned=True)
         if x.requires_grad:
-            gx = g * gain_data
-            term = xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
-            gx -= term
-            gx *= inv_std
-            _accumulate(x, gx, owned=True)
+            g *= gain_data  # g becomes x's gradient
+            np.multiply(g, xhat, out=prod)
+            np.multiply(xhat, prod.mean(axis=-1, keepdims=True), out=prod)
+            g -= g.mean(axis=-1, keepdims=True)
+            g -= prod
+            g *= inv_std
+            _accumulate(x, g, owned=True)
 
     _record(out, fn)
     return out
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+# Beyond +-20 the logistic below is exactly 1 or below 1e-261, and exponents
+# of +-2u(20) ~ 603 can neither overflow nor underflow, so u is taken at the
+# clipped x.
+_GELU_CLIP = 20.0
+# Squaring x + 1e-100 instead of x never underflows and changes x^2 only
+# where 1 + 0.044715 x^2 rounds to 1 either way.
+_GELU_TINY = 1e-100
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
-    # in place where possible: each fresh array costs page faults, not just arithmetic
+    """Gaussian error linear unit, tanh approximation, as the identity
+    0.5 x (1 + tanh u) = x s, s = 1 / (1 + exp(-2u)), u = C (x + 0.044715 x^3).
+
+    One ``exp``, and no overflow or underflow at 0 or any finite x with
+    |x| >= 1e-300. When a backward will run, the array of the clipped input
+    becomes the derivative s (1 + w (1 - s)), w = 2 x du/dx, and is kept, so
+    the backward only scales its own gradient by it.
+    """
     x_data = x.data
-    x2 = x_data * x_data
-    t = x2 * x_data
-    t *= 0.044715
-    t += x_data
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    y = t + 1.0
-    y *= x_data
-    y *= 0.5
+    needs_grad = x.requires_grad and _grad_enabled
+    d = np.clip(x_data, -_GELU_CLIP, _GELU_CLIP)
+    v = d + _GELU_TINY
+    np.square(v, out=v)
+    v *= 0.044715
+    v += 1.0
+    v *= d  # u / C
+    if needs_grad:  # w = 2 C x (1 + 3 * 0.044715 x^2) = 6 C (u / C - 2x / 3)
+        d *= -2.0 / 3.0
+        d += v
+        d *= 6.0 * _GELU_C
+    v *= -2.0 * _GELU_C
+    np.exp(v, out=v)  # e = exp(-2u)
+    if needs_grad:  # with D = 1 + e: s (1 + w (1 - s)) = (1 + w e / D) / D
+        d *= v
+        v += 1.0
+        d /= v
+        d += 1.0
+        d /= v
+    else:
+        v += 1.0
+    y = np.divide(x_data, v, out=v)
     out = Tensor(y, x.requires_grad)
 
     def fn(g):
-        du = x2 * (3 * 0.044715)
-        du += 1.0
-        du *= _GELU_C
-        grad = t * t
-        np.subtract(1.0, grad, out=grad)
-        grad *= x_data
-        grad *= 0.5
-        grad *= du
-        du = t + 1.0
-        du *= 0.5
-        grad += du
-        grad *= g
-        _accumulate(x, grad, owned=True)
+        g *= d
+        _accumulate(x, g, owned=True)
 
     _record(out, fn)
     return out
@@ -326,7 +357,12 @@ def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None
         raise ValueError("training-mode dropout needs an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
-    _record(out, lambda g: _accumulate(x, g * keep, owned=True))
+
+    def fn(g):
+        g *= keep
+        _accumulate(x, g, owned=True)
+
+    _record(out, fn)
     return out
 
 
@@ -378,9 +414,8 @@ def cross_entropy(logits: Tensor, target_ids, ignore_index: int = IGNORE_INDEX) 
     out = Tensor(np.float64(nll.mean()), logits.requires_grad)
 
     def fn(g):
-        probs = np.exp(log_probs)
-        grad = np.zeros_like(logits.data)
-        grad[selected] = probs[selected]
+        grad = np.exp(log_probs, out=log_probs)  # the probabilities, used once
+        grad[~selected] = 0.0
         grad[selected, live] -= 1.0
         grad *= float(g) / m
         _accumulate(logits, grad, owned=True)

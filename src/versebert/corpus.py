@@ -126,9 +126,10 @@ def taxonomy(task_id: str) -> LabelTaxonomy:
 
 
 def export_taxonomies(path) -> None:
-    """Write the task_id -> ordered label list mapping as a JSON document."""
+    """Write the task_id -> ordered label list mapping as a JSON document;
+    a failed write keeps the old file."""
     doc = {t: list(_TASK_LABELS[t]) for t in TASK_IDS}
-    with open(path, "w", encoding="utf-8") as fh:
+    with preprocess.atomic_text_file(path) as fh:
         json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -217,8 +218,9 @@ def load_corpus(path, delimiter: str = "\t") -> CorpusStore:
 
 
 def write_corpus(store: CorpusStore, path, delimiter: str = "\t") -> None:
-    """Write all fields with a full header; absent fields become empty cells."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write all fields with a full header; absent fields become empty cells.
+    A failed write keeps the old file."""
+    with preprocess.atomic_text_file(path) as fh:
         fh.write(delimiter.join(FIELDS) + "\n")
         for r in store.records:
             cells = [str(getattr(r, f)) if getattr(r, f) is not None else "" for f in FIELDS]

@@ -97,8 +97,8 @@ def preprocess_corpus(store) -> list[PreprocessedVerse]:
 
 
 def write_lines(verses: list[PreprocessedVerse], path) -> None:
-    """Write ``verse_id<TAB>line`` rows, UTF-8."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write ``verse_id<TAB>line`` rows, UTF-8; a failed write keeps the old file."""
+    with atomic_text_file(path) as fh:
         for v in verses:
             fh.write(f"{v.verse_id}\t{v.line}\n")
 

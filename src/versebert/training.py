@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional
@@ -218,7 +219,7 @@ def _read_arrays(entries: list, data: memoryview) -> tuple[dict, dict]:
         end = start + 8 * math.prod(shape)
         if end > len(data):
             raise CorruptFile(f"payload of {name} runs past the end of the file")
-        found[kind][key] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64)
+        found[kind][key] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64, copy=False)
         spans.append((start, end, name))
     reach = 0
     for start, end, name in sorted(spans):
@@ -241,10 +242,13 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a version 1 or 2 checkpoint; any malformed part raises CorruptFile.
 
     A version 1 file comes back in the version 2 layout. Its AdamW moments are
-    indexed by the old parameter order, so they are dropped.
+    indexed by the old parameter order, so they are dropped. On a little-endian
+    host every array is a view into one buffer of the file's bytes, which stays
+    alive as long as any of them; ``Checkpoint.to_params`` copies.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
     version, header_len = struct.unpack("<IQ", blob[4:16])
