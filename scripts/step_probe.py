@@ -11,8 +11,11 @@ masking and loss), the peak RSS of the process so far, and the first losses
 as float hex, so two trees can be compared for bit-identical losses. Inputs
 come from ``perfbench/workloads.pretrain_inputs``.
 ``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
-held-out verses and prints the padded and real positions of one pass and a
-sha256 of its labels, so two trees can be compared for identical labels.
+held-out verses and prints their minor faults per call, the padded and real
+positions of one pass and a sha256 of its labels, so two trees can be
+compared for identical labels. It then scores each held-out verse alone, as
+``predict`` does, and prints the p50 milliseconds and the minor faults per
+B=1 ``predict_logits`` call.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from versebert import autograd as ag, corpus, evaluation, model as mdl, tokenizer, training  # noqa: E402
+from versebert import autograd as ag, corpus, evaluation, model as mdl, preprocess, tokenizer, training  # noqa: E402
 from workloads import heldout, prepare_classifier, pretrain_inputs  # noqa: E402
 
 
@@ -86,14 +89,28 @@ def probe_classify(seed: int, calls: int) -> None:
         preds, _ = evaluation.predict_corpus(*args)
     finally:
         mdl.predict_logits = predict_logits
-    real, ms = sum(int(m.sum()) for m in masks), []
+    real, ms, faults = sum(int(m.sum()) for m in masks), [], _minflt()
     for _ in range(calls):
         t = time.perf_counter()
         evaluation.evaluate(*args)
         ms.append(1000.0 * (time.perf_counter() - t))
+    faults = (_minflt() - faults) / calls
     print(f"classify seed {seed}: {statistics.median(ms):.1f} ms/evaluate over {calls} calls, "
+          f"{faults:.0f} minor faults/evaluate, "
           f"{sum(m.size for m in masks) - real} padded and {real} real positions per pass")
     print("  labels sha256:", hashlib.sha256(" ".join(map(str, preds)).encode()).hexdigest())
+
+    # one verse per call, as the predict command scores stdin
+    ckpt, store, tax, vocab = args
+    config, params = ckpt.model_config, ckpt.to_params()
+    seqs = [tokenizer.encode(preprocess.preprocess_verse(r).line, vocab, config.max_len) for r in store.records]
+    ms, faults = [], _minflt()
+    for seq in seqs:
+        t = time.perf_counter()
+        mdl.predict_logits([seq], config, params, params.heads[tax.task_id])
+        ms.append(1000.0 * (time.perf_counter() - t))
+    print(f"  B=1 predict_logits: {statistics.median(ms):.3f} ms p50 over {len(seqs)} verses, "
+          f"{(_minflt() - faults) / len(seqs):.2f} minor faults/call")
 
 
 def main() -> None:

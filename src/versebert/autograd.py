@@ -58,6 +58,39 @@ def no_grad():
         _grad_enabled = saved
 
 
+_SCRATCH_MIN, _SCRATCH_CAP = 8192, 4 << 20  # float64s: 64 KiB, 32 MiB
+_scratch_buf = np.empty(0)
+_scratch_top: int | None = None  # float64s handed out in the open context; None when closed
+
+
+@contextlib.contextmanager
+def _scratch():
+    """Inside, with the tape off, each op array of _SCRATCH_MIN float64s or more is a
+    64-byte aligned view of one kept buffer, valid until the context exits. On exit
+    the buffer grows to what the context asked for, up to _SCRATCH_CAP."""
+    global _scratch_buf, _scratch_top
+    saved, _scratch_top = _scratch_top, _scratch_top or 0
+    try:
+        yield
+    finally:
+        want = min(_scratch_top, _SCRATCH_CAP)
+        if saved is None and want > _scratch_buf.size:
+            raw = np.empty(want + 7)
+            _scratch_buf = raw[(-raw.ctypes.data % 64) // 8:][:want]
+        _scratch_top = saved
+
+
+def _out(shape, other=None) -> np.ndarray | None:
+    """A scratch view for an op result of ``shape`` (broadcast with ``other``), or None."""
+    global _scratch_top
+    if _scratch_top is None or _grad_enabled or math.prod(shape) < _SCRATCH_MIN:
+        return None
+    shape = shape if other in (None, shape) else np.broadcast_shapes(shape, other)
+    lo, n = _scratch_top, math.prod(shape)
+    _scratch_top = lo + -(-n // 8) * 8  # whole 64-byte lines keep the next view aligned
+    return _scratch_buf[lo:lo + n].reshape(shape) if _scratch_top <= _scratch_buf.size else None
+
+
 def reset_tape() -> None:
     _tape.clear()
 
@@ -148,8 +181,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b_data.ndim == 2:
         # one GEMM over all leading rows instead of one per leading index
         rows = a_data.reshape(-1, a.shape[-1])
-        out = Tensor((rows @ b_data).reshape(a.shape[:-1] + b.shape[-1:]),
-                     a.requires_grad or b.requires_grad)
+        out = Tensor(np.matmul(rows, b_data, out=_out((rows.shape[0], b_data.shape[1]))).reshape(
+            a.shape[:-1] + b.shape[-1:]), a.requires_grad or b.requires_grad)
 
         def fn(g):
             g_rows = g.reshape(-1, b.shape[-1])
@@ -159,7 +192,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:
                 _accumulate(b, rows.T @ g_rows, owned=True)
     else:
-        out = Tensor(a_data @ b_data, a.requires_grad or b.requires_grad)
+        out = Tensor(np.matmul(a_data, b_data, out=_out(a_data.shape[:-1] + b_data.shape[-1:])),
+                     a.requires_grad or b.requires_grad)
 
         def fn(g):
             _accumulate(a, g @ b_data.swapaxes(-1, -2), owned=True)
@@ -170,7 +204,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
+    data = a.data
+    if not data.flags.c_contiguous and (buf := _out(data.shape)) is not None:
+        data = buf  # the C-order copy numpy's reshape would make, made in the scratch
+        np.copyto(data, a.data)
+    out = Tensor(data.reshape(shape), a.requires_grad)
     _record(out, lambda g: _accumulate(a, g.reshape(a.shape), owned=True))
     return out
 
@@ -202,7 +240,7 @@ def unstack(a: Tensor) -> list[Tensor]:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        data = a.data + b.data
+        data = np.add(a.data, b.data, out=_out(a.data.shape, b.data.shape))
     except ValueError:
         raise ShapeMismatch(f"add: {a.shape} + {b.shape}") from None
     out = Tensor(data, a.requires_grad or b.requires_grad)
@@ -221,7 +259,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s, a.requires_grad)
+    out = Tensor(np.multiply(a.data, s, out=_out(a.data.shape)), a.requires_grad)
 
     def fn(g):
         g *= s
@@ -233,7 +271,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = a.data - a.data.max(axis=-1, keepdims=True)
+    y = np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=_out(a.data.shape))
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y, a.requires_grad)
@@ -253,8 +291,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs d={d}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    y = np.square(xhat)
+    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True), out=_out(x.data.shape))
+    y = np.square(xhat, out=_out(xhat.shape))
     inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
     xhat *= inv_std
     np.multiply(xhat, gain.data, out=y)
@@ -301,8 +339,8 @@ def gelu(x: Tensor) -> Tensor:
     """
     x_data = x.data
     needs_grad = x.requires_grad and _grad_enabled
-    d = np.clip(x_data, -_GELU_CLIP, _GELU_CLIP)
-    v = d + _GELU_TINY
+    d = np.clip(x_data, -_GELU_CLIP, _GELU_CLIP, out=_out(x_data.shape))
+    v = np.add(d, _GELU_TINY, out=_out(d.shape))
     np.square(v, out=v)
     v *= 0.044715
     v += 1.0
@@ -338,7 +376,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding id out of range [0, {table.shape[0]})")
-    out = Tensor(table.data[idx], table.requires_grad)
+    # ids are checked, so "clip" never clips; it lets take write to out unbuffered
+    out = Tensor(np.take(table.data, idx, axis=0, out=_out(idx.shape + table.data.shape[1:]), mode="clip"),
+                 table.requires_grad)
 
     def fn(g):
         _scatter_add(table, idx.reshape(-1), g.reshape(-1, table.shape[-1]))

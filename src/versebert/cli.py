@@ -27,7 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import DigestMismatch, VerseBertError
+from .errors import CorruptFile, DigestMismatch, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -63,7 +63,13 @@ def _load_config_file(path) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # JSON and UTF-8 errors
+            raise CorruptFile(f"{path}: not JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise CorruptFile(f"{path}: a config file must hold a JSON object")
+    return cfg
 
 
 def _given_flags(args, flags) -> dict:

@@ -57,6 +57,11 @@ class AllMasked(VerseBertError):
     pass
 
 
+# configuration; still a ValueError for callers that catch that
+class InvalidConfig(VerseBertError, ValueError):
+    pass
+
+
 # training / checkpoints
 class NonFiniteLoss(VerseBertError):
     pass

@@ -9,6 +9,7 @@ formulation (a learned table is available via ``positional_mode="learned"``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .errors import AllMasked, EmptyReduction, ShapeMismatch
+from .errors import AllMasked, EmptyReduction, InvalidConfig, ShapeMismatch
 from .tokenizer import TokenSequence
 
 MASK_BIAS = -1e9
@@ -35,13 +36,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if min(self.num_layers, self.num_heads, self.hidden, self.vocab_size) < 1:
-            raise ValueError("layer, head, hidden and vocab sizes must be positive")
+            raise InvalidConfig("layer, head, hidden and vocab sizes must be positive")
         if self.hidden % self.num_heads != 0:
-            raise ValueError(f"hidden {self.hidden} not divisible by heads {self.num_heads}")
+            raise InvalidConfig(f"hidden {self.hidden} not divisible by heads {self.num_heads}")
         if self.max_len < 2:
-            raise ValueError("max_len must be at least 2")
+            raise InvalidConfig("max_len must be at least 2")
         if self.positional_mode not in ("sinusoidal", "learned"):
-            raise ValueError(f"unknown positional_mode {self.positional_mode!r}")
+            raise InvalidConfig(f"unknown positional_mode {self.positional_mode!r}")
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 4 * self.hidden)
 
@@ -79,6 +80,15 @@ def sinusoidal_table(max_len: int, d: int) -> np.ndarray:
     idx = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (idx - (idx % 2)) / d)
     return np.where(idx % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(max_len: int, d: int) -> np.ndarray:
+    """The read-only sinusoidal table of one model shape, built once; its
+    first t rows equal ``sinusoidal_table(t, d)``."""
+    table = sinusoidal_table(max_len, d)
+    table.flags.writeable = False
+    return table
 
 
 def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -253,7 +263,7 @@ def encoder_forward(
     if config.positional_mode == "learned":
         x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
     else:
-        x = ag.add(x, Tensor(sinusoidal_table(t, config.hidden)))
+        x = ag.add(x, Tensor(_positions(config.max_len, config.hidden)[:t]))
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads)
         attn = ag.dropout(attn, rate, train, dropout_rng)
@@ -291,8 +301,8 @@ def classify(hidden: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
 
 def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
-    with ag.no_grad():
-        return classify(encoder_forward(*stack_batch(seqs), config, params), *head).data
+    with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
+        return classify(encoder_forward(*stack_batch(seqs), config, params), *head).data.copy()
 
 
 def predicted_label(logits: Tensor) -> int:

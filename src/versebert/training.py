@@ -30,6 +30,7 @@ from .errors import (
     CorruptFile,
     DigestMismatch,
     EmptyReduction,
+    InvalidConfig,
     NonFiniteLoss,
     VersionMismatch,
 )
@@ -63,11 +64,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if abs(self.mask_prob + self.random_prob + self.keep_prob - 1.0) > 1e-12:
-            raise ValueError("mask/random/keep probabilities must sum to 1")
+            raise InvalidConfig("mask/random/keep probabilities must sum to 1")
         if not 0.0 <= self.mask_ratio <= 1.0:
-            raise ValueError("mask_ratio must be in [0, 1]")
+            raise InvalidConfig("mask_ratio must be in [0, 1]")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise InvalidConfig("batch_size must be at least 1")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k != "checkpoint_path"}

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from versebert import cli, evaluation, tokenizer, training
+from versebert import cli, evaluation, model as mdl, tokenizer, training
 from versebert.corpus import load_corpus, task_label, taxonomy
 from versebert.tokenizer import Vocab
 
@@ -201,3 +201,42 @@ class TestConfigMerging:
         manifest = json.loads((tmp_path / "c.ckpt.manifest.json").read_text())
         assert manifest["config"]["train"]["max_steps"] == 3
         assert manifest["config"]["train"]["seed"] == 5
+
+
+class TestConfigErrors:
+    """A bad config ends in a named error and exit 1, with no checkpoint written."""
+
+    def _pretrain(self, pipeline, tmp_path, *extra):
+        out = tmp_path / "c.ckpt"
+        code = cli.main(["pretrain", "--lines", str(pipeline["lines"]), "--vocab", str(pipeline["vocab"]),
+                         "--out", str(out), "--preset", "tiny", "--max-steps", "1", *extra])
+        assert not out.exists()
+        return code
+
+    @pytest.mark.parametrize("text", ['{"max_steps": 2,', "[1, 2]", "\udcff"])
+    def test_config_file_that_is_not_a_json_object_is_corrupt_file(self, pipeline, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text, encoding="utf-8", errors="surrogateescape")
+        assert self._pretrain(pipeline, tmp_path, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptFile: ") and str(cfg) in err and err.count("\n") == 1
+
+    def test_zero_batch_size_flag_is_invalid_config(self, pipeline, tmp_path, capsys):
+        assert self._pretrain(pipeline, tmp_path, "--batch-size", "0") == 1
+        assert capsys.readouterr().err.startswith("InvalidConfig: batch_size")
+
+    def test_zero_batch_size_in_config_file_is_invalid_config(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"batch_size": 0}))
+        assert self._pretrain(pipeline, tmp_path, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith("InvalidConfig: batch_size")
+
+    def test_heads_that_do_not_divide_hidden_is_invalid_config(self, pipeline, tmp_path, capsys):
+        assert self._pretrain(pipeline, tmp_path, "--num-heads", "3") == 1
+        assert capsys.readouterr().err.startswith("InvalidConfig: hidden 32 not divisible by heads 3")
+
+    def test_invalid_config_is_still_a_value_error(self):
+        with pytest.raises(ValueError):
+            training.TrainConfig(batch_size=0)
+        with pytest.raises(ValueError):
+            mdl.ModelConfig(hidden=32, num_heads=3)
