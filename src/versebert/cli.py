@@ -96,10 +96,10 @@ def _resolve_model_config(args, vocab_size: int) -> mdl.ModelConfig:
     return mdl.ModelConfig.from_dict(merged)
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, flags: dict):
     p.add_argument("--preset", choices=PRESETS, default="tiny")
     p.add_argument("--config", help="JSON file with config overrides")
-    for key, kind in {**TRAIN_FLAGS, **MODEL_FLAGS}.items():
+    for key, kind in flags.items():
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
 
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, {**TRAIN_FLAGS, **MODEL_FLAGS})
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("finetune", help="train a task head from a checkpoint")
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.8, help="train share of the 80/20 split")
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--head-only", dest="head_only", action="store_true")
-    _add_train_flags(p)
+    _add_train_flags(p, TRAIN_FLAGS)  # the model shape comes from the checkpoint
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="classification report on a labeled corpus")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -35,6 +36,7 @@ class ModelConfig:
     positional_mode: str = "sinusoidal"  # or "learned"
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if min(self.num_layers, self.num_heads, self.hidden, self.vocab_size) < 1:
             raise InvalidConfig("layer, head, hidden and vocab sizes must be positive")
         if self.hidden % self.num_heads != 0:
@@ -56,6 +58,15 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         return cls(**d)
+
+
+def check_numeric_fields(config) -> None:
+    """Raise InvalidConfig unless each int or float field of ``config`` holds such a number (not a bool)."""
+    kinds = {"int": numbers.Integral, "float": numbers.Real, "int | None": (numbers.Integral, type(None))}
+    for f in fields(config):
+        value, kind = getattr(config, f.name), kinds.get(f.type)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise InvalidConfig(f"{f.name} must be {f.type}, got {value!r}")
 
 
 def tiny_config(vocab_size: int = 512, max_len: int = 32) -> ModelConfig:
@@ -245,15 +256,14 @@ def trim_batch(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def encoder_forward(
-    ids, mask, config: ModelConfig, params: ModelParams, train: bool = False,
-    dropout_rng: np.random.Generator | None = None, dropout_rate: float | None = None,
+    ids, mask, config: ModelConfig, params: ModelParams,
+    dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
 ) -> Tensor:
     """Hidden states (B x T x hidden) for a (B, T) id matrix and its mask.
 
     Padded positions never change real ones: their keys get zero attention
-    weight. Deterministic when ``train`` is false (dropout becomes identity).
+    weight. Dropout runs only at a rate and rng the caller passes.
     """
-    rate = config.dropout if dropout_rate is None else dropout_rate
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask)
     if ids.ndim != 2 or mask.shape != ids.shape or ids.shape[1] > config.max_len:
@@ -266,10 +276,10 @@ def encoder_forward(
         x = ag.add(x, Tensor(_positions(config.max_len, config.hidden)[:t]))
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads)
-        attn = ag.dropout(attn, rate, train, dropout_rng)
+        attn = ag.dropout(attn, dropout_rate, True, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, rate, train, dropout_rng)
+        ffn = ag.dropout(ffn, dropout_rate, True, dropout_rng)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 

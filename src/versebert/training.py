@@ -29,6 +29,7 @@ from .corpus import LabelTaxonomy
 from .errors import (
     CorruptFile,
     DigestMismatch,
+    EmptyCorpus,
     EmptyReduction,
     InvalidConfig,
     NonFiniteLoss,
@@ -63,12 +64,15 @@ class TrainConfig:
     checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
+        mdl.check_numeric_fields(self)
         if abs(self.mask_prob + self.random_prob + self.keep_prob - 1.0) > 1e-12:
             raise InvalidConfig("mask/random/keep probabilities must sum to 1")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise InvalidConfig("mask_ratio must be in [0, 1]")
         if self.batch_size < 1:
             raise InvalidConfig("batch_size must be at least 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise InvalidConfig("dropout must be in [0, 1)")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k != "checkpoint_path"}
@@ -287,13 +291,21 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
             yield order[start : start + batch_size]
 
 
-def _run_steps(cfg: TrainConfig, opt: AdamW, batch_loss, on_step, name: str) -> None:
-    """Take ``cfg.max_steps`` AdamW steps on ``batch_loss()``. A non-finite loss raises
-    ``NonFiniteLoss``; a batch raising ``EmptyReduction`` is skipped but counted."""
+def _fit(texts: list[str], vocab: Vocab, config: mdl.ModelConfig, cfg: TrainConfig, params: mdl.ModelParams,
+         trainable: list[Tensor], batch_loss, on_step, name: str, start_step: int = 0) -> Checkpoint:
+    """The step loop of pretrain and finetune: AdamW steps on ``trainable``, each on ``batch_loss(rngs, idx,
+    ids, mask)`` of a trimmed batch of ``texts`` (skipped but counted if it raises ``EmptyReduction``)."""
+    if not texts:
+        raise EmptyCorpus(f"{name} has no lines to train on")
+    rngs = make_rngs(cfg.seed)
+    all_ids, all_mask = mdl.stack_batch([encode(text, vocab, config.max_len) for text in texts])
+    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    batches = _epoch_batches(len(texts), cfg.batch_size, rngs.data)
     for step in range(1, cfg.max_steps + 1):
         opt.zero_grad()
+        idx = next(batches)
         try:
-            loss = batch_loss()
+            loss = batch_loss(rngs, idx, *mdl.trim_batch(all_ids[idx], all_mask[idx]))
         except EmptyReduction:
             ag.reset_tape()
             continue
@@ -307,6 +319,10 @@ def _run_steps(cfg: TrainConfig, opt: AdamW, batch_loss, on_step, name: str) -> 
             on_step(step, value)
         if step % cfg.eval_every == 0 or step == cfg.max_steps:
             log.info("%s step %d/%d loss %.4f", name, step, cfg.max_steps, value)
+    ckpt = checkpoint_from_params(params, config, vocab.digest(), start_step + cfg.max_steps)
+    if cfg.checkpoint_path:
+        save_checkpoint(ckpt, cfg.checkpoint_path)
+    return ckpt
 
 
 def pretrain(
@@ -318,26 +334,14 @@ def pretrain(
 ) -> Checkpoint:
     """Run the masked-language-model objective for ``cfg.max_steps`` steps;
     deterministic for a fixed seed. A batch without masked positions is skipped."""
-    rngs = make_rngs(cfg.seed)
-    params = mdl.init_params(config, rngs.init)
-    if not lines:
-        raise ValueError("no input lines to pretrain on")
-    all_ids, all_mask = mdl.stack_batch([encode(line, vocab, config.max_len) for line in lines])
-    opt = AdamW(params.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _epoch_batches(len(lines), cfg.batch_size, rngs.data)
+    params = mdl.init_params(config, make_rngs(cfg.seed).init)
 
-    def batch_loss():
-        idx = next(batches)
-        ids, mask = mdl.trim_batch(all_ids[idx], all_mask[idx])
+    def batch_loss(rngs, idx, ids, mask):
         ids, targets = apply_mlm_masking((ids, mask), cfg, rngs.masking, len(vocab))
-        hidden = mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
+        hidden = mdl.encoder_forward(ids, mask, config, params, rngs.dropout, cfg.dropout)
         return mdl.mlm_loss(hidden, targets, params)
 
-    _run_steps(cfg, opt, batch_loss, on_step, "pretrain")
-    ckpt = checkpoint_from_params(params, config, vocab.digest(), cfg.max_steps)
-    if cfg.checkpoint_path:
-        save_checkpoint(ckpt, cfg.checkpoint_path)
-    return ckpt
+    return _fit(lines, vocab, config, cfg, params, params.parameters(), batch_loss, on_step, "pretrain")
 
 
 def finetune(
@@ -359,30 +363,16 @@ def finetune(
             f"checkpoint was built with vocab {ckpt.vocab_digest[:12]}..., "
             f"got {vocab.digest()[:12]}..."
         )
-    config = ckpt.model_config
-    rngs = make_rngs(cfg.seed)
     params = ckpt.to_params()
-    head_w, head_b = mdl.init_head(config, taxonomy.num_labels, rngs.init)
+    head_w, head_b = mdl.init_head(ckpt.model_config, taxonomy.num_labels, make_rngs(cfg.seed).init)
     params.heads[taxonomy.task_id] = (head_w, head_b)
-
     labels = np.array([taxonomy.index(label) for _, label in pairs], dtype=np.int64)
-    if not pairs:
-        raise ValueError("no labeled pairs to finetune on")
-    all_ids, all_mask = mdl.stack_batch([encode(line, vocab, config.max_len) for line, _ in pairs])
 
-    trainable = [head_w, head_b] if head_only else params.parameters()
-    opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batches = _epoch_batches(len(pairs), cfg.batch_size, rngs.data)
-
-    def batch_loss():
-        idx = next(batches)
-        ids, mask = mdl.trim_batch(all_ids[idx], all_mask[idx])
+    def batch_loss(rngs, idx, ids, mask):
         with ag.no_grad() if head_only else contextlib.nullcontext():  # a frozen encoder needs no tape
-            hidden = mdl.encoder_forward(ids, mask, config, params, True, rngs.dropout, cfg.dropout)
+            hidden = mdl.encoder_forward(ids, mask, ckpt.model_config, params, rngs.dropout, cfg.dropout)
         return ag.cross_entropy(mdl.classify(hidden, head_w, head_b), labels[idx])
 
-    _run_steps(cfg, opt, batch_loss, on_step, f"finetune[{taxonomy.task_id}]")
-    out = checkpoint_from_params(params, config, ckpt.vocab_digest, ckpt.global_step + cfg.max_steps)
-    if cfg.checkpoint_path:
-        save_checkpoint(out, cfg.checkpoint_path)
-    return out
+    trainable = [head_w, head_b] if head_only else params.parameters()
+    return _fit([line for line, _ in pairs], vocab, ckpt.model_config, cfg, params, trainable, batch_loss,
+                on_step, f"finetune[{taxonomy.task_id}]", ckpt.global_step)

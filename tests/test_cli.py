@@ -166,6 +166,35 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["enc.tsv"]
 
 
+class TestTrainingInput:
+    """Empty training input and flags a subcommand does not read."""
+
+    def _finetune_argv(self, pipeline, out, *extra):
+        return ["finetune", "--ckpt", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]),
+                "--vocab", str(pipeline["vocab"]), "--out", str(out), "--preset", "tiny", "--max-steps", "1", *extra]
+
+    def test_pretrain_on_no_lines_is_empty_corpus(self, pipeline, tmp_path, capsys):
+        empty, out = tmp_path / "empty.txt", tmp_path / "c.ckpt"
+        empty.write_text("", encoding="utf-8")
+        assert cli.main(["pretrain", "--lines", str(empty), "--vocab", str(pipeline["vocab"]),
+                         "--out", str(out), "--preset", "tiny", "--max-steps", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyCorpus: pretrain") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["empty.txt"]
+
+    def test_finetune_on_a_task_the_corpus_lacks_is_empty_corpus(self, pipeline, tmp_path, capsys):
+        assert cli.main(self._finetune_argv(pipeline, tmp_path / "g.ckpt", "--task", "gender")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyCorpus: finetune") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag", ["--num-layers", "--num-heads", "--hidden", "--max-len"])
+    def test_finetune_refuses_model_shape_flags(self, pipeline, tmp_path, capsys, flag):
+        assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", flag, "64")) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 class TestDeterminism:
     def test_pretrain_same_seed_bit_identical(self, pipeline, tmp_path):
         outs = []
@@ -234,6 +263,24 @@ class TestConfigErrors:
     def test_heads_that_do_not_divide_hidden_is_invalid_config(self, pipeline, tmp_path, capsys):
         assert self._pretrain(pipeline, tmp_path, "--num-heads", "3") == 1
         assert capsys.readouterr().err.startswith("InvalidConfig: hidden 32 not divisible by heads 3")
+
+    @pytest.mark.parametrize("values", [{"batch_size": "8"}, {"hidden": "32"}, {"lr": "fast"},
+                                        {"eval_every": True}, {"ffn_dim": 12.5}])
+    def test_config_file_value_of_the_wrong_type_is_invalid_config(self, pipeline, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert self._pretrain(pipeline, tmp_path, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"InvalidConfig: {next(iter(values))} must be ") and err.count("\n") == 1
+
+    def test_dropout_outside_the_unit_interval_is_invalid_config(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dropout": -0.1}))
+        assert self._pretrain(pipeline, tmp_path, "--dropout", "1.5") == 1
+        assert self._pretrain(pipeline, tmp_path, "--dropout", "1") == 1
+        assert self._pretrain(pipeline, tmp_path, "--config", str(cfg)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["InvalidConfig: dropout must be in [0, 1)"] * 3
 
     def test_invalid_config_is_still_a_value_error(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,27 @@
+"""The scripts that drive pretrain and finetune run to a clean exit."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args, cwd):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_run_pipeline_completes(tmp_path):
+    done = _run_script("run_pipeline.py", "--workdir", "work", "--n", "64",
+                       "--pretrain-steps", "2", "--finetune-steps", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "work" / "rhyme.ckpt").exists() and (tmp_path / "work" / "report.json").exists()
+
+
+def test_step_probe_completes(tmp_path):
+    done = _run_script("step_probe.py", "--workload", "pretrain-tiny", "--steps", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("pretrain-tiny seed 3: ")
