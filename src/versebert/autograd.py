@@ -1,4 +1,4 @@
-"""Dense float64 tensors with a reverse-mode tape, core NN ops, AdamW, grad checking.
+"""Dense float64 tensors with a reverse-mode tape, core NN ops and AdamW.
 
 Every op computes its forward value eagerly with numpy and, when gradients are
 enabled and an input requires them, records a backward closure on a global
@@ -387,14 +387,14 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity when not training or when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout; identity when rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
+        raise ValueError("dropout at a nonzero rate needs an rng")
     keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
 
@@ -544,46 +544,3 @@ class AdamW:
         """Moment arrays keyed by parameter position, for checkpointing."""
         return {f"{k}.{i}": a for i, pair in enumerate(zip(self.m, self.v)) for k, a in zip("mv", pair)}
 
-
-def grad_check(
-    f,
-    params: list[Tensor],
-    h: float = 1e-5,
-    max_samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic gradients of ``f()`` and central differences.
-
-    ``f`` must be a deterministic scalar-valued computation over ``params``.
-    When ``max_samples`` is set, that many parameter elements are sampled
-    (without replacement across the flattened concatenation of all params).
-    """
-    for p in params:
-        p.zero_grad()
-    reset_tape()
-    loss = f()
-    backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
-    if max_samples is not None and max_samples < len(coords):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        picks = rng.choice(len(coords), size=max_samples, replace=False)
-        coords = [coords[int(k)] for k in picks]
-
-    worst = 0.0
-    with no_grad():
-        for i, j in coords:
-            flat = params[i].data.reshape(-1)
-            saved = flat[j]
-            flat[j] = saved + h
-            up = float(f().data)
-            flat[j] = saved - h
-            down = float(f().data)
-            flat[j] = saved
-            numeric = (up - down) / (2.0 * h)
-            a = float(analytic[i].reshape(-1)[j])
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -27,7 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import CorruptFile, DigestMismatch, VerseBertError
+from .errors import CorruptFile, DigestMismatch, InvalidConfig, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -59,7 +59,7 @@ def _write_manifest(out_path, command, config, inputs, seed, artifacts, started)
         fh.write("\n")
 
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path, *kinds) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -69,6 +69,8 @@ def _load_config_file(path) -> dict:
             raise CorruptFile(f"{path}: not JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise CorruptFile(f"{path}: a config file must hold a JSON object")
+    if unknown := sorted(set(cfg).difference(*(kind.__dataclass_fields__ for kind in kinds))):
+        raise InvalidConfig(f"{path}: unknown config keys {', '.join(unknown)}")
     return cfg
 
 
@@ -77,19 +79,18 @@ def _given_flags(args, flags) -> dict:
     return {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
 
 
-def _resolve_train_config(args, overrides: dict) -> training.TrainConfig:
+def _resolve_train_config(args, file_cfg: dict) -> training.TrainConfig:
     """Merge precedence: explicit CLI flags > --config JSON > preset defaults."""
     cfg = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
     merged = cfg.to_dict()
-    merged.update(_load_config_file(getattr(args, "config", None)))
+    merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
     merged.update(_given_flags(args, TRAIN_FLAGS))
-    merged.update(overrides)
+    merged["checkpoint_path"] = args.out
     return training.TrainConfig.from_dict(merged)
 
 
-def _resolve_model_config(args, vocab_size: int) -> mdl.ModelConfig:
+def _resolve_model_config(args, file_cfg: dict, vocab_size: int) -> mdl.ModelConfig:
     merged = (mdl.tiny_config if args.preset == "tiny" else mdl.paper_config)(vocab_size=vocab_size).to_dict()
-    file_cfg = _load_config_file(getattr(args, "config", None))
     merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
     merged.update(_given_flags(args, MODEL_FLAGS))
     merged["vocab_size"] = vocab_size
@@ -155,8 +156,9 @@ def cmd_pretrain(args) -> int:
     started = time.time()
     vocab = tokenizer.Vocab.load(args.vocab)
     lines = preprocess.read_lines(args.lines)
-    model_cfg = _resolve_model_config(args, len(vocab))
-    train_cfg = _resolve_train_config(args, {"checkpoint_path": args.out})
+    file_cfg = _load_config_file(args.config, training.TrainConfig, mdl.ModelConfig)
+    model_cfg = _resolve_model_config(args, file_cfg, len(vocab))
+    train_cfg = _resolve_train_config(args, file_cfg)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     training.pretrain(lines, vocab, model_cfg, train_cfg)
     _write_manifest(
@@ -180,7 +182,8 @@ def cmd_finetune(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     tax = corpus_mod.taxonomy(args.task)
     store = corpus_mod.load_corpus(args.corpus)
-    train_cfg = _resolve_train_config(args, {"checkpoint_path": args.out})
+    file_cfg = _load_config_file(args.config, training.TrainConfig)  # the model shape comes from the checkpoint
+    train_cfg = _resolve_train_config(args, file_cfg)
 
     train_store, val_store = corpus_mod.split(
         store, args.ratio, args.split_seed if args.split_seed is not None else train_cfg.seed

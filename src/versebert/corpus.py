@@ -1,6 +1,6 @@
 """Verse corpus handling: loading, validation, dedup, sentiment grouping, splits, synthesis.
 
-Corpus files are UTF-8 delimiter-separated text (tab by default) with a header
+Corpus files are UTF-8 tab-separated text with a header
 row naming a subset of the record fields; an empty cell means the field is
 absent. Label taxonomies (meters, variants, rhymes, sentiments, genders) are
 fixed module data with stable orderings so integer class ids never drift
@@ -19,6 +19,7 @@ import numpy as np
 from . import preprocess
 from .errors import (
     EmptyStratum,
+    InvalidConfig,
     LabelOutOfRange,
     MalformedRow,
     MissingColumn,
@@ -176,7 +177,7 @@ _LABEL_DOMAINS = {
 }
 
 
-def load_corpus(path, delimiter: str = "\t") -> CorpusStore:
+def load_corpus(path) -> CorpusStore:
     """Parse a corpus file into records; verse_ids are assigned sequentially from 0.
 
     Raises ``MissingColumn`` when the header lacks hemistich1, ``MalformedRow``
@@ -187,7 +188,7 @@ def load_corpus(path, delimiter: str = "\t") -> CorpusStore:
         rows = [line.rstrip("\n") for line in fh]
     if not rows:
         raise MissingColumn("empty file: header with 'hemistich1' required")
-    header = rows[0].split(delimiter)
+    header = rows[0].split("\t")
     for col in header:
         if col not in FIELDS:
             raise MalformedRow(f"line 1: unknown column {col!r}")
@@ -199,7 +200,7 @@ def load_corpus(path, delimiter: str = "\t") -> CorpusStore:
     for lineno, row in enumerate(rows[1:], start=2):
         if row == "":
             continue
-        cells = row.split(delimiter)
+        cells = row.split("\t")
         if len(cells) != len(header):
             raise MalformedRow(
                 f"line {lineno}: expected {len(header)} fields, got {len(cells)}"
@@ -217,14 +218,14 @@ def load_corpus(path, delimiter: str = "\t") -> CorpusStore:
     return CorpusStore(tuple(records), provenance=str(path))
 
 
-def write_corpus(store: CorpusStore, path, delimiter: str = "\t") -> None:
+def write_corpus(store: CorpusStore, path) -> None:
     """Write all fields with a full header; absent fields become empty cells.
     A failed write keeps the old file."""
     with preprocess.atomic_text_file(path) as fh:
-        fh.write(delimiter.join(FIELDS) + "\n")
+        fh.write("\t".join(FIELDS) + "\n")
         for r in store.records:
             cells = [str(getattr(r, f)) if getattr(r, f) is not None else "" for f in FIELDS]
-            fh.write(delimiter.join(cells) + "\n")
+            fh.write("\t".join(cells) + "\n")
 
 
 def _dedup_key(record: VerseRecord) -> tuple[str, str]:
@@ -269,7 +270,7 @@ def split(
     preserve corpus order; membership depends only on (corpus, ratio, seed).
     """
     if not 0 < ratio < 1:
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
+        raise InvalidConfig(f"ratio must be in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
 
     strata: dict[object, list[int]] = {}
@@ -382,7 +383,7 @@ def generate_synthetic(n: int, seed: int, signal: str) -> CorpusStore:
     class-specific marker word. Pure function of (n, seed, signal).
     """
     if n <= 0:
-        raise ValueError("n must be positive")
+        raise InvalidConfig(f"n must be positive, got {n}")
     task = taxonomy(signal).task_id
     rng = np.random.default_rng(seed)
     pool = _filler_pool(rng)

@@ -276,10 +276,10 @@ def encoder_forward(
         x = ag.add(x, Tensor(_positions(config.max_len, config.hidden)[:t]))
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads)
-        attn = ag.dropout(attn, dropout_rate, True, dropout_rng)
+        attn = ag.dropout(attn, dropout_rate, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, dropout_rate, True, dropout_rng)
+        ffn = ag.dropout(ffn, dropout_rate, dropout_rng)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 
@@ -313,8 +313,3 @@ def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: Model
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
     with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
         return classify(encoder_forward(*stack_batch(seqs), config, params), *head).data.copy()
-
-
-def predicted_label(logits: Tensor) -> int:
-    """Argmax class id; ties resolve to the lowest index."""
-    return int(np.argmax(logits.data.reshape(-1)))

@@ -28,7 +28,6 @@ _DIACRITIC_RE = re.compile("[ً-ْٰـ]")
 # Anything but a whitelisted letter (the Arabic block's hamza..yeh range plus
 # alef wasla) or a space.
 _NON_ARABIC_RE = re.compile("[^\u0621-\u064a\u0671 ]")
-_MARKER_RE = re.compile(r"\[s\]|\[e\]")
 _SPACE_RUN_RE = re.compile(r" +")
 
 
@@ -37,23 +36,14 @@ def strip_diacritics(text: str) -> str:
     return _DIACRITIC_RE.sub("", text)
 
 
-def strip_symbols(text: str, keep_markers: bool = True) -> str:
-    """Whitelist filter: keep Arabic letters, spaces, and (optionally) marker tokens.
+def strip_symbols(text: str) -> str:
+    """Whitelist filter: keep Arabic letters and spaces.
 
-    Every other code point (digits, Latin letters, punctuation, ...) becomes a
-    space; space runs collapse to one; the result is trimmed. With
-    ``keep_markers`` the literal substrings ``[s]``/``[e]`` survive, padded by
-    single spaces.
+    Every other code point (digits, Latin letters, punctuation, marker
+    brackets, ...) becomes a space; space runs collapse to one; the result is
+    trimmed.
     """
-    parts = []
-    pos = 0
-    if keep_markers:
-        for m in _MARKER_RE.finditer(text):
-            parts.append(_NON_ARABIC_RE.sub(" ", text[pos : m.start()]))
-            parts.append(" " + m.group() + " ")
-            pos = m.end()
-    parts.append(_NON_ARABIC_RE.sub(" ", text[pos:]))
-    return _SPACE_RUN_RE.sub(" ", "".join(parts)).strip()
+    return _SPACE_RUN_RE.sub(" ", _NON_ARABIC_RE.sub(" ", text)).strip()
 
 
 def mark_hemistichs(h1: str, h2: str | None = None) -> str:
@@ -78,7 +68,7 @@ def clean_hemistich(text: str) -> str:
     contains them, so stray ``[s]``/``[e]`` noise dissolves instead of
     corrupting the one-separator structure of the final line.
     """
-    return strip_symbols(strip_diacritics(text), keep_markers=False)
+    return strip_symbols(strip_diacritics(text))
 
 
 def preprocess_verse(record) -> PreprocessedVerse:

@@ -79,13 +79,13 @@ class Vocab:
                 fh.write(t + "\n")
 
     @classmethod
-    def load(cls, path, target_size: int | None = None) -> "Vocab":
+    def load(cls, path) -> "Vocab":
         """Read a saved vocabulary; a file that is not UTF-8 or breaks the
         reserved-prefix or uniqueness rule raises ``CorruptFile``."""
         try:
             with open(path, encoding="utf-8") as fh:
                 tokens = tuple(line.rstrip("\n") for line in fh if line != "\n")
-            return cls(tokens, target_size if target_size is not None else len(tokens))
+            return cls(tokens, len(tokens))
         except ValueError as exc:  # UTF-8 decode errors are ValueErrors too
             raise CorruptFile(f"vocab file {path}: {exc}") from exc
 

@@ -69,8 +69,9 @@ class TrainConfig:
             raise InvalidConfig("mask/random/keep probabilities must sum to 1")
         if not 0.0 <= self.mask_ratio <= 1.0:
             raise InvalidConfig("mask_ratio must be in [0, 1]")
-        if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be at least 1")
+        for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 0)):
+            if getattr(self, name) < least:
+                raise InvalidConfig(f"{name} must be at least {least}")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must be in [0, 1)")
 
@@ -79,8 +80,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
+        return cls(**d)
 
 
 def tiny_train_config(**overrides) -> TrainConfig:
@@ -138,7 +138,6 @@ def apply_mlm_masking(batch, cfg: TrainConfig, rng: np.random.Generator, vocab_s
 
 @dataclass
 class Checkpoint:
-    format_version: int
     model_config: mdl.ModelConfig
     arrays: dict[str, np.ndarray]
     vocab_digest: str
@@ -177,7 +176,7 @@ def checkpoint_from_params(params: mdl.ModelParams, config: mdl.ModelConfig, voc
     opt_state = None if optimizer is None else {
         "step": optimizer.step_count, "arrays": {k: v.copy() for k, v in optimizer.state_arrays().items()},
     }
-    return Checkpoint(CHECKPOINT_VERSION, config, arrays, vocab_digest, global_step, opt_state)
+    return Checkpoint(config, arrays, vocab_digest, global_step, opt_state)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -204,7 +203,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_text_file(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", ckpt.format_version, len(header_bytes)))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         fh.writelines([header_bytes, *payload])
 
 
@@ -280,7 +279,7 @@ def load_checkpoint(path) -> Checkpoint:
             optimizer = {"step": header["optimizer"]["step"], "arrays": opt_arrays}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorruptFile(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
-    return Checkpoint(CHECKPOINT_VERSION, config, arrays, digest, step, optimizer)
+    return Checkpoint(config, arrays, digest, step, optimizer)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):

@@ -189,11 +189,11 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity when not training or when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout; identity when rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")

@@ -9,6 +9,8 @@ so each chunk is padded to its longest verse wherever that verse falls.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from versebert import model as mdl
@@ -16,8 +18,10 @@ from versebert import preprocess
 from versebert.corpus import CorpusStore, LabelTaxonomy, task_label
 from versebert.errors import DigestMismatch, LabelOutOfRange, LengthMismatch
 from versebert.evaluation import EVAL_CHUNK
-from versebert.preprocess import _MARKER_RE, _SPACE_RUN_RE, strip_diacritics
+from versebert.preprocess import _SPACE_RUN_RE, strip_diacritics
 from versebert.tokenizer import Vocab, encode
+
+_MARKER_RE = re.compile(r"\[s\]|\[e\]")
 
 # Whitelisted letters: the Arabic block's hamza..yeh range plus alef wasla.
 _ARABIC_LO = 0x0621

@@ -86,10 +86,10 @@ def encoder_forward(seq, config, params, heads, train=False, dropout_rng=None, d
             attention(ag.matmul(x, w_q), ag.matmul(x, w_k), ag.matmul(x, w_v), mask)
             for w_q, w_k, w_v in zip(head["w_q"], head["w_k"], head["w_v"])
         ]
-        attn = ag.dropout(ag.matmul(concat(per_head, axis=1), layer.w_o), rate, train, dropout_rng)
+        attn = ag.dropout(ag.matmul(concat(per_head, axis=1), layer.w_o), rate if train else 0.0, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, rate, train, dropout_rng)
+        ffn = ag.dropout(ffn, rate if train else 0.0, dropout_rng)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 

@@ -34,6 +34,7 @@ from versebert.errors import DigestMismatch, EmptyReduction, NonFiniteLoss
 from versebert.tokenizer import MASK_ID, TokenSequence, Vocab, encode
 from versebert.training import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     IGNORE_INDEX,
     N_RESERVED,
     Checkpoint,
@@ -96,7 +97,7 @@ def save_checkpoint(ckpt, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", ckpt.format_version, len(header_bytes)))
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes + payload)
 
 
@@ -122,10 +123,10 @@ def encoder_forward(
         x = ag.add(x, Tensor(model._positions(config.max_len, config.hidden)[:t]))
     for layer in params.layers:
         attn = model.multi_head_attention(x, layer, mask, config.num_heads)
-        attn = ag.dropout(attn, rate, train, dropout_rng)
+        attn = ag.dropout(attn, rate if train else 0.0, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, rate, train, dropout_rng)
+        ffn = ag.dropout(ffn, rate if train else 0.0, dropout_rng)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 

@@ -16,6 +16,7 @@ from versebert import cli, corpus, evaluation, model as mdl, preprocess, tokeniz
 from versebert.autograd import Tensor
 from versebert.corpus import LabelTaxonomy
 
+from gradcheck import grad_check
 from test_evaluation import brute_force_report
 from test_model import dense_attention_oracle, multi_head_oracle
 from test_preprocess import allowed_line_chars
@@ -33,30 +34,30 @@ def test_criterion_01_gradient_correctness():
     op_errs = {}
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    op_errs["matmul"] = ag.grad_check(lambda: ag.cross_entropy(ag.matmul(a, b), [0, 1, 0]), [a, b])
+    op_errs["matmul"] = grad_check(lambda: ag.cross_entropy(ag.matmul(a, b), [0, 1, 0]), [a, b])
     x = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     v = Tensor(rng.normal(size=(5,)), requires_grad=True)
-    op_errs["add"] = ag.grad_check(lambda: ag.cross_entropy(ag.add(x, v), [0, 2, 4]), [x, v])
+    op_errs["add"] = grad_check(lambda: ag.cross_entropy(ag.add(x, v), [0, 2, 4]), [x, v])
     s = Tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    op_errs["scale"] = ag.grad_check(lambda: ag.cross_entropy(ag.scale(s, -2.5), [1, 3]), [s])
+    op_errs["scale"] = grad_check(lambda: ag.cross_entropy(ag.scale(s, -2.5), [1, 3]), [s])
     sm = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
-    op_errs["softmax"] = ag.grad_check(
+    op_errs["softmax"] = grad_check(
         lambda: ag.cross_entropy(ag.scale(ag.softmax_rows(sm), 4.0), [0, 3]), [sm]
     )
     ln_x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     ln_g = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), requires_grad=True)
     ln_b = Tensor(rng.normal(size=(6,)), requires_grad=True)
-    op_errs["layer_norm"] = ag.grad_check(
+    op_errs["layer_norm"] = grad_check(
         lambda: ag.cross_entropy(ag.layer_norm(ln_x, ln_g, ln_b), [5, 0, 3]), [ln_x, ln_g, ln_b]
     )
     gx = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
-    op_errs["gelu"] = ag.grad_check(lambda: ag.cross_entropy(ag.gelu(gx), [1, 4]), [gx])
+    op_errs["gelu"] = grad_check(lambda: ag.cross_entropy(ag.gelu(gx), [1, 4]), [gx])
     table = Tensor(rng.normal(size=(9, 4)), requires_grad=True)
-    op_errs["embedding"] = ag.grad_check(
+    op_errs["embedding"] = grad_check(
         lambda: ag.cross_entropy(ag.embedding_lookup(table, [0, 4, 4, 8]), [0, 1, 2, 3]), [table]
     )
     ce = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
-    op_errs["cross_entropy"] = ag.grad_check(
+    op_errs["cross_entropy"] = grad_check(
         lambda: ag.cross_entropy(ce, [0, ag.IGNORE_INDEX, 6, 3]), [ce]
     )
     per_op_worst = max(op_errs.values())
@@ -79,7 +80,7 @@ def test_criterion_01_gradient_correctness():
         hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
         return mdl.mlm_loss(hidden, targets, params)
 
-    end_to_end = ag.grad_check(f, params.parameters(), max_samples=200, rng=np.random.default_rng(100))
+    end_to_end = grad_check(f, params.parameters(), max_samples=200, rng=np.random.default_rng(100))
     elapsed = time.time() - started
     ok = per_op_worst < 1e-5 and end_to_end < 1e-4 and elapsed < 60
     report(1, ok, f"gradients: per-op worst {per_op_worst:.2e} (<1e-5), "

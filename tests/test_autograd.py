@@ -12,6 +12,7 @@ from versebert.autograd import AdamW, Tensor
 from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
 
 import seed_adamw
+from gradcheck import grad_check
 
 finite = st.floats(-5, 5, allow_nan=False)
 
@@ -62,17 +63,13 @@ class TestForwardValues:
 class TestDropout:
     def test_rate_zero_is_identity(self, rng):
         x = Tensor(rng.normal(size=(8, 8)))
-        assert ag.dropout(x, 0.0, train=True, rng=rng) is x
-
-    def test_eval_mode_is_identity(self, rng):
-        x = Tensor(rng.normal(size=(8, 8)))
-        assert ag.dropout(x, 0.5, train=False) is x
+        assert ag.dropout(x, 0.0, rng=rng) is x
 
     def test_zeroed_fraction_and_scaling(self, rng):
         rate = 0.3
         n = 40_000
         x = Tensor(np.ones(n))
-        out = ag.dropout(x, rate, train=True, rng=rng).data
+        out = ag.dropout(x, rate, rng=rng).data
         zeroed = np.sum(out == 0.0) / n
         sigma = math.sqrt(rate * (1 - rate) / n)
         assert abs(zeroed - rate) <= 3 * sigma
@@ -82,7 +79,7 @@ class TestDropout:
     def test_backward_uses_same_mask(self, rng):
         ag.reset_tape()
         x = Tensor(rng.normal(size=(2000,)) + 3.0, requires_grad=True)
-        out = ag.dropout(x, 0.25, train=True, rng=rng)
+        out = ag.dropout(x, 0.25, rng=rng)
         mask = out.data != 0.0
         out.grad = np.ones_like(out.data)
         _, fn = ag._tape[-1]
@@ -95,7 +92,7 @@ class TestGradientsAgainstFiniteDifferences:
     """Each op's backward vs central differences (h=1e-5, rel err < 1e-5)."""
 
     def check(self, f, params, tol=1e-5):
-        err = ag.grad_check(f, params)
+        err = grad_check(f, params)
         assert err < tol, f"relative error {err}"
 
     def test_matmul(self, rng):
@@ -203,7 +200,7 @@ class TestGradientsAgainstFiniteDifferences:
         assert float(loss.data) == 9.0
         ag.backward(loss)
         assert float(x.grad[0, 0]) == pytest.approx(6.0, abs=1e-12)
-        assert ag.grad_check(f, [x]) < 1e-9
+        assert grad_check(f, [x]) < 1e-9
 
 
 class TestTape:

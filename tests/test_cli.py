@@ -1,6 +1,9 @@
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,6 +196,42 @@ class TestTrainingInput:
         assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", flag, "64")) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+class TestBadInvocations:
+    """A bad value or an unknown config key, from a flag or a file, ends in one named error line
+    and exit 1 in a real process, and leaves no output file or manifest."""
+
+    CASES = {
+        "unknown-config-keys": ("pretrain", {"batch_sise": 8, "hidden_size": 64}, [], "batch_sise, hidden_size"),
+        "shape-key-in-finetune-config": ("finetune", {"hidden": 999}, [], "hidden"),
+        "eval-every-zero": ("pretrain", None, ["--eval-every", "0"], "eval_every"),
+        "negative-max-steps": ("pretrain", None, ["--max-steps", "-3"], "max_steps"),
+        "synth-zero-verses": ("synth", None, ["--n", "0"], "n must be positive"),
+        "split-ratio-above-one": ("finetune", None, ["--ratio", "1.5"], "ratio must be in (0, 1)"),
+    }
+
+    @pytest.mark.parametrize("command, config, extra, named", CASES.values(), ids=CASES.keys())
+    def test_exits_one_with_a_named_error_and_writes_nothing(self, pipeline, tmp_path, command, config, extra, named):
+        out = str(tmp_path / "out")
+        argv = {
+            "synth": ["synth", "--seed", "1", "--signal", "rhyme", "--out", out],
+            "pretrain": ["pretrain", "--lines", str(pipeline["lines"]), "--vocab", str(pipeline["vocab"]),
+                         "--out", out, "--max-steps", "1"],
+            "finetune": ["finetune", "--ckpt", str(pipeline["ckpt"]), "--task", "rhyme", "--corpus",
+                         str(pipeline["corpus"]), "--vocab", str(pipeline["vocab"]), "--out", out, "--max-steps", "1"],
+        }[command] + extra
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "versebert.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("InvalidConfig: ") and named in done.stderr
+        assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
+        assert os.listdir(tmp_path) == ([] if config is None else ["cfg.json"])
 
 
 class TestDeterminism:

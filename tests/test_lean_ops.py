@@ -130,7 +130,7 @@ class TestHandDown:
             h = ag.add(ag.reshape(v["flat"], (2, 3, 4)), h)
             h = ag.layer_norm(ag.matmul(h, v["w"]), v["gain"], v["beta"])
             h = ag.add(h, ag.layer_norm(const, v["gain2"], v["beta2"]))
-            h = ag.dropout(ag.scale(h, 0.5), 0.3, True, drop_rng)
+            h = ag.dropout(ag.scale(h, 0.5), 0.3, drop_rng)
             h = ag.reshape(ag.permute(ag.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3)), (6, 4))
             return ag.cross_entropy(ag.gelu(h), [0, ag.IGNORE_INDEX, 3, 1, ag.IGNORE_INDEX, 2])
 
@@ -176,7 +176,7 @@ class TestHandDown:
         if copying:
             seed_autograd.install_ops(monkeypatch)
         x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
-        h = ag.dropout(ag.scale(x, 2.0), 0.5, True, np.random.default_rng(1))
+        h = ag.dropout(ag.scale(x, 2.0), 0.5, np.random.default_rng(1))
         h = ag.permute(ag.permute(ag.add(h, Tensor(rng.normal(size=(256, 256)))), (1, 0)), (1, 0))
         # only sum_all allocates: every op after it hands its gradient down, and x takes it over
         assert arrays <= self._backward_peak(ag.sum_all(ag.reshape(h, (-1,))), x) < arrays + 0.5

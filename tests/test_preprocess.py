@@ -67,16 +67,12 @@ class TestStripSymbols:
     def test_punctuation_removed(self):
         assert strip_symbols("قال: نعم؟") == "قال نعم"
 
-    def test_markers_kept_and_padded(self):
-        assert strip_symbols("قال[s]نعم") == "قال [s] نعم"
-        assert strip_symbols("قال [s] [e]") == "قال [s] [e]"
-
     def test_markers_dropped_when_disabled(self):
-        assert strip_symbols("قال [s] نعم", keep_markers=False) == "قال نعم"
+        assert strip_symbols("قال [s] نعم") == "قال نعم"
 
     @given(st.text(NOISY, max_size=60))
     def test_only_arabic_and_spaces_survive(self, text):
-        out = strip_symbols(text, keep_markers=False)
+        out = strip_symbols(text)
         assert all(0x0621 <= ord(c) <= 0x064A or ord(c) == 0x0671 or c == " " for c in out)
         assert "  " not in out
         assert out == out.strip()

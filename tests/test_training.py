@@ -284,10 +284,10 @@ class TestCheckpointIO:
         with pytest.raises(CorruptFile):
             load_checkpoint(path)
 
-    def test_future_version_rejected(self, overfit_setup, tmp_path):
+    def test_future_version_rejected(self, overfit_setup, tmp_path, monkeypatch):
         ckpt = self._ckpt(overfit_setup)
         path = tmp_path / "model.ckpt"
-        ckpt.format_version = training.CHECKPOINT_VERSION + 1
+        monkeypatch.setattr(training, "CHECKPOINT_VERSION", training.CHECKPOINT_VERSION + 1)
         save_checkpoint(ckpt, path)
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
