@@ -286,14 +286,17 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+_LN_EPS = 1e-12  # added to each row's variance
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean/unit variance, then apply the affine pair."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs d={d}")
     xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True), out=_out(x.data.shape))
     y = np.square(xhat, out=_out(xhat.shape))
-    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + eps)
+    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + _LN_EPS)
     xhat *= inv_std
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
@@ -428,35 +431,30 @@ def sum_all(a: Tensor) -> Tensor:
     return out
 
 
-IGNORE_INDEX = -100
-
-
-def cross_entropy(logits: Tensor, target_ids, ignore_index: int = IGNORE_INDEX) -> Tensor:
-    """Mean negative log-likelihood over rows whose target is not ignored."""
+def cross_entropy(logits: Tensor, target_ids) -> Tensor:
+    """Mean negative log-likelihood of each row's target class."""
     if logits.data.ndim != 2:
         raise ShapeMismatch(f"cross_entropy expects 2-D logits, got {logits.shape}")
     targets = np.asarray(target_ids, dtype=np.int64)
     if targets.shape != (logits.shape[0],):
         raise ShapeMismatch(f"targets {targets.shape} vs logits rows {logits.shape[0]}")
-    selected = targets != ignore_index
-    m = int(selected.sum())
+    m = targets.size
     if m == 0:
-        raise EmptyReduction("all targets ignored")
+        raise EmptyReduction("no target to average over")
     n_classes = logits.shape[1]
-    live = targets[selected]
-    if live.min() < 0 or live.max() >= n_classes:
+    if targets.min() < 0 or targets.max() >= n_classes:
         raise LabelOutOfRange(f"target outside [0, {n_classes})")
 
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(z).sum(axis=1, keepdims=True)) + logits.data.max(axis=1, keepdims=True)
+    rows = np.arange(m)
+    row_max = logits.data.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(logits.data - row_max).sum(axis=1, keepdims=True)) + row_max
     log_probs = logits.data - logsumexp
-    nll = -log_probs[selected, live]
+    nll = -log_probs[rows, targets]
     out = Tensor(np.float64(nll.mean()), logits.requires_grad)
 
     def fn(g):
         grad = np.exp(log_probs, out=log_probs)  # the probabilities, used once
-        grad[~selected] = 0.0
-        grad[selected, live] -= 1.0
+        grad[rows, targets] -= 1.0
         grad *= float(g) / m
         _accumulate(logits, grad, owned=True)
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import CorruptFile, DigestMismatch, InvalidConfig, VerseBertError
+from .errors import CorruptFile, DigestMismatch, EmptyCorpus, InvalidConfig, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -35,6 +35,9 @@ PRESETS = ("tiny", "paper")
 TRAIN_FLAGS = {"batch_size": int, "lr": float, "weight_decay": float, "dropout": float,
                "mask_ratio": float, "max_steps": int, "seed": int, "eval_every": int}
 MODEL_FLAGS = {"num_layers": int, "num_heads": int, "hidden": int, "max_len": int}
+# Config fields each command sets itself or never reads; neither a config file nor a flag may set them.
+NOT_FROM_USER = {"pretrain": ("vocab_size", "checkpoint_path"),
+                 "finetune": ("checkpoint_path", "mask_ratio", "mask_prob", "random_prob", "keep_prob")}
 
 
 def _digest_file(path) -> str:
@@ -59,7 +62,7 @@ def _write_manifest(out_path, command, config, inputs, seed, artifacts, started)
         fh.write("\n")
 
 
-def _load_config_file(path, *kinds) -> dict:
+def _load_config_file(path, command, *kinds) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
@@ -69,8 +72,9 @@ def _load_config_file(path, *kinds) -> dict:
             raise CorruptFile(f"{path}: not JSON ({exc})") from None
     if not isinstance(cfg, dict):
         raise CorruptFile(f"{path}: a config file must hold a JSON object")
-    if unknown := sorted(set(cfg).difference(*(kind.__dataclass_fields__ for kind in kinds))):
-        raise InvalidConfig(f"{path}: unknown config keys {', '.join(unknown)}")
+    known = set().union(*(kind.__dataclass_fields__ for kind in kinds)).difference(NOT_FROM_USER[command])
+    if unknown := sorted(set(cfg) - known):
+        raise InvalidConfig(f"{path}: {command} does not take config keys {', '.join(unknown)}")
     return cfg
 
 
@@ -79,22 +83,22 @@ def _given_flags(args, flags) -> dict:
     return {key: getattr(args, key) for key in flags if getattr(args, key, None) is not None}
 
 
-def _resolve_train_config(args, file_cfg: dict) -> training.TrainConfig:
-    """Merge precedence: explicit CLI flags > --config JSON > preset defaults."""
-    cfg = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
-    merged = cfg.to_dict()
+def _merge(args, preset, file_cfg: dict, flags: dict) -> dict:
+    """The fields of config ``preset``, overridden by ``file_cfg``, then by the explicit ``flags``."""
+    merged = preset.to_dict()
     merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
-    merged.update(_given_flags(args, TRAIN_FLAGS))
-    merged["checkpoint_path"] = args.out
-    return training.TrainConfig.from_dict(merged)
+    merged.update(_given_flags(args, flags))
+    return merged
+
+
+def _resolve_train_config(args, file_cfg: dict) -> training.TrainConfig:
+    preset = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
+    return training.TrainConfig.from_dict({**_merge(args, preset, file_cfg, TRAIN_FLAGS), "checkpoint_path": args.out})
 
 
 def _resolve_model_config(args, file_cfg: dict, vocab_size: int) -> mdl.ModelConfig:
-    merged = (mdl.tiny_config if args.preset == "tiny" else mdl.paper_config)(vocab_size=vocab_size).to_dict()
-    merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
-    merged.update(_given_flags(args, MODEL_FLAGS))
-    merged["vocab_size"] = vocab_size
-    return mdl.ModelConfig.from_dict(merged)
+    preset = (mdl.tiny_config if args.preset == "tiny" else mdl.paper_config)(vocab_size=vocab_size)
+    return mdl.ModelConfig.from_dict(_merge(args, preset, file_cfg, MODEL_FLAGS))
 
 
 def _add_train_flags(p, flags: dict):
@@ -156,7 +160,7 @@ def cmd_pretrain(args) -> int:
     started = time.time()
     vocab = tokenizer.Vocab.load(args.vocab)
     lines = preprocess.read_lines(args.lines)
-    file_cfg = _load_config_file(args.config, training.TrainConfig, mdl.ModelConfig)
+    file_cfg = _load_config_file(args.config, "pretrain", training.TrainConfig, mdl.ModelConfig)
     model_cfg = _resolve_model_config(args, file_cfg, len(vocab))
     train_cfg = _resolve_train_config(args, file_cfg)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
@@ -182,12 +186,14 @@ def cmd_finetune(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     tax = corpus_mod.taxonomy(args.task)
     store = corpus_mod.load_corpus(args.corpus)
-    file_cfg = _load_config_file(args.config, training.TrainConfig)  # the model shape comes from the checkpoint
+    file_cfg = _load_config_file(args.config, "finetune", training.TrainConfig)  # the shape is the checkpoint's
     train_cfg = _resolve_train_config(args, file_cfg)
 
     train_store, val_store = corpus_mod.split(
         store, args.ratio, args.split_seed if args.split_seed is not None else train_cfg.seed
     )
+    if not corpus_mod.task_pairs(val_store, tax.task_id):  # checked before training, so no checkpoint is left
+        raise EmptyCorpus(f"finetune: the validation split has no {tax.task_id} label")
     pairs = _labeled_lines(train_store, tax.task_id)
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     tuned = training.finetune(ckpt, pairs, tax, vocab, train_cfg, head_only=args.head_only)
@@ -322,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.8, help="train share of the 80/20 split")
     p.add_argument("--split-seed", dest="split_seed", type=int)
     p.add_argument("--head-only", dest="head_only", action="store_true")
-    _add_train_flags(p, TRAIN_FLAGS)  # the model shape comes from the checkpoint
+    # the model shape comes from the checkpoint, and finetune does not mask
+    _add_train_flags(p, {k: v for k, v in TRAIN_FLAGS.items() if k not in NOT_FROM_USER["finetune"]})
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("evaluate", help="classification report on a labeled corpus")

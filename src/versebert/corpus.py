@@ -1,4 +1,4 @@
-"""Verse corpus handling: loading, validation, dedup, sentiment grouping, splits, synthesis.
+"""Verse corpus handling: loading, validation, sentiment grouping, splits, synthesis.
 
 Corpus files are UTF-8 tab-separated text with a header
 row naming a subset of the record fields; an empty cell means the field is
@@ -9,7 +9,6 @@ between runs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -17,15 +16,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import preprocess
-from .errors import (
-    EmptyStratum,
-    InvalidConfig,
-    LabelOutOfRange,
-    MalformedRow,
-    MissingColumn,
-    UnknownLabel,
-    UnmappedTopic,
-)
+from .errors import InvalidConfig, LabelOutOfRange, MalformedRow, MissingColumn, UnknownLabel
 
 # Meter names, classical (16) then non-classical (12); orderings are by
 # decreasing corpus frequency and are frozen.
@@ -126,15 +117,6 @@ def taxonomy(task_id: str) -> LabelTaxonomy:
     return LabelTaxonomy(canonical, _TASK_LABELS[canonical])
 
 
-def export_taxonomies(path) -> None:
-    """Write the task_id -> ordered label list mapping as a JSON document;
-    a failed write keeps the old file."""
-    doc = {t: list(_TASK_LABELS[t]) for t in TASK_IDS}
-    with preprocess.atomic_text_file(path) as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 FIELDS = (
     "verse_id", "hemistich1", "hemistich2", "meter", "variant", "rhyme",
     "poet_name", "gender", "era", "topic",
@@ -228,78 +210,24 @@ def write_corpus(store: CorpusStore, path) -> None:
             fh.write("\t".join(cells) + "\n")
 
 
-def _dedup_key(record: VerseRecord) -> tuple[str, str]:
-    h1 = preprocess.clean_hemistich(record.hemistich1)
-    h2 = preprocess.clean_hemistich(record.hemistich2) if record.hemistich2 else ""
-    return (h1, h2)
+def group_sentiment(topic: str) -> Optional[str]:
+    """The grouped emotion of a poem-type name, or None for a type the table lacks."""
+    return SENTIMENT_BY_TOPIC.get(topic.strip().removesuffix(" Poems"))
 
 
-def deduplicate(store: CorpusStore) -> CorpusStore:
-    """Keep the first occurrence of each normalized full-verse text, order preserved."""
-    seen = set()
-    survivors = []
-    for r in store.records:
-        key = _dedup_key(r)
-        if key in seen:
-            continue
-        seen.add(key)
-        survivors.append(r)
-    return CorpusStore(tuple(survivors), store.provenance)
-
-
-def group_sentiment(topic: str) -> str:
-    """Map a poem-type name to its grouped emotion label."""
-    base = topic.strip()
-    if base.endswith(" Poems"):
-        base = base[: -len(" Poems")]
-    try:
-        return SENTIMENT_BY_TOPIC[base]
-    except KeyError:
-        raise UnmappedTopic(topic) from None
-
-
-def split(
-    corpus: CorpusStore,
-    ratio: float,
-    seed: int,
-    stratify_by: Optional[str] = None,
-) -> tuple[CorpusStore, CorpusStore]:
-    """Deterministic train/val partition; floor(n*ratio) records per stratum go to train.
-
-    Without stratification the whole corpus forms one stratum. Output stores
-    preserve corpus order; membership depends only on (corpus, ratio, seed).
+def split(corpus: CorpusStore, ratio: float, seed: int) -> tuple[CorpusStore, CorpusStore]:
+    """Deterministic train/val partition: the first floor(n*ratio) indices of a
+    seeded permutation go to train. Output stores preserve corpus order;
+    membership depends only on (corpus, ratio, seed).
     """
     if not 0 < ratio < 1:
         raise InvalidConfig(f"ratio must be in (0, 1), got {ratio}")
-    rng = np.random.default_rng(seed)
-
-    strata: dict[object, list[int]] = {}
-    for idx, r in enumerate(corpus.records):
-        if stratify_by is None:
-            key = None
-        else:
-            key = getattr(r, stratify_by)
-            if key is None:
-                raise EmptyStratum(
-                    f"record {r.verse_id} has no {stratify_by!r} label"
-                )
-        strata.setdefault(key, []).append(idx)
-    for key, members in strata.items():
-        if not members:
-            raise EmptyStratum(str(key))
-
-    train_idx: set[int] = set()
-    for key in strata:  # insertion order = first appearance, stable
-        members = strata[key]
-        perm = rng.permutation(len(members))
-        n_train = math.floor(len(members) * ratio)
-        train_idx.update(members[i] for i in perm[:n_train])
-
-    train = tuple(r for i, r in enumerate(corpus.records) if i in train_idx)
-    val = tuple(r for i, r in enumerate(corpus.records) if i not in train_idx)
+    n = len(corpus.records)
+    in_train = np.zeros(n, dtype=bool)
+    in_train[np.random.default_rng(seed).permutation(n)[: math.floor(n * ratio)]] = True
     return (
-        CorpusStore(train, f"{corpus.provenance}|train"),
-        CorpusStore(val, f"{corpus.provenance}|val"),
+        CorpusStore(tuple(r for r, t in zip(corpus.records, in_train) if t), f"{corpus.provenance}|train"),
+        CorpusStore(tuple(r for r, t in zip(corpus.records, in_train) if not t), f"{corpus.provenance}|val"),
     )
 
 
@@ -307,12 +235,7 @@ def task_label(record: VerseRecord, task_id: str) -> Optional[str]:
     """The record's label for a task, or None when the record is unlabeled for it."""
     task = _TASK_BY_LOWER.get(task_id.lower()) or taxonomy(task_id).task_id  # taxonomy raises UnknownLabel
     if task == "SentimentT":
-        if record.topic is None:
-            return None
-        try:
-            return group_sentiment(record.topic)
-        except UnmappedTopic:
-            return None
+        return None if record.topic is None else group_sentiment(record.topic)
     if task == "MeterClassical":
         return record.meter if record.meter in CLASSICAL_METERS else None
     if task == "MeterAll":

@@ -22,14 +22,6 @@ class MalformedRow(VerseBertError):
     pass
 
 
-class EmptyStratum(VerseBertError):
-    pass
-
-
-class UnmappedTopic(VerseBertError):
-    pass
-
-
 # preprocess
 class EmptyHemistich(VerseBertError):
     pass
@@ -37,10 +29,6 @@ class EmptyHemistich(VerseBertError):
 
 # tokenizer
 class EmptyCorpus(VerseBertError):
-    pass
-
-
-class IdOutOfRange(VerseBertError):
     pass
 
 

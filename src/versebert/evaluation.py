@@ -17,7 +17,7 @@ import numpy as np
 from . import model as mdl
 from . import preprocess
 from .corpus import CorpusStore, LabelTaxonomy, task_label
-from .errors import DigestMismatch, LabelOutOfRange, LengthMismatch
+from .errors import DigestMismatch, EmptyCorpus, LabelOutOfRange, LengthMismatch
 from .tokenizer import Vocab, encode
 
 # Sequences per forward pass in predict_corpus: scoring a whole corpus in one
@@ -143,7 +143,8 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
 
 def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vocab):
     """(preds, truths) id lists in corpus order over the records that carry the task
-    label, scored ``EVAL_CHUNK`` per forward pass in a stable sort by real length."""
+    label, scored ``EVAL_CHUNK`` per forward pass in a stable sort by real length.
+    A corpus with no such record raises ``EmptyCorpus``."""
     if ckpt.vocab_digest != vocab.digest():
         raise DigestMismatch("vocab content does not match the checkpoint's digest")
     if taxonomy.task_id not in ckpt.head_tasks():
@@ -159,6 +160,8 @@ def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vo
             continue
         seqs.append(encode(preprocess.preprocess_verse(record).line, vocab, config.max_len))
         truths.append(taxonomy.index(label))
+    if not seqs:
+        raise EmptyCorpus(f"{corpus.provenance}: no record has a {taxonomy.task_id} label")
     order = np.argsort([s.length for s in seqs], kind="stable")
     preds = np.zeros(len(seqs), dtype=np.int64)
     for i in range(0, len(order), EVAL_CHUNK):

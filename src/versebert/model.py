@@ -102,13 +102,16 @@ def _positions(max_len: int, d: int) -> np.ndarray:
     return table
 
 
-def truncated_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) samples redrawn until within two standard deviations."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
+INIT_STD = 0.02
+
+
+def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) samples redrawn until within two standard deviations."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * INIT_STD
     return out
 
 
@@ -289,11 +292,14 @@ def mlm_logits(hidden: Tensor, params: ModelParams) -> Tensor:
     return ag.add(ag.matmul(hidden, params.mlm_w), params.mlm_b)
 
 
+IGNORE_INDEX = -100  # the MLM target of a position that is not scored
+
+
 def mlm_loss(hidden: Tensor, targets, params: ModelParams) -> Tensor:
     """Mean MLM cross-entropy over the positions whose target (one per
-    position) is not ignored; only those rows reach the vocabulary projection."""
+    position) is not IGNORE_INDEX; only those rows reach the vocabulary projection."""
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-    rows = np.flatnonzero(targets != ag.IGNORE_INDEX)
+    rows = np.flatnonzero(targets != IGNORE_INDEX)
     if rows.size == 0:
         raise EmptyReduction("no masked position to score")
     picked = ag.take_rows(ag.reshape(hidden, (-1, hidden.shape[-1])), rows)

@@ -1,4 +1,4 @@
-"""WordPiece vocabulary training plus fixed-length encoding and decoding.
+"""WordPiece vocabulary training plus fixed-length encoding.
 
 Training follows the standard likelihood-score merge rule: seed the vocabulary
 with every observed character (word-initial and ``##``-continuation form),
@@ -32,7 +32,7 @@ import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import CorruptFile, EmptyCorpus, IdOutOfRange, ShapeMismatch
+from .errors import CorruptFile, EmptyCorpus, ShapeMismatch
 from .preprocess import atomic_text_file
 
 RESERVED = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[s]", "[e]")
@@ -62,9 +62,6 @@ class Vocab:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def id(self, token: str) -> int | None:
-        return self.token_index.get(token)
 
     def digest(self) -> str:
         """Content hash of the canonical one-token-per-line serialization."""
@@ -297,23 +294,3 @@ def encode(line: str, vocab: Vocab, max_len: int) -> TokenSequence:
     ids.extend([PAD_ID] * (max_len - n_real))
     mask = [1] * n_real + [0] * (max_len - n_real)
     return TokenSequence(tuple(ids), tuple(mask), max_len)
-
-
-def decode(ids, vocab: Vocab) -> str:
-    """Reassemble text from piece ids, fusing ``##`` continuations.
-
-    [CLS]/[SEP]/[PAD] are dropped; other reserved tokens render literally.
-    """
-    words: list[str] = []
-    for i in ids:
-        i = int(i)
-        if not 0 <= i < len(vocab):
-            raise IdOutOfRange(f"id {i} out of range for vocab of {len(vocab)}")
-        if i in (CLS_ID, SEP_ID, PAD_ID):
-            continue
-        token = vocab.tokens[i]
-        if token.startswith(CONTINUATION) and words:
-            words[-1] += token[len(CONTINUATION):]
-        else:
-            words.append(token)
-    return " ".join(words)

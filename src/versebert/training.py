@@ -40,7 +40,7 @@ from .tokenizer import MASK_ID, TokenSequence, Vocab, encode
 
 log = logging.getLogger(__name__)
 
-IGNORE_INDEX = ag.IGNORE_INDEX
+IGNORE_INDEX = mdl.IGNORE_INDEX
 N_RESERVED = 7  # ids 0-6 are special and never masked or drawn as replacements
 
 CHECKPOINT_MAGIC = b"VBC1"

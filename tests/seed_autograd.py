@@ -20,8 +20,9 @@ import math
 
 import numpy as np
 
-from versebert.autograd import IGNORE_INDEX, Tensor, _record, _unbroadcast
+from versebert.autograd import Tensor, _record, _unbroadcast
 from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
+from versebert.model import IGNORE_INDEX
 
 
 def zero_grad(self) -> None:

@@ -19,6 +19,8 @@ from versebert import autograd as ag
 from versebert import model as mdl
 from versebert.autograd import Tensor
 
+import seed_loss
+
 
 def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, a.requires_grad)
@@ -97,7 +99,7 @@ def encoder_forward(seq, config, params, heads, train=False, dropout_rng=None, d
 def mlm_loss(seqs, targets, config, params, heads) -> Tensor:
     """Cross-entropy over every position of every sequence, ignored targets skipped."""
     logits = [mdl.mlm_logits(encoder_forward(s, config, params, heads), params) for s in seqs]
-    return ag.cross_entropy(concat(logits, axis=0), np.concatenate(targets))
+    return seed_loss.cross_entropy(concat(logits, axis=0), np.concatenate(targets))
 
 
 def cls_logits(seqs, config, params, heads, head_w, head_b) -> Tensor:

@@ -95,7 +95,7 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
             piece = word[start:end]
             if start > 0:
                 piece = CONTINUATION + piece
-            piece_id = vocab.id(piece)
+            piece_id = vocab.token_index.get(piece)
             if piece_id is not None:
                 break
             end -= 1

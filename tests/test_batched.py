@@ -27,7 +27,7 @@ BATCH = [seq(5), seq(2, 9), seq(MAX_LEN, 11), seq(7, 20), seq(3, 30)]
 
 
 def targets_for(s, picks):
-    t = np.full(MAX_LEN, ag.IGNORE_INDEX)
+    t = np.full(MAX_LEN, mdl.IGNORE_INDEX)
     for pos in picks:
         if pos < sum(s.attention_mask) - 1:
             t[pos] = (s.ids[pos] * 7) % 60 + 3

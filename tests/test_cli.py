@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from versebert import cli, evaluation, model as mdl, tokenizer, training
-from versebert.corpus import load_corpus, task_label, taxonomy
+from versebert.corpus import CorpusStore, generate_synthetic, load_corpus, split, task_label, taxonomy, write_corpus
 from versebert.tokenizer import Vocab
 
 
@@ -172,8 +173,8 @@ class TestExitCodes:
 class TestTrainingInput:
     """Empty training input and flags a subcommand does not read."""
 
-    def _finetune_argv(self, pipeline, out, *extra):
-        return ["finetune", "--ckpt", str(pipeline["ckpt"]), "--corpus", str(pipeline["corpus"]),
+    def _finetune_argv(self, pipeline, out, *extra, corpus=None):
+        return ["finetune", "--ckpt", str(pipeline["ckpt"]), "--corpus", str(corpus or pipeline["corpus"]),
                 "--vocab", str(pipeline["vocab"]), "--out", str(out), "--preset", "tiny", "--max-steps", "1", *extra]
 
     def test_pretrain_on_no_lines_is_empty_corpus(self, pipeline, tmp_path, capsys):
@@ -191,7 +192,26 @@ class TestTrainingInput:
         assert err.startswith("EmptyCorpus: finetune") and err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("flag", ["--num-layers", "--num-heads", "--hidden", "--max-len"])
+    def test_finetune_with_no_label_in_the_validation_split_is_empty_corpus(self, pipeline, tmp_path, capsys):
+        store = load_corpus(pipeline["corpus"])
+        val_ids = {r.verse_id for r in split(store, 0.8, 3)[1]}
+        records = [dataclasses.replace(r, rhyme=None) if r.verse_id in val_ids else r for r in store]
+        write_corpus(CorpusStore(tuple(records), "t"), tmp_path / "c.tsv")
+        assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", "--split-seed", "3",
+                                            corpus=tmp_path / "c.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyCorpus: finetune") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["c.tsv"]
+
+    def test_evaluate_on_a_corpus_without_the_task_label_is_empty_corpus(self, pipeline, tmp_path, capsys):
+        write_corpus(generate_synthetic(20, seed=2, signal="gender"), tmp_path / "g.tsv")
+        assert cli.main(["evaluate", "--ckpt", str(pipeline["tuned"]), "--corpus", str(tmp_path / "g.tsv"),
+                         "--task", "rhyme", "--vocab", str(pipeline["vocab"]), "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyCorpus: ") and "Rhyme" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["g.tsv"]
+
+    @pytest.mark.parametrize("flag", ["--num-layers", "--num-heads", "--hidden", "--max-len", "--mask-ratio"])
     def test_finetune_refuses_model_shape_flags(self, pipeline, tmp_path, capsys, flag):
         assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", flag, "64")) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -205,6 +225,11 @@ class TestBadInvocations:
     CASES = {
         "unknown-config-keys": ("pretrain", {"batch_sise": 8, "hidden_size": 64}, [], "batch_sise, hidden_size"),
         "shape-key-in-finetune-config": ("finetune", {"hidden": 999}, [], "hidden"),
+        "overwritten-keys-in-pretrain-config": ("pretrain", {"vocab_size": 9, "checkpoint_path": "elsewhere.ckpt"}, [],
+                                                "checkpoint_path, vocab_size"),
+        "unread-keys-in-finetune-config": ("finetune", {"checkpoint_path": "elsewhere.ckpt", "mask_ratio": 0.9,
+                                                        "mask_prob": 0.8, "random_prob": 0.1, "keep_prob": 0.1}, [],
+                                           "checkpoint_path, keep_prob, mask_prob, mask_ratio, random_prob"),
         "eval-every-zero": ("pretrain", None, ["--eval-every", "0"], "eval_every"),
         "negative-max-steps": ("pretrain", None, ["--max-steps", "-3"], "max_steps"),
         "synth-zero-verses": ("synth", None, ["--n", "0"], "n must be positive"),

@@ -1,4 +1,3 @@
-import json
 from collections import Counter
 
 import pytest
@@ -9,14 +8,10 @@ from versebert import corpus, preprocess, tokenizer
 from versebert.corpus import (
     ALL_METERS,
     CLASSICAL_METERS,
-    GENDERS,
-    RHYMES,
     SENTIMENTS,
     SUB_METERS,
     VARIANTS,
-    CorpusStore,
     VerseRecord,
-    deduplicate,
     generate_synthetic,
     group_sentiment,
     load_corpus,
@@ -25,13 +20,7 @@ from versebert.corpus import (
     task_label,
     write_corpus,
 )
-from versebert.errors import (
-    EmptyStratum,
-    MalformedRow,
-    MissingColumn,
-    UnknownLabel,
-    UnmappedTopic,
-)
+from versebert.errors import MalformedRow, MissingColumn, UnknownLabel
 
 
 class TestTaxonomies:
@@ -60,13 +49,6 @@ class TestTaxonomies:
             meter, variant = sub.rsplit(" ", 1)
             assert meter in CLASSICAL_METERS
             assert variant in VARIANTS
-
-    def test_export(self, tmp_path):
-        path = tmp_path / "tax.json"
-        corpus.export_taxonomies(path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        assert set(doc) == set(corpus.TASK_IDS)
-        assert doc["Rhyme"] == list(RHYMES)
 
 
 def _write(tmp_path, text):
@@ -110,38 +92,6 @@ class TestLoadCorpus:
         assert again.records == store.records
 
 
-class TestDeduplicate:
-    def test_byte_identical(self):
-        a = VerseRecord(0, "قفا نبك", "بسقط")
-        b = VerseRecord(1, "قفا نبك", "بسقط")
-        assert len(deduplicate(CorpusStore((a, b), "t"))) == 1
-
-    def test_diacritics_only_difference(self):
-        a = VerseRecord(0, "قِفَا نبك", "بسقط")
-        b = VerseRecord(1, "قفا نبك", "بسقط")
-        store = deduplicate(CorpusStore((a, b), "t"))
-        assert len(store) == 1
-        assert store.records[0].verse_id == 0  # first occurrence survives
-
-    def test_planted_duplicates(self):
-        base = generate_synthetic(90, seed=5, signal="gender")
-        dupes = base.records[:10]
-        polluted = CorpusStore(base.records + dupes, "t")
-        # oracle: distinct normalized texts via an independent set
-        keys = {
-            (preprocess.clean_hemistich(r.hemistich1),
-             preprocess.clean_hemistich(r.hemistich2 or ""))
-            for r in polluted
-        }
-        deduped = deduplicate(polluted)
-        assert len(deduped) == len(keys) == 90
-
-    def test_idempotent(self):
-        store = generate_synthetic(50, seed=1, signal="rhyme")
-        once = deduplicate(store)
-        assert deduplicate(once).records == once.records
-
-
 class TestGroupSentiment:
     @pytest.mark.parametrize(
         "topic,expected",
@@ -162,8 +112,8 @@ class TestGroupSentiment:
         assert group_sentiment(topic.removesuffix(" Poems")) == expected
 
     def test_unmapped(self):
-        with pytest.raises(UnmappedTopic):
-            group_sentiment("Political")
+        assert group_sentiment("Political") is None
+        assert group_sentiment("Political Poems") is None
 
 
 class TestSplit:
@@ -184,22 +134,6 @@ class TestSplit:
         train, val = split(store, 0.6, seed=1)
         ids = sorted(r.verse_id for r in train) + sorted(r.verse_id for r in val)
         assert sorted(ids) == list(range(37))
-
-    def test_stratified_counts(self):
-        records = []
-        for i in range(100):
-            records.append(VerseRecord(i, f"بيت {i}", gender=GENDERS[i % 2]))
-        store = CorpusStore(tuple(records), "t")
-        train, val = split(store, 0.8, seed=3, stratify_by="gender")
-        train_counts = Counter(r.gender for r in train)
-        val_counts = Counter(r.gender for r in val)
-        assert train_counts == {"Female": 40, "Male": 40}
-        assert val_counts == {"Female": 10, "Male": 10}
-
-    def test_missing_stratum_label(self):
-        store = CorpusStore((VerseRecord(0, "بيت"),), "t")
-        with pytest.raises(EmptyStratum):
-            split(store, 0.5, seed=0, stratify_by="gender")
 
     def test_bad_ratio(self):
         store = generate_synthetic(4, seed=0, signal="gender")

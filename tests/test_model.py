@@ -287,7 +287,7 @@ class TestEndToEndGradient:
             if not name.endswith("gain"):
                 p.data = scale_rng.normal(0.0, 0.15, size=p.data.shape)
         seq = _make_seq([2, 9, 10, 4, 12, 3], max_len=12)
-        targets = np.full(12, ag.IGNORE_INDEX)
+        targets = np.full(12, mdl.IGNORE_INDEX)
         for pos, t in ((1, 15), (2, 33), (3, 20), (4, 41)):
             targets[pos] = t
 

@@ -159,7 +159,7 @@ class TestLifetime:
 def _mlm_loss(config, params, seqs) -> Tensor:
     """A taped MLM loss over every third position, with the gradients cleared."""
     ids, mask = mdl.stack_batch(seqs)
-    targets = np.where(np.arange(ids.size).reshape(ids.shape) % 3 == 0, ids, ag.IGNORE_INDEX)
+    targets = np.where(np.arange(ids.size).reshape(ids.shape) % 3 == 0, ids, mdl.IGNORE_INDEX)
     for p in params.parameters():
         p.zero_grad()
     return mdl.mlm_loss(mdl.encoder_forward(ids, mask, config, params), targets, params)

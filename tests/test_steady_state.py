@@ -89,7 +89,7 @@ class TestKeptGradients:
         cfg = mdl.ModelConfig(num_layers=1, num_heads=2, hidden=64, vocab_size=8192, max_len=16, dropout=0.0)
         rng = np.random.default_rng(0)
         ids = rng.integers(7, cfg.vocab_size, size=(2, 16))
-        targets = np.full(ids.shape, ag.IGNORE_INDEX)
+        targets = np.full(ids.shape, mdl.IGNORE_INDEX)
         targets[[0, 0, 1, 1], [3, 5, 7, 9]] = ids[[0, 0, 1, 1], [3, 5, 7, 9]]
 
         def step_peak(steps=3):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 import seed_tokenizer
+from decoding import IdOutOfRange, decode
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from versebert import tokenizer
-from versebert.errors import CorruptFile, EmptyCorpus, IdOutOfRange, ShapeMismatch
+from versebert.errors import CorruptFile, EmptyCorpus, ShapeMismatch
 from versebert.tokenizer import (
     CLS_ID,
     MAX_WORD_CHARS,
@@ -21,7 +22,6 @@ from versebert.tokenizer import (
     Vocab,
     _score_key,
     _score_shift,
-    decode,
     encode,
     train_wordpiece,
 )
@@ -156,7 +156,7 @@ class TestEncode:
 
     def test_reference_line(self):
         vocab = train_wordpiece(["ابا ابا"], 13, min_frequency=2)
-        word_id = vocab.id("ابا")
+        word_id = vocab.token_index["ابا"]
         seq = encode("ابا [s] ابا", vocab, 8)
         assert seq.ids == (CLS_ID, word_id, S_ID, word_id, SEP_ID, PAD_ID, PAD_ID, PAD_ID)
 
@@ -174,7 +174,7 @@ class TestEncode:
         vocab = train_wordpiece(["اب اب"], 20)
         seq = encode("[SEP] اب [CLS] [PAD] [s]", vocab, 16)
         seq_invariants_hold(seq, len(vocab))
-        assert seq.ids[1:7] == (UNK_ID, vocab.id("اب"), UNK_ID, UNK_ID, S_ID, SEP_ID)
+        assert seq.ids[1:7] == (UNK_ID, vocab.token_index["اب"], UNK_ID, UNK_ID, S_ID, SEP_ID)
 
     @given(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x06FF), max_size=60))
     @settings(max_examples=300)

@@ -207,7 +207,7 @@ class TestPretrain:
         assert steps == [] and ckpt.global_step == 3
         with pytest.raises(EmptyReduction):
             params = ckpt.to_params()
-            mdl.mlm_loss(ag.Tensor(np.zeros((2, 4, cfg.hidden))), np.full((2, 4), ag.IGNORE_INDEX), params)
+            mdl.mlm_loss(ag.Tensor(np.zeros((2, 4, cfg.hidden))), np.full((2, 4), mdl.IGNORE_INDEX), params)
         ag.reset_tape()
 
     def test_dropout_is_bit_reproducible_per_seed(self, overfit_setup):
