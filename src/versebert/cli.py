@@ -144,9 +144,7 @@ def cmd_train_tokenizer(args) -> int:
 
 def cmd_encode(args) -> int:
     vocab = tokenizer.Vocab.load(args.vocab)
-    lines = preprocess.read_lines(args.infile) if args.infile else [
-        l.rstrip("\n") for l in sys.stdin if l.strip()
-    ]
+    lines = preprocess.read_lines(args.infile) if args.infile else preprocess.verse_lines(sys.stdin)
     with preprocess.atomic_text_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         for line in lines:
             seq = tokenizer.encode(line, vocab, args.max_len)

@@ -4,14 +4,15 @@ Corpus files are UTF-8 tab-separated text with a header
 row naming a subset of the record fields; an empty cell means the field is
 absent. Label taxonomies (meters, variants, rhymes, sentiments, genders) are
 fixed module data with stable orderings so integer class ids never drift
-between runs.
+between runs. One table, ``_TASKS``, gives each task its labels and the
+record field that carries them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -68,7 +69,18 @@ SENTIMENT_BY_TOPIC = {
     "Elegy": "Sadness",
 }
 
-TASK_IDS = ("SentimentT", "MeterClassical", "MeterAll", "SubMeter", "Gender", "Rhyme")
+# Task -> (labels in class-id order, the record field that carries them). A
+# SentimentT label groups the topic's poem type; SubMeter joins meter and variant.
+_TASKS = {
+    "SentimentT": (SENTIMENTS, "topic"),
+    "MeterClassical": (CLASSICAL_METERS, "meter"),
+    "MeterAll": (ALL_METERS, "meter"),
+    "SubMeter": (SUB_METERS, "variant"),
+    "Gender": (GENDERS, "gender"),
+    "Rhyme": (RHYMES, "rhyme"),
+}
+TASK_IDS = tuple(_TASKS)
+_LABEL_SETS = {task: frozenset(labels) for task, (labels, _) in _TASKS.items()}
 
 
 @dataclass(frozen=True)
@@ -98,14 +110,6 @@ class LabelTaxonomy:
         return self.labels[idx]
 
 
-_TASK_LABELS = {
-    "SentimentT": SENTIMENTS,
-    "MeterClassical": CLASSICAL_METERS,
-    "MeterAll": ALL_METERS,
-    "SubMeter": SUB_METERS,
-    "Gender": GENDERS,
-    "Rhyme": RHYMES,
-}
 _TASK_BY_LOWER = {t.lower(): t for t in TASK_IDS}
 
 
@@ -114,7 +118,7 @@ def taxonomy(task_id: str) -> LabelTaxonomy:
     canonical = _TASK_BY_LOWER.get(task_id.lower())
     if canonical is None:
         raise UnknownLabel(f"unknown task id {task_id!r}; expected one of {TASK_IDS}")
-    return LabelTaxonomy(canonical, _TASK_LABELS[canonical])
+    return LabelTaxonomy(canonical, _TASKS[canonical][0])
 
 
 FIELDS = (
@@ -143,12 +147,6 @@ class CorpusStore:
 
     records: tuple[VerseRecord, ...]
     provenance: str
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[VerseRecord]:
-        return iter(self.records)
 
 
 _LABEL_DOMAINS = {
@@ -232,22 +230,16 @@ def split(corpus: CorpusStore, ratio: float, seed: int) -> tuple[CorpusStore, Co
 
 
 def task_label(record: VerseRecord, task_id: str) -> Optional[str]:
-    """The record's label for a task, or None when the record is unlabeled for it."""
+    """The record's label for a task, or None when it holds none of the task's labels."""
     task = _TASK_BY_LOWER.get(task_id.lower()) or taxonomy(task_id).task_id  # taxonomy raises UnknownLabel
+    value = getattr(record, _TASKS[task][1])
+    if value is None:
+        return None
     if task == "SentimentT":
-        return None if record.topic is None else group_sentiment(record.topic)
-    if task == "MeterClassical":
-        return record.meter if record.meter in CLASSICAL_METERS else None
-    if task == "MeterAll":
-        return record.meter
-    if task == "SubMeter":
-        if record.meter is None or record.variant is None:
-            return None
-        combined = f"{record.meter} {record.variant}"
-        return combined if combined in SUB_METERS else None
-    if task == "Gender":
-        return record.gender
-    return record.rhyme
+        value = group_sentiment(value)
+    elif task == "SubMeter":
+        value = f"{record.meter} {value}"
+    return value if value in _LABEL_SETS[task] else None
 
 
 def task_pairs(corpus: CorpusStore, task_id: str) -> list[tuple[VerseRecord, str]]:
@@ -267,10 +259,7 @@ def task_pairs(corpus: CorpusStore, task_id: str) -> list[tuple[VerseRecord, str
 # single-letter word that IS the label.
 _SYNTH_ALPHABET = tuple("ابتثجحخدذر")
 _TYPES_BY_SENTIMENT = {
-    "Anger": ("Slander",),
-    "Love": ("Romantic", "Parting", "Longing", "Spinning"),
-    "Spirituality": ("Religious", "Invocation", "Mercy"),
-    "Sadness": ("Elegy",),
+    s: tuple(t for t, grouped in SENTIMENT_BY_TOPIC.items() if grouped == s) for s in SENTIMENTS
 }
 _FILLER_POOL_SIZE = 60
 
@@ -308,13 +297,10 @@ def generate_synthetic(n: int, seed: int, signal: str) -> CorpusStore:
     if n <= 0:
         raise InvalidConfig(f"n must be positive, got {n}")
     task = taxonomy(signal).task_id
+    labels, label_field = _TASKS[task]
     rng = np.random.default_rng(seed)
     pool = _filler_pool(rng)
-
-    if task == "Rhyme":
-        classes: tuple[str, ...] = _SYNTH_ALPHABET
-    else:
-        classes = _TASK_LABELS[task]
+    classes = _SYNTH_ALPHABET if task == "Rhyme" else labels
 
     records = []
     for i in range(n):
@@ -323,26 +309,18 @@ def generate_synthetic(n: int, seed: int, signal: str) -> CorpusStore:
         words = [pool[int(rng.integers(0, len(pool)))] for _ in range(n_fillers)]
 
         fields: dict[str, Optional[str]] = {}
+        value = classes[k]
         if task == "Rhyme":
-            letter = classes[k]
-            words.append(letter)
-            fields["rhyme"] = letter
+            words.append(value)
             single = False
         else:
             words.insert(int(rng.integers(0, len(words) + 1)), _marker_word(k))
             single = rng.random() < 0.1
-            if task == "SentimentT":
-                sentiment = classes[k]
-                types = _TYPES_BY_SENTIMENT[sentiment]
-                fields["topic"] = str(rng.choice(types)) + " Poems"
-            elif task == "MeterClassical" or task == "MeterAll":
-                fields["meter"] = classes[k]
-            elif task == "SubMeter":
-                meter, variant = classes[k].rsplit(" ", 1)
-                fields["meter"] = meter
-                fields["variant"] = variant
-            elif task == "Gender":
-                fields["gender"] = classes[k]
+        if task == "SentimentT":
+            value = str(rng.choice(_TYPES_BY_SENTIMENT[value])) + " Poems"
+        elif task == "SubMeter":
+            fields["meter"], value = value.rsplit(" ", 1)
+        fields[label_field] = value
 
         if single:
             h1, h2 = " ".join(words), None

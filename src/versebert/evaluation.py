@@ -16,7 +16,7 @@ import numpy as np
 
 from . import model as mdl
 from . import preprocess
-from .corpus import CorpusStore, LabelTaxonomy, task_label
+from .corpus import CorpusStore, LabelTaxonomy, task_pairs
 from .errors import DigestMismatch, EmptyCorpus, LabelOutOfRange, LengthMismatch
 from .tokenizer import Vocab, encode
 
@@ -154,10 +154,7 @@ def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vo
     head = params.heads[taxonomy.task_id]
 
     seqs, truths = [], []
-    for record in corpus.records:
-        label = task_label(record, taxonomy.task_id)
-        if label is None:
-            continue
+    for record, label in task_pairs(corpus, taxonomy.task_id):
         seqs.append(encode(preprocess.preprocess_verse(record).line, vocab, config.max_len))
         truths.append(taxonomy.index(label))
     if not seqs:

@@ -95,13 +95,18 @@ def write_lines(verses: list[PreprocessedVerse], path) -> None:
 
 def read_lines(path) -> list[str]:
     """Read verse lines from a file of either raw lines or ``verse_id<TAB>line`` rows."""
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.rstrip("\n")
-            if not raw:
-                continue
-            out.append(raw.split("\t", 1)[1] if "\t" in raw else raw)
+        return verse_lines(fh)
+
+
+def verse_lines(rows) -> list[str]:
+    """Verse lines of raw or ``verse_id<TAB>line`` rows (an open file, say); empty rows are skipped."""
+    out = []
+    for raw in rows:
+        raw = raw.rstrip("\n")
+        if not raw:
+            continue
+        out.append(raw.split("\t", 1)[1] if "\t" in raw else raw)
     return out
 
 

@@ -191,7 +191,7 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
     while len(tokens) < target_size:
         while heap:
             best = heapq.heappop(heap)
-            if live.get(best[2]) is best:
+            if live.get(best[2]) is best and best[1] not in RESERVED:  # no merge rebuilds a reserved token
                 break
         else:
             break
@@ -237,7 +237,7 @@ def train_wordpiece(lines: list[str], target_size: int, min_frequency: int = 2) 
 
 
 def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
-    """Greedy longest-match-first segmentation of one word into piece ids."""
+    """Greedy longest-match-first segmentation of one word into piece ids, none reserved."""
     if len(word) > MAX_WORD_CHARS:
         return [UNK_ID]
     lookup = vocab.token_index.get
@@ -245,16 +245,15 @@ def wordpiece_word(word: str, vocab: Vocab) -> list[int]:
     start = 0
     while start < len(word):
         end = len(word)
-        piece_id = None
         while start < end:
             piece = word[start:end]
             if start > 0:
                 piece = CONTINUATION + piece
             piece_id = lookup(piece)
-            if piece_id is not None:
+            if piece_id is not None and piece_id > E_ID:  # ids 0-6 are whole words only
                 break
             end -= 1
-        if piece_id is None:
+        if end == start:
             return [UNK_ID]
         pieces.append(piece_id)
         start = end

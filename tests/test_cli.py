@@ -50,7 +50,7 @@ class TestPipelineSmoke:
 
     def test_synth_output_loads(self, pipeline):
         store = load_corpus(pipeline["corpus"])
-        assert len(store) == 120
+        assert len(store.records) == 120
 
     def test_encode_to_file(self, pipeline, tmp_path):
         out = tmp_path / "enc.tsv"
@@ -60,6 +60,26 @@ class TestPipelineSmoke:
         ids, mask = first.split("\t")
         assert len(ids.split()) == 32
         assert len(mask.split()) == 32
+
+    def test_encode_reads_stdin_rows_as_it_reads_the_in_file(self, pipeline, tmp_path, monkeypatch, capsys):
+        # ``head -2 lines.tsv | versebert encode`` used to keep the verse_id column as an [UNK] piece
+        head = tmp_path / "head.tsv"
+        head.write_text("".join(pipeline["lines"].read_text(encoding="utf-8").splitlines(keepends=True)[:2]) + "\n",
+                        encoding="utf-8")
+        argv = ["encode", "--vocab", str(pipeline["vocab"]), "--max-len", "32"]
+        assert cli.main(argv + ["--in", str(head)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr("sys.stdin", io.StringIO(head.read_text(encoding="utf-8")))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == from_file
+        assert from_file.count("\n") == 2 and f" {tokenizer.UNK_ID} " not in from_file.split("\t")[0]
+
+    def test_train_tokenizer_never_rebuilds_a_reserved_token(self, tmp_path, capsys):
+        lines, out = tmp_path / "lines.txt", tmp_path / "vocab.txt"
+        lines.write_text("تا [s]بب ت [s]بب تا\n[s]بب [s]بب ت\n", encoding="utf-8")
+        assert cli.main(["train-tokenizer", "--in", str(lines), "--min-frequency", "1", "--vocab-size", "80",
+                         "--out", str(out)]) == 0
+        assert Vocab.load(out).tokens.count("[s]") == 1
 
     def test_evaluate_writes_report_and_csv(self, pipeline, tmp_path):
         out = tmp_path / "report.json"
@@ -194,8 +214,8 @@ class TestTrainingInput:
 
     def test_finetune_with_no_label_in_the_validation_split_is_empty_corpus(self, pipeline, tmp_path, capsys):
         store = load_corpus(pipeline["corpus"])
-        val_ids = {r.verse_id for r in split(store, 0.8, 3)[1]}
-        records = [dataclasses.replace(r, rhyme=None) if r.verse_id in val_ids else r for r in store]
+        val_ids = {r.verse_id for r in split(store, 0.8, 3)[1].records}
+        records = [dataclasses.replace(r, rhyme=None) if r.verse_id in val_ids else r for r in store.records]
         write_corpus(CorpusStore(tuple(records), "t"), tmp_path / "c.tsv")
         assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", "--split-seed", "3",
                                             corpus=tmp_path / "c.tsv")) == 1

@@ -61,8 +61,8 @@ class TestLoadCorpus:
     def test_two_rows(self, tmp_path):
         path = _write(tmp_path, "hemistich1\themistich2\nقفا نبك\tبسقط اللوى\nليت شعري\t\n")
         store = load_corpus(path)
-        assert len(store) == 2
-        assert [r.verse_id for r in store] == [0, 1]
+        assert len(store.records) == 2
+        assert [r.verse_id for r in store.records] == [0, 1]
         assert store.records[1].hemistich2 is None
 
     def test_valid_meter(self, tmp_path):
@@ -120,7 +120,7 @@ class TestSplit:
     def test_sizes(self):
         store = generate_synthetic(10, seed=2, signal="gender")
         train, val = split(store, 0.8, seed=0)
-        assert (len(train), len(val)) == (8, 2)
+        assert (len(train.records), len(val.records)) == (8, 2)
 
     def test_deterministic(self):
         store = generate_synthetic(50, seed=2, signal="rhyme")
@@ -132,7 +132,7 @@ class TestSplit:
     def test_partition(self):
         store = generate_synthetic(37, seed=4, signal="gender")
         train, val = split(store, 0.6, seed=1)
-        ids = sorted(r.verse_id for r in train) + sorted(r.verse_id for r in val)
+        ids = sorted(r.verse_id for r in train.records) + sorted(r.verse_id for r in val.records)
         assert sorted(ids) == list(range(37))
 
     def test_bad_ratio(self):
@@ -144,14 +144,14 @@ class TestSplit:
 class TestGenerateSynthetic:
     def test_rhyme_label_is_final_letter(self):
         store = generate_synthetic(4, seed=7, signal="rhyme")
-        assert len(store) == 4
-        for r in store:
+        assert len(store.records) == 4
+        for r in store.records:
             text = (r.hemistich2 or r.hemistich1).replace(" ", "")
             assert r.rhyme == text[-1]
 
     def test_gender_balanced(self):
         store = generate_synthetic(100, seed=0, signal="Gender")
-        counts = Counter(r.gender for r in store)
+        counts = Counter(r.gender for r in store.records)
         assert counts == {"Female": 50, "Male": 50}
 
     def test_pure_function(self):
@@ -162,18 +162,18 @@ class TestGenerateSynthetic:
 
     def test_meter_labels_valid(self):
         store = generate_synthetic(56, seed=1, signal="MeterAll")
-        counts = Counter(r.meter for r in store)
+        counts = Counter(r.meter for r in store.records)
         assert set(counts) <= set(ALL_METERS)
         assert max(counts.values()) - min(counts.values()) <= 1
 
     def test_submeter_labels_valid(self):
         store = generate_synthetic(50, seed=1, signal="SubMeter")
-        for r in store:
+        for r in store.records:
             assert f"{r.meter} {r.variant}" in SUB_METERS
 
     def test_sentiment_topics_map_back(self):
         store = generate_synthetic(40, seed=2, signal="SentimentT")
-        counts = Counter(group_sentiment(r.topic) for r in store)
+        counts = Counter(group_sentiment(r.topic) for r in store.records)
         assert set(counts) == set(SENTIMENTS)
         assert max(counts.values()) - min(counts.values()) <= 1
 
@@ -200,6 +200,10 @@ class TestTaskLabel:
         rec = VerseRecord(0, "بيت", topic="Elegy Poems")
         assert task_label(rec, "SentimentT") == "Sadness"
 
+    def test_value_outside_the_taxonomy_gives_none(self):
+        rec = VerseRecord(0, "بيت", meter="Nonesuch", gender="Unknown", rhyme="xy")
+        assert [task_label(rec, t) for t in ("MeterAll", "Gender", "Rhyme")] == [None, None, None]
+
     def test_unmapped_topic_gives_none(self):
         rec = VerseRecord(0, "بيت", topic="Political")
         assert task_label(rec, "SentimentT") is None
@@ -212,7 +216,7 @@ def test_synthetic_split_partition_property(n, seed, signal):
     if n < 2:
         return
     train, val = split(store, 0.5, seed=seed)
-    assert len(train) + len(val) == n
-    train_ids = {r.verse_id for r in train}
-    val_ids = {r.verse_id for r in val}
+    assert len(train.records) + len(val.records) == n
+    train_ids = {r.verse_id for r in train.records}
+    val_ids = {r.verse_id for r in val.records}
     assert not (train_ids & val_ids)

@@ -13,6 +13,7 @@ from versebert import tokenizer
 from versebert.errors import CorruptFile, EmptyCorpus, ShapeMismatch
 from versebert.tokenizer import (
     CLS_ID,
+    E_ID,
     MAX_WORD_CHARS,
     PAD_ID,
     RESERVED,
@@ -24,6 +25,7 @@ from versebert.tokenizer import (
     _score_shift,
     encode,
     train_wordpiece,
+    wordpiece_word,
 )
 
 ARABIC = st.characters(min_codepoint=0x0621, max_codepoint=0x064A)
@@ -63,6 +65,7 @@ def seq_invariants_hold(seq, vocab_size):
     assert ids[0] == CLS_ID
     assert ids[n - 1] == SEP_ID
     assert ids.count(SEP_ID) == 1
+    assert PAD_ID not in ids[:n]
     assert all(i == PAD_ID for i in ids[n:])
     assert all(0 <= i < vocab_size for i in ids)
 
@@ -93,6 +96,22 @@ class TestTrainWordpiece:
     def test_markers_not_trainable(self):
         vocab = train_wordpiece(["اب [s] اب", "اب [s] [e]"], 40)
         assert "[" not in {c for t in vocab.tokens[7:] for c in t}
+
+    def test_no_merge_rebuilds_a_reserved_token(self):
+        # "[" + "##s]" used to merge into a second "[s]" and end in
+        # ValueError("duplicate token in vocabulary").
+        vocab = train_wordpiece(["تا [s]بب ت [s]بب تا", "[s]بب [s]بب ت"], 80, min_frequency=1)
+        assert set(vocab.tokens[7:]).isdisjoint(RESERVED)
+        assert "[s]بب" in vocab.tokens  # the word is still learnt, past the skipped "[s]"
+
+    @given(st.lists(st.lists(st.lists(st.sampled_from(RESERVED + ("ت", "ب", "[", "]")), min_size=1, max_size=4)
+                             .map("".join), min_size=1, max_size=6).map(" ".join), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_reserved_tokens_are_never_trained(self, lines):
+        if not any(w not in RESERVED for line in lines for w in line.split()):
+            return
+        vocab = train_wordpiece(lines, 120, min_frequency=1)
+        assert set(vocab.tokens[7:]).isdisjoint(RESERVED)
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -169,6 +188,20 @@ class TestEncode:
         vocab = train_wordpiece(["اب اب"], 20)
         seq = encode("ا" * 200, vocab, 8)
         assert seq.ids[1] == UNK_ID
+
+    def test_reserved_token_inside_a_word_is_not_a_piece(self):
+        vocab = train_wordpiece(["اب اب"], 20)
+        seq = encode("[PAD]اب", vocab, 8)
+        seq_invariants_hold(seq, len(vocab))
+        assert seq.ids[:3] == (CLS_ID, UNK_ID, SEP_ID)
+
+    @given(st.lists(st.sampled_from(RESERVED) | st.sampled_from(["ا", "ب", "اب", "[", "s]"]), min_size=2, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_no_piece_of_a_longer_word_is_reserved(self, parts):
+        word = "".join(parts)
+        vocab = train_wordpiece([f"{word} {word} [s]ا"], 60, min_frequency=1)
+        pieces = wordpiece_word(word, vocab)
+        assert pieces == [UNK_ID] or min(pieces) > E_ID
 
     def test_frame_tokens_in_text_encode_as_unk(self):
         vocab = train_wordpiece(["اب اب"], 20)

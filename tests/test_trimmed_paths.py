@@ -1,7 +1,11 @@
-"""The one-permutation ``split``, the live-rows-only ``cross_entropy`` and the
-``None``-returning sentiment lookup against the code they replaced
-(``seed_corpus``, ``seed_loss``): the same split membership and order, the
-same loss and logit-gradient bits, and the same task labels."""
+"""The one-permutation ``split``, the live-rows-only ``cross_entropy``, the
+``None``-returning sentiment lookup and the table-driven ``task_label`` and
+``generate_synthetic`` against the code they replaced (``seed_corpus``,
+``seed_loss``): the same split membership and order, the same loss and
+logit-gradient bits, the same task labels and the same corpus file bytes."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -78,3 +82,18 @@ def test_task_labels_match_for_every_task(record):
         assert corpus.group_sentiment(record.topic) == _old_group_sentiment(record.topic)
     for task in corpus.TASK_IDS + tuple(t.lower() for t in corpus.TASK_IDS):
         assert corpus.task_label(record, task) == seed_corpus.task_label(record, task)
+
+
+@given(st.sampled_from(seed_corpus.TASK_IDS + tuple(t.lower() for t in seed_corpus.TASK_IDS)),
+       st.integers(1, 320), st.integers(0, 2**32 - 1))
+@example("SentimentT", 1, 0)
+@example("submeter", 7, 3)
+@example("Rhyme", 64, 11)
+@example("MeterAll", 301, 5)
+@settings(max_examples=150, deadline=None)
+def test_synthetic_corpus_file_bytes_match(task, n, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.tsv", Path(tmp) / "old.tsv"
+        corpus.write_corpus(corpus.generate_synthetic(n, seed, task), new)
+        corpus.write_corpus(seed_corpus.generate_synthetic(n, seed, task), old)
+        assert new.read_bytes() == old.read_bytes()
