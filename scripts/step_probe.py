@@ -4,8 +4,9 @@
         [--seed 3] [--steps 40] [--losses 4]
 
 For each workload it runs ``training.pretrain`` once, in this process, and
-prints the median milliseconds per step (step 1 excluded), the minor page
-faults per step (``ru_minflt`` of this process) in all and split into
+prints the median milliseconds per step (step 1 excluded), the tape records
+per step (``ag.tape_size()`` as ``backward`` starts), the minor page faults
+per step (``ru_minflt`` of this process) in all and split into
 ``autograd.backward``, ``AdamW.step`` and the rest of the step (the forward,
 masking and loss), the peak RSS of the process so far, and the first losses
 as float hex, so two trees can be compared for bit-identical losses. Inputs
@@ -41,11 +42,12 @@ def _minflt() -> int:
 
 
 @contextlib.contextmanager
-def count_faults(owner, name: str, totals: dict):
-    """Add the minor faults taken inside ``owner.name`` to ``totals[name]``."""
+def count_faults(owner, name: str, totals: dict, on_call=lambda: None):
+    """Add the minor faults taken inside ``owner.name`` to ``totals[name]``; call ``on_call`` as each call starts."""
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
+        on_call()
         before = _minflt()
         try:
             return fn(*args, **kwargs)
@@ -62,19 +64,21 @@ def count_faults(owner, name: str, totals: dict):
 
 def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
     lines, vocab, config, cfg = pretrain_inputs(workload, seed)
-    losses, stamps, totals = [], [], {}
+    losses, stamps, totals, records = [], [], {}, []
 
     def on_step(step, loss):
         losses.append(loss)
         stamps.append((time.perf_counter(), _minflt(), totals["backward"], totals["step"]))
 
-    with count_faults(ag, "backward", totals), count_faults(ag.AdamW, "step", totals):
+    with (count_faults(ag, "backward", totals, lambda: records.append(ag.tape_size())),
+          count_faults(ag.AdamW, "step", totals)):
         training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
     n = max(1, len(stamps) - 1)
     total, backward, adamw = ((stamps[-1][k] - stamps[0][k]) / n for k in (1, 2, 3))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, {total:.0f} minor faults/step "
+    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, "
+          f"{statistics.median(records):.0f} tape records/step, {total:.0f} minor faults/step "
           f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))

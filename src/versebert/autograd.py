@@ -124,16 +124,13 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
 
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad`` at index ``idx`` along the first axis; an
-    index array may repeat rows, whose gradients then add up."""
+    """Add the rows of ``g`` into ``t.grad`` at the row indices ``idx``; a repeated row's gradients add up."""
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = t._grad_buf = np.empty_like(t.data) if t._grad_buf is None else t._grad_buf
         t.grad.fill(0)
-    if isinstance(idx, int):
-        t.grad[idx] += g
-    elif idx.size:
+    if idx.size:
         # sum each row's gradients (a stable sort keeps their order), then one
         # fancy-index add over distinct rows; several times faster than np.add.at
         order = np.argsort(idx, kind="stable")
@@ -163,10 +160,10 @@ def backward(loss: Tensor) -> None:
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient back down to the shape it was broadcast from."""
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = np.add.reduce(g, axis=0)
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
-            g = g.sum(axis=axis, keepdims=True)
+            g = np.add.reduce(g, axis=axis, keepdims=True)
     return g.reshape(shape)
 
 
@@ -217,7 +214,7 @@ def permute(a: Tensor, axes) -> Tensor:
     """Reorder the axes of ``a`` (``numpy.transpose`` with explicit axes)."""
     axes = tuple(ax % a.data.ndim for ax in axes)
     out = Tensor(a.data.transpose(axes), a.requires_grad)
-    inverse = tuple(np.argsort(axes))
+    inverse = tuple(map(axes.index, range(len(axes))))
     _record(out, lambda g: _accumulate(a, g.transpose(inverse), owned=True))
     return out
 
@@ -226,16 +223,6 @@ def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got {a.shape}")
     return permute(a, (1, 0))
-
-
-def unstack(a: Tensor) -> list[Tensor]:
-    """Split ``a`` along its first axis into ``a.shape[0]`` tensors."""
-    outs = []
-    for i in range(a.shape[0]):
-        out = Tensor(a.data[i], a.requires_grad)
-        _record(out, lambda g, i=i: _scatter_add(a, i, g))
-        outs.append(out)
-    return outs
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -271,19 +258,67 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = np.subtract(a.data, a.data.max(axis=-1, keepdims=True), out=_out(a.data.shape))
+    y = np.subtract(a.data, np.maximum.reduce(a.data, axis=-1, keepdims=True), out=_out(a.data.shape))
     np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = Tensor(y, a.requires_grad)
 
     def fn(g):
         grad = g * y
-        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
+        np.subtract(g, np.add.reduce(grad, axis=-1, keepdims=True), out=grad)
         grad *= y
         _accumulate(a, grad, owned=True)
 
     _record(out, fn)
     return out
+
+
+def attention(qkv, bias: np.ndarray, heads: int = 0) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ / sqrt(d_k) + bias) v as one taped op; returns it and the weights (off the tape).
+
+    ``qkv`` is (q, k, v) of shapes (..., n, d_k), (..., m, d_k), (..., m, d_v), or with ``heads``
+    one (..., T, 3d) projection [Q heads | K heads | V heads], split into heads and merged back.
+    Each matmul sees the operand layouts of the 13 records this replaced (numpy picks BLAS or its own
+    loop by stride), so values keep their bits. A taped forward keeps four score arrays, as those ops
+    did, and the backward writes into them: step time hangs on when glibc trims and refaults the heap.
+    """
+    srcs = (qkv,) if heads else qkv
+    if heads:  # (..., T, 3, H, d / H) -> (3, ..., H, T, d / H)
+        *lead, t, _ = qkv.shape
+        split = (len(lead) + 1, *range(len(lead)), len(lead) + 2, len(lead), len(lead) + 3)
+        q, k, v = qkv.data.reshape(*lead, t, 3, heads, -1).transpose(split)
+    else:
+        q, k, v = (s.data for s in srcs)
+    taped = _grad_enabled and any(s.requires_grad for s in srcs)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    s0 = np.matmul(q, k.swapaxes(-1, -2), out=_out(q.shape[:-1] + k.shape[-2:-1]))
+    s1 = np.multiply(s0, scale, out=None if taped else s0)
+    s2 = np.add(s1, bias, out=None if taped else s1)
+    y = np.subtract(s2, np.maximum.reduce(s2, axis=-1, keepdims=True), out=None if taped else s2)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    o = np.matmul(y, v, out=_out(y.shape[:-1] + v.shape[-1:]))
+    out = Tensor(reshape(Tensor(o.swapaxes(-2, -3)), (*lead, t, -1)).data if heads else o, taped)  # merge, untaped
+
+    def fn(g):
+        g = g.reshape(*lead, t, heads, -1).swapaxes(-2, -3) if heads else g
+        gy = np.matmul(g, v.swapaxes(-1, -2), out=s0)
+        gv = np.matmul(y.swapaxes(-1, -2), g)
+        gs = np.subtract(gy, np.add.reduce(np.multiply(gy, y, out=s1), axis=-1, keepdims=True), out=s2)
+        gs *= y
+        gs *= scale
+        grads = (np.matmul(gs, k), np.matmul(q.swapaxes(-1, -2), gs).swapaxes(-1, -2), gv)
+        if heads:  # + 0.0 makes a -0.0 +0.0, as unstack's zero-filled buffer did
+            buf = np.empty((*lead, t, 3, heads, q.shape[-1]))
+            for part, grad in zip(buf.transpose(split), grads):
+                np.add(grad, 0.0, out=part)
+            _accumulate(qkv, buf.reshape(qkv.shape), owned=True)
+        else:
+            for i in (2, 0, 1):  # the order the replaced backward reached them
+                _accumulate(srcs[i], grads[i], owned=True)
+
+    _record(out, fn)
+    return out, y
 
 
 _LN_EPS = 1e-12  # added to each row's variance
@@ -294,9 +329,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs d={d}")
-    xhat = np.subtract(x.data, x.data.mean(axis=-1, keepdims=True), out=_out(x.data.shape))
+    xhat = np.subtract(x.data, np.add.reduce(x.data, axis=-1, keepdims=True) / d, out=_out(x.data.shape))
     y = np.square(xhat, out=_out(xhat.shape))
-    inv_std = 1.0 / np.sqrt(y.mean(axis=-1, keepdims=True) + _LN_EPS)
+    inv_std = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + _LN_EPS)
     xhat *= inv_std
     np.multiply(xhat, gain.data, out=y)
     y += bias.data
@@ -306,13 +341,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     def fn(g):
         lead = tuple(range(g.ndim - 1))
         prod = g * xhat
-        _accumulate(gain, prod.sum(axis=lead), owned=True)
-        _accumulate(bias, g.sum(axis=lead), owned=True)
+        _accumulate(gain, np.add.reduce(prod, axis=lead), owned=True)
+        _accumulate(bias, np.add.reduce(g, axis=lead), owned=True)
         if x.requires_grad:
             g *= gain_data  # g becomes x's gradient
             np.multiply(g, xhat, out=prod)
-            np.multiply(xhat, prod.mean(axis=-1, keepdims=True), out=prod)
-            g -= g.mean(axis=-1, keepdims=True)
+            np.multiply(xhat, np.add.reduce(prod, axis=-1, keepdims=True) / d, out=prod)
+            g -= np.add.reduce(g, axis=-1, keepdims=True) / d
             g -= prod
             g *= inv_std
             _accumulate(x, g, owned=True)

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import preprocess
-from .errors import InvalidConfig, LabelOutOfRange, MalformedRow, MissingColumn, UnknownLabel
+from .errors import CorruptFile, InvalidConfig, LabelOutOfRange, MalformedRow, MissingColumn, UnknownLabel
 
 # Meter names, classical (16) then non-classical (12); orderings are by
 # decreasing corpus frequency and are frozen.
@@ -160,12 +160,15 @@ _LABEL_DOMAINS = {
 def load_corpus(path) -> CorpusStore:
     """Parse a corpus file into records; verse_ids are assigned sequentially from 0.
 
-    Raises ``MissingColumn`` when the header lacks hemistich1, ``MalformedRow``
-    on wrong field counts, and ``UnknownLabel`` when a closed-taxonomy column
+    Raises ``CorruptFile`` if the file is not UTF-8, ``MissingColumn`` when the header lacks hemistich1,
+    ``MalformedRow`` on wrong field counts, and ``UnknownLabel`` when a closed-taxonomy column
     (meter, variant, rhyme, gender) holds an unrecognized value.
     """
-    with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"corpus file {path}: {exc}") from exc
     if not rows:
         raise MissingColumn("empty file: header with 'hemistich1' required")
     header = rows[0].split("\t")

@@ -1,6 +1,9 @@
 """BERT-style encoder built on the autograd tape: embeddings, sinusoidal or
 learned positions, stacked multi-head self-attention blocks (post-layer-norm),
-an MLM projection head, and per-task classification heads.
+an MLM projection head, and per-task classification heads. A layer records 10 tape
+ops, 22 before ``ag.attention`` fused head split, scaled QK^T, key bias, softmax, weighting
+of V and head merge; it keeps its score-sized forward arrays for its backward, as the old
+ops did, since a training step's time hangs on when glibc trims and refaults the heap.
 
 Assumptions where the architecture is under-specified: the feed-forward inner
 dimension defaults to 4x hidden, and positions default to the sinusoidal
@@ -205,44 +208,39 @@ def init_head(config: ModelConfig, num_labels: int, rng: np.random.Generator) ->
     )
 
 
-def scaled_dot_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask, return_weights: bool = False
-):
-    """softmax(QK^T / sqrt(d_k) + mask_bias) V with -1e9 bias at masked keys.
-
-    Any leading batch axes are allowed. ``mask`` holds one entry per key and
-    broadcasts against ``k.shape[:-1]``; every query needs an attendable key.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeMismatch(f"query dim {q.shape} vs key dim {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeMismatch(f"key count {k.shape} vs value count {v.shape}")
-    mask, keys = np.asarray(mask), k.shape[:-1]
+def key_bias(mask, keys: tuple[int, ...]) -> np.ndarray:
+    """-1e9 at masked keys of ``mask`` and 0 elsewhere, a query axis inserted before the key axis.
+    ``mask`` broadcasts against ``keys``, the keys' shape less its last axis; no row may mask every key."""
+    mask = np.asarray(mask)
     lead_ok = mask.ndim <= len(keys) and all(m in (1, n) for m, n in zip(mask.shape[-2::-1], keys[-2::-1]))
     if mask.shape[-1:] != keys[-1:] or not lead_ok:
         raise ShapeMismatch(f"mask shape {mask.shape} vs keys {keys}")
     if not mask.any(axis=-1).all():
         raise AllMasked("every key is masked; at least one must be attendable")
-    k_t = ag.permute(k, (*range(k.data.ndim - 2), -1, -2))
-    scores = ag.scale(ag.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
-    bias = Tensor(np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :])
-    weights = ag.softmax_rows(ag.add(scores, bias))
-    out = ag.matmul(weights, v)
-    if return_weights:
-        return out, weights
-    return out
+    return np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :]
 
 
-def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int) -> Tensor:
-    """All heads at once: one fused QKV projection, attention over a
-    (..., H, T, d_k) layout, heads merged back in column order and projected
-    by W_O. ``x`` is (..., T, d) and ``mask`` is (..., T)."""
-    *lead, t, d = x.shape
-    n = len(lead)
-    qkv = ag.reshape(ag.matmul(x, layer.w_qkv), (*lead, t, 3, num_heads, d // num_heads))
-    q, k, v = ag.unstack(ag.permute(qkv, (n + 1, *range(n), n + 2, n, n + 3)))
-    heads = scaled_dot_attention(q, k, v, np.expand_dims(mask, -2))
-    merged = ag.reshape(ag.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
+def scaled_dot_attention(q: Tensor, k, v, mask, return_weights: bool = False, heads: int = 0, bias=None):
+    """softmax(QK^T / sqrt(d_k) + key_bias(mask)) V as one ``ag.attention`` op; weights come off the tape.
+
+    q, k and v share any leading batch axes; ``bias`` is the mask's ``key_bias`` if the caller built it. With
+    ``heads``, ``q`` is a fused (..., T, 3d) projection, split into heads and merged back, and k, v are None.
+    """
+    if heads:
+        qkv, keys = q, (*q.shape[:-2], heads, q.shape[-2])
+    elif q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise ShapeMismatch(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape}")
+    else:
+        qkv, keys = (q, k, v), k.shape[:-1]
+    out, weights = ag.attention(qkv, key_bias(mask, keys) if bias is None else bias, heads)
+    return (out, Tensor(weights)) if return_weights else out
+
+
+def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int, bias=None) -> Tensor:
+    """All heads at once: one fused QKV projection, attention over its (..., H, T, d_k) split with the
+    heads merged back in column order, and W_O. ``x`` is (..., T, d), ``mask`` (..., T), ``bias`` None or key_bias."""
+    mask = np.expand_dims(mask, -2) if bias is None else None  # one mask for every head's keys
+    merged = scaled_dot_attention(ag.matmul(x, layer.w_qkv), None, None, mask, heads=num_heads, bias=bias)
     return ag.matmul(merged, layer.w_o)
 
 
@@ -277,8 +275,9 @@ def encoder_forward(
         x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
     else:
         x = ag.add(x, Tensor(_positions(config.max_len, config.hidden)[:t]))
+    bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
     for layer in params.layers:
-        attn = multi_head_attention(x, layer, mask, config.num_heads)
+        attn = multi_head_attention(x, layer, mask, config.num_heads, bias)
         attn = ag.dropout(attn, dropout_rate, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)

@@ -16,7 +16,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import EmptyHemistich
+from .errors import CorruptFile, EmptyHemistich
 
 HEMISTICH_SEP = "[s]"
 EMPTY_SECOND = "[e]"
@@ -94,9 +94,12 @@ def write_lines(verses: list[PreprocessedVerse], path) -> None:
 
 
 def read_lines(path) -> list[str]:
-    """Read verse lines from a file of either raw lines or ``verse_id<TAB>line`` rows."""
-    with open(path, encoding="utf-8") as fh:
-        return verse_lines(fh)
+    """Verse lines of a file of raw lines or ``verse_id<TAB>line`` rows; one not UTF-8 raises ``CorruptFile``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return verse_lines(fh)
+    except UnicodeDecodeError as exc:
+        raise CorruptFile(f"line file {path}: {exc}") from exc
 
 
 def verse_lines(rows) -> list[str]:

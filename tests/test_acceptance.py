@@ -45,6 +45,11 @@ def test_criterion_01_gradient_correctness():
     op_errs["softmax"] = grad_check(
         lambda: ag.cross_entropy(ag.scale(ag.softmax_rows(sm), 4.0), [0, 3]), [sm]
     )
+    aq, ak, av = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (5, 4), (5, 2)))
+    key_bias = mdl.key_bias([1, 1, 0, 1, 1], (5,))
+    op_errs["attention"] = grad_check(
+        lambda: ag.cross_entropy(ag.attention((aq, ak, av), key_bias)[0], [1, 0, 1]), [aq, ak, av]
+    )
     ln_x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     ln_g = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), requires_grad=True)
     ln_b = Tensor(rng.normal(size=(6,)), requires_grad=True)

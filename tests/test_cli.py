@@ -146,6 +146,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("CorruptFile: ") and str(bad) in err
 
+    @pytest.mark.parametrize("command", ["preprocess", "train-tokenizer", "encode", "pretrain", "finetune", "evaluate"])
+    def test_input_file_that_is_not_utf8_is_corrupt_file(self, pipeline, tmp_path, capsys, command):
+        bad, out = tmp_path / "bad.tsv", str(tmp_path / "out")
+        bad.write_bytes(b"\xff\xfe\n")
+        vocab, ckpt = str(pipeline["vocab"]), str(pipeline["ckpt"])
+        argv = {
+            "preprocess": ["--in", str(bad), "--out", out],
+            "train-tokenizer": ["--in", str(bad), "--vocab-size", "40", "--out", out],
+            "encode": ["--vocab", vocab, "--in", str(bad), "--out", out],
+            "pretrain": ["--lines", str(bad), "--vocab", vocab, "--out", out, "--max-steps", "1"],
+            "finetune": ["--ckpt", ckpt, "--task", "rhyme", "--corpus", str(bad), "--vocab", vocab, "--out", out],
+            "evaluate": ["--ckpt", ckpt, "--task", "rhyme", "--corpus", str(bad), "--vocab", vocab, "--out", out],
+        }[command]
+        assert cli.main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("CorruptFile: ") and str(bad) in err and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert os.listdir(tmp_path) == ["bad.tsv"]
+
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         out = tmp_path / "vocab.txt"
