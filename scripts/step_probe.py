@@ -4,13 +4,16 @@
         [--seed 3] [--steps 40] [--losses 4]
 
 For each workload it runs ``training.pretrain`` once, in this process, and
-prints the median milliseconds per step (step 1 excluded), the tape records
-per step (``ag.tape_size()`` as ``backward`` starts), the minor page faults
-per step (``ru_minflt`` of this process) in all and split into
-``autograd.backward``, ``AdamW.step`` and the rest of the step (the forward,
-masking and loss), the peak RSS of the process so far, and the first losses
-as float hex, so two trees can be compared for bit-identical losses. Inputs
-come from ``perfbench/workloads.pretrain_inputs``.
+prints the median milliseconds per step (step 1 excluded), the mean
+milliseconds per step spent in ``autograd.backward`` and ``AdamW.step``, the
+CPU milliseconds per step of the whole process (``ru_utime + ru_stime``, all
+threads: a BLAS worker that spins while the step waits reads as CPU above wall
+time), the tape records per step (``ag.tape_size()`` as ``backward``
+starts), the minor page faults per step (``ru_minflt`` of this process) in
+all and split into ``autograd.backward``, ``AdamW.step`` and the rest of the
+step (the forward, masking and loss), the peak RSS of the process so far,
+and the first losses as float hex, so two trees can be compared for
+bit-identical losses. Inputs come from ``perfbench/workloads.pretrain_inputs``.
 ``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
 held-out verses and prints their minor faults per call, the padded and real
 positions of one pass and a sha256 of its labels, so two trees can be
@@ -41,20 +44,27 @@ def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def _cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 @contextlib.contextmanager
-def count_faults(owner, name: str, totals: dict, on_call=lambda: None):
-    """Add the minor faults taken inside ``owner.name`` to ``totals[name]``; call ``on_call`` as each call starts."""
+def tally(owner, name: str, totals: dict, on_call=lambda: None):
+    """Add the minor faults and the wall seconds taken inside ``owner.name`` to
+    ``totals[name]``; call ``on_call`` as each call starts."""
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
         on_call()
-        before = _minflt()
+        faults, start = _minflt(), time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            totals[name] += _minflt() - before
+            totals[name][0] += _minflt() - faults
+            totals[name][1] += time.perf_counter() - start
 
-    totals[name] = 0
+    totals[name] = [0, 0.0]
     setattr(owner, name, counted)
     try:
         yield
@@ -68,16 +78,18 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
 
     def on_step(step, loss):
         losses.append(loss)
-        stamps.append((time.perf_counter(), _minflt(), totals["backward"], totals["step"]))
+        stamps.append((time.perf_counter(), _cpu_s(), _minflt(), *totals["backward"], *totals["step"]))
 
-    with (count_faults(ag, "backward", totals, lambda: records.append(ag.tape_size())),
-          count_faults(ag.AdamW, "step", totals)):
+    with (tally(ag, "backward", totals, lambda: records.append(ag.tape_size())),
+          tally(ag.AdamW, "step", totals)):
         training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
     n = max(1, len(stamps) - 1)
-    total, backward, adamw = ((stamps[-1][k] - stamps[0][k]) / n for k in (1, 2, 3))
+    cpu_s, total, backward, backward_s, adamw, adamw_s = ((stamps[-1][k] - stamps[0][k]) / n for k in range(1, 7))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step, "
+    print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step "
+          f"({1000.0 * backward_s:.2f} backward, {1000.0 * adamw_s:.2f} AdamW.step), "
+          f"{1000.0 * cpu_s:.2f} CPU ms/step, "
           f"{statistics.median(records):.0f} tape records/step, {total:.0f} minor faults/step "
           f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")

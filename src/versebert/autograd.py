@@ -504,6 +504,8 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
 # memory. Blocks of 8,192 pay more Python per element and blocks of 131,072
 # spill (both measured slower on pretrain-mid).
 _ADAMW_BLOCK = 32_768
+# Elements from which AdamW.step uses two threads; below, the hand-off costs more than it saves.
+_ADAMW_THREAD_MIN = 1 << 20
 
 
 class AdamW:
@@ -513,7 +515,9 @@ class AdamW:
     the same elementwise operations in the same order as a whole-array
     update, so results are bit-identical to it. It allocates no
     parameter-sized temporary unless a parameter or gradient is not
-    C-contiguous and has to be flattened by a copy.
+    C-contiguous and has to be flattened by a copy. From ``_ADAMW_THREAD_MIN``
+    elements a helper thread takes blocks too, with the same operations, so
+    the bytes do not change.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
@@ -528,7 +532,12 @@ class AdamW:
         # C order, so ravel in step is a view whatever the parameter's layout
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
-        self._tmp, self._upd = np.empty((2, _ADAMW_BLOCK))
+        threaded = sum(p.data.size for p in self.params) >= _ADAMW_THREAD_MIN
+        self._scratch = np.empty((1 + threaded, 2, _ADAMW_BLOCK))  # two blocks per thread
+        self._helper = None
+        if threaded:  # imported here: concurrent.futures adds about 0.25 MB of RSS to a process
+            from concurrent.futures import ThreadPoolExecutor
+            self._helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first step
 
     def step(self) -> None:
         # Check every gradient before touching any array, so a raise leaves no half step.
@@ -536,38 +545,52 @@ class AdamW:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ShapeMismatch(f"grad shape {p.grad.shape} vs param {p.data.shape}")
         t = self.step_count + 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
-        bc1 = 1.0 - b1**t
-        bc2 = 1.0 - b2**t
-        decay = lr * self.weight_decay
-        for p, m, v in zip(self.params, self.m, self.v):
-            w, m, v = p.data.ravel(), m.ravel(), v.ravel()
+        flat, blocks = [p.data.ravel() for p in self.params], []
+        for p, w, m, v in zip(self.params, flat, self.m, self.v):
+            m, v = m.ravel(), v.ravel()
             g = None if p.grad is None else p.grad.ravel()
             for lo in range(0, w.size, _ADAMW_BLOCK):
                 hi = lo + _ADAMW_BLOCK
-                wb, mb, vb = w[lo:hi], m[lo:hi], v[lo:hi]
                 gb = 0.0 if g is None else g[lo:hi]  # a missing gradient is all zeros
-                tmp, upd = self._tmp[:wb.size], self._upd[:wb.size]
-                if self.weight_decay != 0.0:
-                    np.multiply(wb, decay, out=tmp)
-                    wb -= tmp
-                np.multiply(gb, 1.0 - b1, out=tmp)
-                mb *= b1
-                mb += tmp
-                np.multiply(gb, 1.0 - b2, out=tmp)
-                tmp *= gb
-                vb *= b2
-                vb += tmp
-                np.divide(vb, bc2, out=tmp)
-                np.sqrt(tmp, out=tmp)
-                tmp += eps
-                np.divide(mb, bc1, out=upd)
-                upd *= lr
-                upd /= tmp
-                wb -= upd
+                blocks.append((w[lo:hi], m[lo:hi], v[lo:hi], gb))
+        if self._helper is None:
+            self._update(blocks, self._scratch[0], t)
+        else:  # both threads take blocks from one list iterator, whose next() the GIL makes atomic,
+            # so a thread the OS pauses does not hold up the other
+            todo = iter(blocks)
+            helper = self._helper.submit(self._update, todo, self._scratch[1], t)
+            try:
+                self._update(todo, self._scratch[0], t)
+            finally:
+                helper.result()  # joins the helper and re-raises what it raised
+        for p, w in zip(self.params, flat):
             if not p.data.flags.c_contiguous:  # ravel copied: write the result back
                 p.data[...] = w.reshape(p.data.shape)
         self.step_count = t
+
+    def _update(self, blocks, scratch: np.ndarray, t: int) -> None:
+        """Step ``t`` on each (param, m, v, grad) block, with two scratch blocks."""
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1, bc2, decay = 1.0 - b1**t, 1.0 - b2**t, lr * self.weight_decay
+        for wb, mb, vb, gb in blocks:
+            tmp, upd = scratch[:, :wb.size]
+            if self.weight_decay != 0.0:
+                np.multiply(wb, decay, out=tmp)
+                wb -= tmp
+            np.multiply(gb, 1.0 - b1, out=tmp)
+            mb *= b1
+            mb += tmp
+            np.multiply(gb, 1.0 - b2, out=tmp)
+            tmp *= gb
+            vb *= b2
+            vb += tmp
+            np.divide(vb, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(mb, bc1, out=upd)
+            upd *= lr
+            upd /= tmp
+            wb -= upd
 
     def zero_grad(self) -> None:
         for p in self.params:

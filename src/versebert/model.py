@@ -111,10 +111,10 @@ INIT_STD = 0.02
 def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Normal(0, INIT_STD) samples redrawn until within two standard deviations."""
     out = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(out) > 2 * INIT_STD
-    while bad.any():
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * INIT_STD
+    bad = np.flatnonzero(np.abs(out) > 2 * INIT_STD)
+    while bad.size:
+        out.reshape(-1)[bad] = redrawn = rng.normal(0.0, INIT_STD, size=bad.size)  # in ascending flat order
+        bad = bad[np.abs(redrawn) > 2 * INIT_STD]
     return out
 
 

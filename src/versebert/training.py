@@ -121,12 +121,13 @@ def apply_mlm_masking(batch, cfg: TrainConfig, rng: np.random.Generator, vocab_s
     if cfg.mask_ratio == 0.0:
         return ids, targets
     lo, hi = cfg.mask_prob, cfg.mask_prob + cfg.random_prob
-    picks, fates, replacements = [], [], []
-    for n in candidates.sum(axis=1).tolist():  # an empty draw leaves the stream as it was
+    picks, fates, replacements = [], [np.empty(0)], [np.empty(0, np.int64)]  # rows may skip the last two
+    for n in candidates.sum(axis=1).tolist():  # an empty draw leaves the stream as it was, so it is skipped
         picks.append(rng.random(n) < cfg.mask_ratio)
-        fates.append(rng.random(np.count_nonzero(picks[-1])))
-        n_random = np.count_nonzero((fates[-1] >= lo) & (fates[-1] < hi))
-        replacements.append(rng.integers(N_RESERVED, vocab_size, size=n_random))
+        if n_picked := np.count_nonzero(picks[-1]):
+            fates.append(rng.random(n_picked))
+            if n_random := np.count_nonzero((fates[-1] >= lo) & (fates[-1] < hi)):
+                replacements.append(rng.integers(N_RESERVED, vocab_size, size=n_random))
     rows, cols = (axis[np.concatenate(picks)] for axis in np.nonzero(candidates))  # row-major, as drawn
     targets[rows, cols] = ids[rows, cols]
     fate = np.concatenate(fates)

@@ -6,7 +6,8 @@ fused ``w_qkv``; every other weight is the model's own tensor. After a
 backward pass, ``fused_qkv_grads`` joins the per-head gradients back in the
 fused column order so they compare with the batched path's ``w_qkv.grad``.
 The two tape ops the batched path no longer needs (``transpose`` and
-``concat``) live here too.
+``concat``) live here too, and so does the initializer loop that rechecked
+every entry after each redraw (``truncated_normal``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,15 @@ from versebert import model as mdl
 from versebert.autograd import Tensor
 
 import seed_loss
+
+
+def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    out = rng.normal(0.0, mdl.INIT_STD, size=shape)
+    bad = np.abs(out) > 2 * mdl.INIT_STD
+    while bad.any():
+        out[bad] = rng.normal(0.0, mdl.INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2 * mdl.INIT_STD
+    return out
 
 
 def transpose(a: Tensor) -> Tensor:

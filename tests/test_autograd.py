@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +310,15 @@ class TestBlockedAdamWMatchesSeedStep:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_bit_identical_params_and_moments(self, rng, weight_decay):
+        self._check_bit_identical(rng, weight_decay)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_two_threads_bit_identical_params_and_moments(self, rng, weight_decay, monkeypatch):
+        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
+        self._check_bit_identical(rng, weight_decay)
+
+    @staticmethod
+    def _check_bit_identical(rng, weight_decay):
         cases = adamw_cases(rng)
         runs = []
         for step in (AdamW.step, seed_adamw.step):
@@ -352,3 +366,89 @@ class TestBlockedAdamWMatchesSeedStep:
         finally:
             tracemalloc.stop()
         assert peak < 2 * BLOCK * 8  # an 8 MiB parameter; one block is 256 KiB
+
+
+class TestTwoThreadAdamW:
+    def test_a_second_thread_only_from_the_threshold(self, rng):
+        for n, threaded in [(ag._ADAMW_THREAD_MIN - 1, False), (ag._ADAMW_THREAD_MIN, True)]:
+            p = Tensor(rng.normal(size=n), requires_grad=True)
+            p.grad = rng.normal(size=n)
+            opt = AdamW([p], lr=1e-2)
+            opt.step()
+            assert (opt._helper is not None) == threaded
+
+    def test_each_block_is_updated_once_under_thread_switching(self, rng, monkeypatch):
+        """Three optimizers step at once, each with its helper, over 64-element
+        blocks that both of its threads take from one iterator."""
+        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
+        monkeypatch.setattr(ag, "_ADAMW_BLOCK", 64)
+        grads = [[rng.normal(size=(50, 97)) for _ in range(3)] for _ in range(4)]  # per step, per param
+        runs = []
+        for _ in range(3):
+            params = [Tensor(rng.normal(size=(50, 97)), requires_grad=True) for _ in range(3)]
+            runs.append((AdamW(params, lr=1e-2, weight_decay=0.01), [p.data.copy() for p in params]))
+
+        def train(opt):
+            for step_grads in grads:
+                for p, g in zip(opt.params, step_grads):
+                    p.grad = g
+                opt.step()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=(opt,)) for opt, _ in runs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for opt, start in runs:
+            want = AdamW([Tensor(a, requires_grad=True) for a in start], lr=1e-2, weight_decay=0.01)
+            for step_grads in grads:
+                for p, g in zip(want.params, step_grads):
+                    p.grad = g
+                seed_adamw.step(want)
+            assert opt.step_count == want.step_count == 4
+            for i, (p, q) in enumerate(zip(opt.params, want.params)):
+                assert np.array_equal(p.data, q.data) and np.array_equal(opt.m[i], want.m[i]), i
+
+    def test_a_raise_in_the_helper_reaches_the_caller(self, rng, monkeypatch):
+        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
+        update, halves = AdamW._update, []
+
+        def failing(self, blocks, *args):
+            halves.append(threading.current_thread() is threading.main_thread())
+            if not halves[-1]:
+                raise RuntimeError("helper half")
+            update(self, blocks, *args)
+
+        monkeypatch.setattr(AdamW, "_update", failing)
+        params = [Tensor(rng.normal(size=BLOCK + 5), requires_grad=True) for _ in range(2)]
+        for p in params:
+            p.grad = rng.normal(size=p.shape)
+        opt = AdamW(params, lr=1e-2)
+        with pytest.raises(RuntimeError, match="helper half"):
+            opt.step()
+        assert sorted(halves) == [False, True] and opt.step_count == 0
+
+
+class TestOpenBlasThreadTimeout:
+    """``import versebert`` lets an idle OpenBLAS worker sleep unless the user chose otherwise."""
+
+    def _imported(self, env):
+        code = ("import os, sys, versebert; "
+                "print('numpy' in sys.modules, os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"} | env | {"PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_set_when_unset_before_numpy_loads(self):
+        assert self._imported({}) == ["False", "22"]
+
+    def test_an_exported_value_wins(self):
+        assert self._imported({"OPENBLAS_THREAD_TIMEOUT": "28"}) == ["False", "28"]

@@ -67,6 +67,23 @@ def test_finetune_matches_the_separate_set_up(synth_rhyme, base, pairs, tmp_path
     assert got == want
 
 
+@pytest.mark.parametrize("run", ["pretrain", "pretrain decay", "finetune", "finetune head_only"])
+def test_a_two_thread_adamw_writes_the_same_checkpoint(synth_rhyme, base, pairs, tmp_path, monkeypatch, run):
+    _, lines, vocab = synth_rhyme
+    cfg = training.tiny_train_config(max_steps=4, lr=3e-3, seed=4, weight_decay=0.01 if "decay" in run else 0.0)
+    got = []
+    for thread_min in (ag._ADAMW_THREAD_MIN, 0):  # the tiny model stays under the threshold unless it is 0
+        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", thread_min)
+        if run.startswith("pretrain"):
+            config = mdl.tiny_config(vocab_size=len(vocab))
+            got.append(_pretrain(training.pretrain, tmp_path, str(thread_min), lines, vocab, config, cfg))
+        else:
+            got.append(_finetune(training.finetune, tmp_path, str(thread_min), base, pairs, vocab, cfg,
+                                 "head_only" in run))
+    assert len(got[0][1]) == 4
+    assert got[0] == got[1]
+
+
 def test_a_batch_without_masked_positions_is_skipped_as_before(synth_rhyme, tmp_path):
     _, lines, vocab = synth_rhyme
     config = mdl.tiny_config(vocab_size=len(vocab))

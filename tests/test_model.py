@@ -11,6 +11,7 @@ from versebert.autograd import Tensor
 from versebert.errors import AllMasked, ShapeMismatch
 from versebert.tokenizer import TokenSequence
 
+import seed_model
 from gradcheck import grad_check
 
 
@@ -296,6 +297,16 @@ class TestEndToEndGradient:
 
         err = grad_check(f, params.parameters(), max_samples=150, rng=np.random.default_rng(3))
         assert err < 1e-4
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", [(0,), (1,), (257,), (64, 3), (8000, 256), (2, 0, 5)])
+def test_truncated_normal_matches_the_recheck_everything_loop(seed, shape):
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = mdl.truncated_normal(got, shape)
+    assert out.tobytes() == seed_model.truncated_normal(want, shape).tobytes() and out.shape == shape
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.all(np.abs(out) <= 2 * mdl.INIT_STD)
 
 
 class TestModelConfig:

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from versebert import autograd as ag
@@ -123,8 +123,15 @@ def batches(draw):
 SPLITS = [(0.8, 0.1, 0.1), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0)]
 
 
+# With seed 0, rows with no candidate (special ids; no unpadded position), no
+# pick, picks but no random fate, and a random fate: the skipped empty draws.
+NO_DRAW_ROWS = (np.array([[3] * 12] + [[20] * 12] * 2 + [[30] * 12, [25] * 12, [33] * 12]),
+                (np.arange(12) < np.array([[12], [0], [1], [1], [12], [12]])).astype(np.int64))
+
+
 class TestBatchedMasking:
     @settings(max_examples=150, deadline=None)
+    @example(batch=NO_DRAW_ROWS, ratio=0.5, split=(0.8, 0.1, 0.1), vocab_size=50, seed=0)
     @given(batch=batches(), ratio=st.sampled_from([0.0, 0.15, 0.5, 1.0]), split=st.sampled_from(SPLITS),
            vocab_size=st.integers(41, 64), seed=st.integers(0, 2**32 - 1))
     def test_matches_masking_each_row_alone(self, batch, ratio, split, vocab_size, seed):
