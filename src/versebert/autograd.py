@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from collections import deque
 
 import numpy as np
 
@@ -504,8 +505,6 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
 # memory. Blocks of 8,192 pay more Python per element and blocks of 131,072
 # spill (both measured slower on pretrain-mid).
 _ADAMW_BLOCK = 32_768
-# Elements from which AdamW.step uses two threads; below, the hand-off costs more than it saves.
-_ADAMW_THREAD_MIN = 1 << 20
 
 
 class AdamW:
@@ -515,9 +514,8 @@ class AdamW:
     the same elementwise operations in the same order as a whole-array
     update, so results are bit-identical to it. It allocates no
     parameter-sized temporary unless a parameter or gradient is not
-    C-contiguous and has to be flattened by a copy. From ``_ADAMW_THREAD_MIN``
-    elements a helper thread takes blocks too, with the same operations, so
-    the bytes do not change.
+    C-contiguous and has to be flattened by a copy. A helper thread takes
+    blocks too, with the same operations, so the bytes do not change.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
@@ -532,12 +530,10 @@ class AdamW:
         # C order, so ravel in step is a view whatever the parameter's layout
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
-        threaded = sum(p.data.size for p in self.params) >= _ADAMW_THREAD_MIN
-        self._scratch = np.empty((1 + threaded, 2, _ADAMW_BLOCK))  # two blocks per thread
-        self._helper = None
-        if threaded:  # imported here: concurrent.futures adds about 0.25 MB of RSS to a process
-            from concurrent.futures import ThreadPoolExecutor
-            self._helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first step
+        self._scratch = np.empty((2, 2, _ADAMW_BLOCK))  # two blocks for each thread
+        # imported here: concurrent.futures adds about 0.25 MB of RSS to a process that never trains
+        from concurrent.futures import ThreadPoolExecutor
+        self._helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first step
 
     def step(self) -> None:
         # Check every gradient before touching any array, so a raise leaves no half step.
@@ -545,7 +541,7 @@ class AdamW:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ShapeMismatch(f"grad shape {p.grad.shape} vs param {p.data.shape}")
         t = self.step_count + 1
-        flat, blocks = [p.data.ravel() for p in self.params], []
+        flat, blocks = [p.data.ravel() for p in self.params], deque()
         for p, w, m, v in zip(self.params, flat, self.m, self.v):
             m, v = m.ravel(), v.ravel()
             g = None if p.grad is None else p.grad.ravel()
@@ -553,26 +549,27 @@ class AdamW:
                 hi = lo + _ADAMW_BLOCK
                 gb = 0.0 if g is None else g[lo:hi]  # a missing gradient is all zeros
                 blocks.append((w[lo:hi], m[lo:hi], v[lo:hi], gb))
-        if self._helper is None:
+        # Both threads take blocks from one deque, whose popleft is atomic with or without the GIL,
+        # so each block is taken once and a thread the OS pauses does not hold up the other.
+        helper = self._helper.submit(self._update, blocks, self._scratch[1], t)
+        try:
             self._update(blocks, self._scratch[0], t)
-        else:  # both threads take blocks from one list iterator, whose next() the GIL makes atomic,
-            # so a thread the OS pauses does not hold up the other
-            todo = iter(blocks)
-            helper = self._helper.submit(self._update, todo, self._scratch[1], t)
-            try:
-                self._update(todo, self._scratch[0], t)
-            finally:
-                helper.result()  # joins the helper and re-raises what it raised
+        finally:
+            helper.result()  # joins the helper and re-raises what it raised
         for p, w in zip(self.params, flat):
             if not p.data.flags.c_contiguous:  # ravel copied: write the result back
                 p.data[...] = w.reshape(p.data.shape)
         self.step_count = t
 
     def _update(self, blocks, scratch: np.ndarray, t: int) -> None:
-        """Step ``t`` on each (param, m, v, grad) block, with two scratch blocks."""
+        """Step ``t`` on each (param, m, v, grad) block it pops from ``blocks``, with two scratch blocks."""
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1, bc2, decay = 1.0 - b1**t, 1.0 - b2**t, lr * self.weight_decay
-        for wb, mb, vb, gb in blocks:
+        while True:
+            try:
+                wb, mb, vb, gb = blocks.popleft()
+            except IndexError:  # the last block is taken
+                return
             tmp, upd = scratch[:, :wb.size]
             if self.weight_decay != 0.0:
                 np.multiply(wb, decay, out=tmp)

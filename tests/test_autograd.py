@@ -310,15 +310,6 @@ class TestBlockedAdamWMatchesSeedStep:
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_bit_identical_params_and_moments(self, rng, weight_decay):
-        self._check_bit_identical(rng, weight_decay)
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    def test_two_threads_bit_identical_params_and_moments(self, rng, weight_decay, monkeypatch):
-        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
-        self._check_bit_identical(rng, weight_decay)
-
-    @staticmethod
-    def _check_bit_identical(rng, weight_decay):
         cases = adamw_cases(rng)
         runs = []
         for step in (AdamW.step, seed_adamw.step):
@@ -369,18 +360,9 @@ class TestBlockedAdamWMatchesSeedStep:
 
 
 class TestTwoThreadAdamW:
-    def test_a_second_thread_only_from_the_threshold(self, rng):
-        for n, threaded in [(ag._ADAMW_THREAD_MIN - 1, False), (ag._ADAMW_THREAD_MIN, True)]:
-            p = Tensor(rng.normal(size=n), requires_grad=True)
-            p.grad = rng.normal(size=n)
-            opt = AdamW([p], lr=1e-2)
-            opt.step()
-            assert (opt._helper is not None) == threaded
-
     def test_each_block_is_updated_once_under_thread_switching(self, rng, monkeypatch):
         """Three optimizers step at once, each with its helper, over 64-element
-        blocks that both of its threads take from one iterator."""
-        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
+        blocks that both of its threads take from one deque."""
         monkeypatch.setattr(ag, "_ADAMW_BLOCK", 64)
         grads = [[rng.normal(size=(50, 97)) for _ in range(3)] for _ in range(4)]  # per step, per param
         runs = []
@@ -416,7 +398,6 @@ class TestTwoThreadAdamW:
                 assert np.array_equal(p.data, q.data) and np.array_equal(opt.m[i], want.m[i]), i
 
     def test_a_raise_in_the_helper_reaches_the_caller(self, rng, monkeypatch):
-        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", 0)
         update, halves = AdamW._update, []
 
         def failing(self, blocks, *args):

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import seed_adamw
 import seed_training
 from versebert import autograd as ag, corpus, model as mdl, preprocess, training
 from versebert.errors import EmptyCorpus, NonFiniteLoss
@@ -69,17 +70,18 @@ def test_finetune_matches_the_separate_set_up(synth_rhyme, base, pairs, tmp_path
 
 @pytest.mark.parametrize("run", ["pretrain", "pretrain decay", "finetune", "finetune head_only"])
 def test_a_two_thread_adamw_writes_the_same_checkpoint(synth_rhyme, base, pairs, tmp_path, monkeypatch, run):
+    """Against the single-thread whole-array step of ``seed_adamw``."""
     _, lines, vocab = synth_rhyme
     cfg = training.tiny_train_config(max_steps=4, lr=3e-3, seed=4, weight_decay=0.01 if "decay" in run else 0.0)
     got = []
-    for thread_min in (ag._ADAMW_THREAD_MIN, 0):  # the tiny model stays under the threshold unless it is 0
-        monkeypatch.setattr(ag, "_ADAMW_THREAD_MIN", thread_min)
+    for tag in ("two threads", "seed step"):
+        if tag == "seed step":
+            monkeypatch.setattr(ag.AdamW, "step", seed_adamw.step)
         if run.startswith("pretrain"):
             config = mdl.tiny_config(vocab_size=len(vocab))
-            got.append(_pretrain(training.pretrain, tmp_path, str(thread_min), lines, vocab, config, cfg))
+            got.append(_pretrain(training.pretrain, tmp_path, tag, lines, vocab, config, cfg))
         else:
-            got.append(_finetune(training.finetune, tmp_path, str(thread_min), base, pairs, vocab, cfg,
-                                 "head_only" in run))
+            got.append(_finetune(training.finetune, tmp_path, tag, base, pairs, vocab, cfg, "head_only" in run))
     assert len(got[0][1]) == 4
     assert got[0] == got[1]
 
