@@ -12,8 +12,10 @@ time), the tape records per step (``ag.tape_size()`` as ``backward``
 starts), the minor page faults per step (``ru_minflt`` of this process) in
 all and split into ``autograd.backward``, ``AdamW.step`` and the rest of the
 step (the forward, masking and loss), the peak RSS of the process so far,
-and the first losses as float hex, so two trees can be compared for
-bit-identical losses. Inputs come from ``perfbench/workloads.pretrain_inputs``.
+the first losses as float hex, and a sha256 over the final checkpoint's
+arrays (each name, shape and float64 bytes, in name order), so two trees can
+be compared for bit-identical losses and parameters. Inputs come from
+``perfbench/workloads.pretrain_inputs``.
 ``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
 held-out verses and prints their minor faults per call, the padded and real
 positions of one pass and a sha256 of its labels, so two trees can be
@@ -33,6 +35,8 @@ import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -82,7 +86,7 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
 
     with (tally(ag, "backward", totals, lambda: records.append(ag.tape_size())),
           tally(ag.AdamW, "step", totals)):
-        training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
+        ckpt = training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
     n = max(1, len(stamps) - 1)
     cpu_s, total, backward, backward_s, adamw, adamw_s = ((stamps[-1][k] - stamps[0][k]) / n for k in range(1, 7))
@@ -94,6 +98,11 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
           f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
+    digest = hashlib.sha256()
+    for name in sorted(ckpt.arrays):
+        digest.update(f"{name} {ckpt.arrays[name].shape}\n".encode())
+        digest.update(np.ascontiguousarray(ckpt.arrays[name], dtype="<f8"))
+    print("  parameters sha256:", digest.hexdigest())
 
 
 def probe_classify(seed: int, calls: int) -> None:

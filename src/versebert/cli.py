@@ -27,7 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import CorruptFile, DigestMismatch, EmptyCorpus, InvalidConfig, VerseBertError
+from .errors import CorruptFile, EmptyCorpus, InvalidConfig, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -240,8 +240,7 @@ def _predict_record(line_text: str) -> corpus_mod.VerseRecord:
 def cmd_predict(args) -> int:
     vocab = tokenizer.Vocab.load(args.vocab)
     ckpt = training.load_checkpoint(args.ckpt)
-    if ckpt.vocab_digest != vocab.digest():
-        raise DigestMismatch("vocab content does not match the checkpoint's digest")
+    ckpt.check_vocab(vocab)
     tasks = ckpt.head_tasks()
     if args.task:
         task_id = corpus_mod.taxonomy(args.task).task_id

@@ -161,8 +161,8 @@ def load_corpus(path) -> CorpusStore:
     """Parse a corpus file into records; verse_ids are assigned sequentially from 0.
 
     Raises ``CorruptFile`` if the file is not UTF-8, ``MissingColumn`` when the header lacks hemistich1,
-    ``MalformedRow`` on wrong field counts, and ``UnknownLabel`` when a closed-taxonomy column
-    (meter, variant, rhyme, gender) holds an unrecognized value.
+    ``MalformedRow`` on an unknown or repeated column or a wrong field count, and ``UnknownLabel`` when a
+    closed-taxonomy column (meter, variant, rhyme, gender) holds an unrecognized value.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -172,9 +172,9 @@ def load_corpus(path) -> CorpusStore:
     if not rows:
         raise MissingColumn("empty file: header with 'hemistich1' required")
     header = rows[0].split("\t")
-    for col in header:
-        if col not in FIELDS:
-            raise MalformedRow(f"line 1: unknown column {col!r}")
+    for i, col in enumerate(header):
+        if col not in FIELDS or col in header[:i]:
+            raise MalformedRow(f"line 1: unknown or repeated column {col!r}")
     if "hemistich1" not in header:
         raise MissingColumn("hemistich1")
 
@@ -223,6 +223,8 @@ def split(corpus: CorpusStore, ratio: float, seed: int) -> tuple[CorpusStore, Co
     """
     if not 0 < ratio < 1:
         raise InvalidConfig(f"ratio must be in (0, 1), got {ratio}")
+    if seed < 0:
+        raise InvalidConfig(f"split seed must be non-negative, got {seed}")
     n = len(corpus.records)
     in_train = np.zeros(n, dtype=bool)
     in_train[np.random.default_rng(seed).permutation(n)[: math.floor(n * ratio)]] = True
@@ -297,8 +299,8 @@ def generate_synthetic(n: int, seed: int, signal: str) -> CorpusStore:
     rhyme label equals the verse's final letter; every other task plants a
     class-specific marker word. Pure function of (n, seed, signal).
     """
-    if n <= 0:
-        raise InvalidConfig(f"n must be positive, got {n}")
+    if n <= 0 or seed < 0:
+        raise InvalidConfig(f"n must be positive and seed non-negative, got n={n}, seed={seed}")
     task = taxonomy(signal).task_id
     labels, label_field = _TASKS[task]
     rng = np.random.default_rng(seed)

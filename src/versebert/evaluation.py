@@ -17,7 +17,7 @@ import numpy as np
 from . import model as mdl
 from . import preprocess
 from .corpus import CorpusStore, LabelTaxonomy, task_pairs
-from .errors import DigestMismatch, EmptyCorpus, LabelOutOfRange, LengthMismatch
+from .errors import EmptyCorpus, LabelOutOfRange, LengthMismatch
 from .tokenizer import Vocab, encode
 
 # Sequences per forward pass in predict_corpus: scoring a whole corpus in one
@@ -145,8 +145,7 @@ def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vo
     """(preds, truths) id lists in corpus order over the records that carry the task
     label, scored ``EVAL_CHUNK`` per forward pass in a stable sort by real length.
     A corpus with no such record raises ``EmptyCorpus``."""
-    if ckpt.vocab_digest != vocab.digest():
-        raise DigestMismatch("vocab content does not match the checkpoint's digest")
+    ckpt.check_vocab(vocab)
     if taxonomy.task_id not in ckpt.head_tasks():
         raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
     config = ckpt.model_config

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -40,16 +41,16 @@ class ModelConfig:
 
     def __post_init__(self):
         check_numeric_fields(self)
-        if min(self.num_layers, self.num_heads, self.hidden, self.vocab_size) < 1:
-            raise InvalidConfig("layer, head, hidden and vocab sizes must be positive")
+        if self.ffn_dim is None:
+            object.__setattr__(self, "ffn_dim", 4 * self.hidden)
+        if min(self.num_layers, self.num_heads, self.hidden, self.ffn_dim, self.vocab_size) < 1:
+            raise InvalidConfig("layer, head, hidden, ffn and vocab sizes must be positive")
         if self.hidden % self.num_heads != 0:
             raise InvalidConfig(f"hidden {self.hidden} not divisible by heads {self.num_heads}")
         if self.max_len < 2:
             raise InvalidConfig("max_len must be at least 2")
         if self.positional_mode not in ("sinusoidal", "learned"):
             raise InvalidConfig(f"unknown positional_mode {self.positional_mode!r}")
-        if self.ffn_dim is None:
-            object.__setattr__(self, "ffn_dim", 4 * self.hidden)
 
     @property
     def d_k(self) -> int:
@@ -162,43 +163,35 @@ class ModelParams:
     def parameters(self) -> list[Tensor]:
         return [t for _, t in self.named_parameters()]
 
+    @classmethod
+    def from_named(cls, config: ModelConfig, tensor: Callable[[str, tuple[int, ...]], Tensor]) -> "ModelParams":
+        """The inverse of ``named_parameters``, without heads: the one table of encoder and MLM-head
+        array names and shapes. ``tensor(name, shape)`` gives each array, called in ``named_parameters`` order."""
+        d, v = config.hidden, config.vocab_size
+        token_embedding = tensor("token_embedding", (v, d))
+        positional = tensor("positional", (config.max_len, d)) if config.positional_mode == "learned" else None
+        shapes = {"w_qkv": (d, 3 * d), "w_o": (d, d), "ffn_w1": (d, config.ffn_dim), "ffn_w2": (config.ffn_dim, d)}
+        layers = [LayerParams(**{f: tensor(f"layers.{li}.{f}", shapes.get(f, (d,))) for f in LAYER_FIELDS})
+                  for li in range(config.num_layers)]  # fields absent from ``shapes`` are layer-norm vectors
+        return cls(token_embedding, positional, layers, tensor("mlm_w", (d, v)), tensor("mlm_b", (v,)))
+
 
 def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""
-    d, dk = config.hidden, config.d_k
 
-    def w(shape):
-        return Tensor(truncated_normal(rng, shape), requires_grad=True)
+    def tensor(name, shape):
+        if len(shape) == 1:
+            data = np.full(shape, 1.0 if name.endswith("_gain") else 0.0)
+        elif name.endswith("w_qkv"):
+            # drawn head by head (all Q, then all K, then all V) so a seed gives the
+            # same weights as the per-head layout it replaced
+            data = np.concatenate([truncated_normal(rng, (shape[0], config.d_k))
+                                   for _ in range(3 * config.num_heads)], axis=1)
+        else:
+            data = truncated_normal(rng, shape)
+        return Tensor(data, requires_grad=True)
 
-    def const(value, shape):
-        return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True)
-
-    layers = []
-    token_embedding = w((config.vocab_size, d))
-    positional = w((config.max_len, d)) if config.positional_mode == "learned" else None
-    for _ in range(config.num_layers):
-        # drawn head by head (all Q, then all K, then all V) so a seed gives the
-        # same weights as the per-head layout it replaced
-        w_qkv = np.concatenate([truncated_normal(rng, (d, dk)) for _ in range(3 * config.num_heads)], axis=1)
-        layers.append(
-            LayerParams(
-                w_qkv=Tensor(w_qkv, requires_grad=True),
-                w_o=w((d, d)),
-                ffn_w1=w((d, config.ffn_dim)),
-                ffn_w2=w((config.ffn_dim, d)),
-                ln1_gain=const(1.0, (d,)),
-                ln1_bias=const(0.0, (d,)),
-                ln2_gain=const(1.0, (d,)),
-                ln2_bias=const(0.0, (d,)),
-            )
-        )
-    return ModelParams(
-        token_embedding=token_embedding,
-        positional=positional,
-        layers=layers,
-        mlm_w=w((d, config.vocab_size)),
-        mlm_b=const(0.0, (config.vocab_size,)),
-    )
+    return ModelParams.from_named(config, tensor)
 
 
 def init_head(config: ModelConfig, num_labels: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
@@ -220,27 +213,21 @@ def key_bias(mask, keys: tuple[int, ...]) -> np.ndarray:
     return np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :]
 
 
-def scaled_dot_attention(q: Tensor, k, v, mask, return_weights: bool = False, heads: int = 0, bias=None):
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask, return_weights: bool = False):
     """softmax(QK^T / sqrt(d_k) + key_bias(mask)) V as one ``ag.attention`` op; weights come off the tape.
-
-    q, k and v share any leading batch axes; ``bias`` is the mask's ``key_bias`` if the caller built it. With
-    ``heads``, ``q`` is a fused (..., T, 3d) projection, split into heads and merged back, and k, v are None.
-    """
-    if heads:
-        qkv, keys = q, (*q.shape[:-2], heads, q.shape[-2])
-    elif q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+    q, k and v share any leading batch axes."""
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise ShapeMismatch(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape}")
-    else:
-        qkv, keys = (q, k, v), k.shape[:-1]
-    out, weights = ag.attention(qkv, key_bias(mask, keys) if bias is None else bias, heads)
+    out, weights = ag.attention((q, k, v), key_bias(mask, k.shape[:-1]))
     return (out, Tensor(weights)) if return_weights else out
 
 
 def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int, bias=None) -> Tensor:
     """All heads at once: one fused QKV projection, attention over its (..., H, T, d_k) split with the
     heads merged back in column order, and W_O. ``x`` is (..., T, d), ``mask`` (..., T), ``bias`` None or key_bias."""
-    mask = np.expand_dims(mask, -2) if bias is None else None  # one mask for every head's keys
-    merged = scaled_dot_attention(ag.matmul(x, layer.w_qkv), None, None, mask, heads=num_heads, bias=bias)
+    if bias is None:  # one mask for every head's keys
+        bias = key_bias(np.expand_dims(mask, -2), (*x.shape[:-2], num_heads, x.shape[-2]))
+    merged, _ = ag.attention(ag.matmul(x, layer.w_qkv), bias, num_heads)
     return ag.matmul(merged, layer.w_o)
 
 

@@ -65,11 +65,12 @@ class TrainConfig:
 
     def __post_init__(self):
         mdl.check_numeric_fields(self)
+        for name in ("mask_ratio", "mask_prob", "random_prob", "keep_prob"):  # NaN fails here too
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidConfig(f"{name} must be in [0, 1]")
         if abs(self.mask_prob + self.random_prob + self.keep_prob - 1.0) > 1e-12:
             raise InvalidConfig("mask/random/keep probabilities must sum to 1")
-        if not 0.0 <= self.mask_ratio <= 1.0:
-            raise InvalidConfig("mask_ratio must be in [0, 1]")
-        for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 0)):
+        for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be at least {least}")
         if not 0.0 <= self.dropout < 1.0:
@@ -146,26 +147,30 @@ class Checkpoint:
     optimizer: Optional[dict] = None  # {"step": int, "arrays": {name: array}}
 
     def to_params(self) -> mdl.ModelParams:
-        """Rebuild ModelParams (including any task heads) from the named arrays."""
-        cfg = self.model_config
+        """Rebuild ModelParams (including any task heads) from the named arrays; an array that is
+        missing, not of the shape the config gives it, or not part of the model raises CorruptFile naming it."""
 
-        def t(name):
-            if name not in self.arrays:
-                raise CorruptFile(f"checkpoint has no array {name}")
-            return Tensor(self.arrays[name].copy(), requires_grad=True)
+        def tensor(name, shape):
+            arr = self.arrays.get(name)
+            if arr is None or arr.shape != shape:
+                got = "missing" if arr is None else f"of shape {arr.shape}"
+                raise CorruptFile(f"checkpoint array {name} is {got}, want shape {shape}")
+            return Tensor(arr.copy(), requires_grad=True)
 
-        layers = [
-            mdl.LayerParams(**{f: t(f"layers.{li}.{f}") for f in mdl.LAYER_FIELDS})
-            for li in range(cfg.num_layers)
-        ]
-        return mdl.ModelParams(
-            token_embedding=t("token_embedding"),
-            positional=t("positional") if "positional" in self.arrays else None,
-            layers=layers,
-            mlm_w=t("mlm_w"),
-            mlm_b=t("mlm_b"),
-            heads={task: (t(f"heads.{task}.w"), t(f"heads.{task}.b")) for task in self.head_tasks()},
-        )
+        params = mdl.ModelParams.from_named(self.model_config, tensor)
+        for task in self.head_tasks():  # w is (hidden, labels) and b (labels,), labels read off w's last axis
+            labels = np.shape(self.arrays.get(f"heads.{task}.w"))[-1:]
+            w = tensor(f"heads.{task}.w", (self.model_config.hidden, *labels))
+            params.heads[task] = (w, tensor(f"heads.{task}.b", labels))
+        if unknown := sorted(set(self.arrays) - {name for name, _ in params.named_parameters()}):
+            raise CorruptFile(f"checkpoint arrays {', '.join(unknown)} are not part of the model")
+        return params
+
+    def check_vocab(self, vocab: Vocab) -> None:
+        """Raise DigestMismatch unless ``vocab`` is the vocabulary this checkpoint was trained with."""
+        if self.vocab_digest != vocab.digest():
+            raise DigestMismatch(f"checkpoint was built with vocab {self.vocab_digest[:12]}..., "
+                                 f"got {vocab.digest()[:12]}...")
 
     def head_tasks(self) -> list[str]:
         return sorted({n[len("heads."):].rsplit(".", 1)[0] for n in self.arrays if n.startswith("heads.")})
@@ -358,11 +363,7 @@ def finetune(
     ``pairs`` hold preprocessed verse lines. With ``head_only`` the encoder is
     frozen and only the head receives updates.
     """
-    if ckpt.vocab_digest != vocab.digest():
-        raise DigestMismatch(
-            f"checkpoint was built with vocab {ckpt.vocab_digest[:12]}..., "
-            f"got {vocab.digest()[:12]}..."
-        )
+    ckpt.check_vocab(vocab)
     params = ckpt.to_params()
     head_w, head_b = mdl.init_head(ckpt.model_config, taxonomy.num_labels, make_rngs(cfg.seed).init)
     params.heads[taxonomy.task_id] = (head_w, head_b)

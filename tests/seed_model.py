@@ -7,7 +7,9 @@ backward pass, ``fused_qkv_grads`` joins the per-head gradients back in the
 fused column order so they compare with the batched path's ``w_qkv.grad``.
 The two tape ops the batched path no longer needs (``transpose`` and
 ``concat``) live here too, and so does the initializer loop that rechecked
-every entry after each redraw (``truncated_normal``).
+every entry after each redraw (``truncated_normal``), and the initializer that
+spelled out every array before ``ModelParams.from_named`` held the one table of
+names and shapes (``init_params``).
 """
 
 from __future__ import annotations
@@ -30,6 +32,44 @@ def truncated_normal(rng: np.random.Generator, shape) -> np.ndarray:
         out[bad] = rng.normal(0.0, mdl.INIT_STD, size=int(bad.sum()))
         bad = np.abs(out) > 2 * mdl.INIT_STD
     return out
+
+
+def init_params(config: mdl.ModelConfig, rng: np.random.Generator) -> mdl.ModelParams:
+    """Truncated-normal(0.02) weights, zero biases, unit layer-norm gains."""
+    d, dk = config.hidden, config.d_k
+
+    def w(shape):
+        return Tensor(mdl.truncated_normal(rng, shape), requires_grad=True)
+
+    def const(value, shape):
+        return Tensor(np.full(shape, value, dtype=np.float64), requires_grad=True)
+
+    layers = []
+    token_embedding = w((config.vocab_size, d))
+    positional = w((config.max_len, d)) if config.positional_mode == "learned" else None
+    for _ in range(config.num_layers):
+        # drawn head by head (all Q, then all K, then all V) so a seed gives the
+        # same weights as the per-head layout it replaced
+        w_qkv = np.concatenate([mdl.truncated_normal(rng, (d, dk)) for _ in range(3 * config.num_heads)], axis=1)
+        layers.append(
+            mdl.LayerParams(
+                w_qkv=Tensor(w_qkv, requires_grad=True),
+                w_o=w((d, d)),
+                ffn_w1=w((d, config.ffn_dim)),
+                ffn_w2=w((config.ffn_dim, d)),
+                ln1_gain=const(1.0, (d,)),
+                ln1_bias=const(0.0, (d,)),
+                ln2_gain=const(1.0, (d,)),
+                ln2_bias=const(0.0, (d,)),
+            )
+        )
+    return mdl.ModelParams(
+        token_embedding=token_embedding,
+        positional=positional,
+        layers=layers,
+        mlm_w=w((d, config.vocab_size)),
+        mlm_b=const(0.0, (config.vocab_size,)),
+    )
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -84,8 +84,8 @@ def test_split_attend_merge_matches_the_composed_chain(lead, t, heads, d_k, seed
     qkv = _values(rng, lead + (t, 3 * heads * d_k))
     mask = _masks(rng, lead, t)
     want = _run(lambda a: seed_attention.split_attend_merge(a, mask, heads), [qkv], heads * d_k)
-    got = _run(lambda a: mdl.scaled_dot_attention(a, None, None, np.expand_dims(mask, -2), heads=heads),
-               [qkv], heads * d_k)
+    bias = mdl.key_bias(np.expand_dims(mask, -2), (*lead, heads, t))
+    got = _run(lambda a: ag.attention(a, bias, heads)[0], [qkv], heads * d_k)
     assert got == want
 
 

@@ -273,6 +273,10 @@ class TestBadInvocations:
         "negative-max-steps": ("pretrain", None, ["--max-steps", "-3"], "max_steps"),
         "synth-zero-verses": ("synth", None, ["--n", "0"], "n must be positive"),
         "split-ratio-above-one": ("finetune", None, ["--ratio", "1.5"], "ratio must be in (0, 1)"),
+        "pretrain-negative-seed": ("pretrain", None, ["--seed", "-1"], "seed must be at least 0"),
+        "finetune-negative-seed": ("finetune", None, ["--seed", "-2"], "seed must be at least 0"),
+        "finetune-negative-split-seed": ("finetune", None, ["--split-seed", "-2"], "split seed must be non-negative"),
+        "synth-negative-seed": ("synth", None, ["--n", "4", "--seed", "-3"], "seed non-negative"),
     }
 
     @pytest.mark.parametrize("command, config, extra, named", CASES.values(), ids=CASES.keys())

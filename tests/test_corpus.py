@@ -84,6 +84,11 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRow, match="line 2"):
             load_corpus(path)
 
+    def test_column_named_twice(self, tmp_path):
+        path = _write(tmp_path, "hemistich1\themistich1\nقفا\tنبك\n")
+        with pytest.raises(MalformedRow, match="line 1: unknown or repeated column 'hemistich1'"):
+            load_corpus(path)
+
     def test_round_trip(self, tmp_path):
         store = generate_synthetic(40, seed=3, signal="SubMeter")
         out = tmp_path / "round.tsv"

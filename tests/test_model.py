@@ -3,12 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versebert import autograd as ag
 from versebert import model as mdl
 from versebert import training
 from versebert.autograd import Tensor
-from versebert.errors import AllMasked, ShapeMismatch
+from versebert.errors import AllMasked, InvalidConfig, ShapeMismatch
 from versebert.tokenizer import TokenSequence
 
 import seed_model
@@ -309,7 +311,36 @@ def test_truncated_normal_matches_the_recheck_everything_loop(seed, shape):
     assert np.all(np.abs(out) <= 2 * mdl.INIT_STD)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.sampled_from([None, 1, 7]), st.integers(1, 30),
+       st.sampled_from(["sinusoidal", "learned"]), st.integers(0, 2**32 - 1))
+def test_init_params_matches_the_hand_written_initializer(layers, heads, d_k, ffn_dim, vocab, positional_mode, seed):
+    cfg = mdl.ModelConfig(num_layers=layers, num_heads=heads, hidden=heads * d_k, ffn_dim=ffn_dim, vocab_size=vocab,
+                          max_len=5, positional_mode=positional_mode)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    named = mdl.init_params(cfg, got).named_parameters()
+    expected = seed_model.init_params(cfg, want).named_parameters()
+    assert [n for n, _ in named] == [n for n, _ in expected]
+    for (name, t), (_, e) in zip(named, expected):
+        assert t.data.tobytes() == e.data.tobytes() and t.shape == e.shape and t.requires_grad, name
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_from_named_asks_for_each_array_in_named_parameters_order():
+    cfg = mdl.ModelConfig(num_layers=2, num_heads=2, hidden=4, ffn_dim=6, vocab_size=9, max_len=5,
+                          positional_mode="learned")
+    asked = []
+    params = mdl.ModelParams.from_named(cfg, lambda name, shape: asked.append((name, shape)) or Tensor(np.zeros(shape)))
+    assert asked == [(name, t.shape) for name, t in params.named_parameters()]
+    assert dict(asked)["layers.1.w_qkv"] == (4, 12) and dict(asked)["layers.0.ffn_w2"] == (6, 4)
+
+
 class TestModelConfig:
+    @pytest.mark.parametrize("ffn_dim", [-1, 0])
+    def test_ffn_dim_below_one_rejected(self, ffn_dim):
+        with pytest.raises(InvalidConfig, match="ffn"):
+            mdl.ModelConfig(hidden=32, num_heads=2, ffn_dim=ffn_dim)
+
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
             mdl.ModelConfig(num_heads=5, hidden=32)

@@ -1,6 +1,7 @@
 """The scripts that drive pretrain and finetune run to a clean exit."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,5 @@ def test_step_probe_completes(tmp_path):
     done = _run_script("step_probe.py", "--workload", "pretrain-tiny", "--steps", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("pretrain-tiny seed 3: ")
+    lines = done.stdout.splitlines()
+    assert lines[1].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[2])

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -12,6 +14,7 @@ from versebert.errors import (
     CorruptFile,
     DigestMismatch,
     EmptyReduction,
+    InvalidConfig,
     LabelOutOfRange,
     NonFiniteLoss,
     VersionMismatch,
@@ -49,6 +52,15 @@ class TestTrainConfig:
     def test_split_must_sum_to_one(self):
         with pytest.raises(ValueError):
             TrainConfig(mask_prob=0.5, random_prob=0.1, keep_prob=0.1)
+
+    @pytest.mark.parametrize("split", [(math.nan, 0.1, 0.1), (-0.5, 1.4, 0.1), (0.8, 0.1, math.inf)])
+    def test_each_probability_must_lie_in_the_unit_interval(self, split):
+        with pytest.raises(InvalidConfig, match="must be in \\[0, 1\\]"):
+            TrainConfig(mask_prob=split[0], random_prob=split[1], keep_prob=split[2])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidConfig, match="seed must be at least 0"):
+            TrainConfig(seed=-1)
 
     def test_from_dict_uses_defaults_for_unspecified(self):
         cfg = TrainConfig.from_dict({"max_steps": 5})
@@ -393,6 +405,62 @@ class TestCheckpointV2:
         edit_header(path, lambda h: h.update(arrays=[e for e in h["arrays"] if "w_qkv" not in e["name"]]))
         with pytest.raises(CorruptFile):
             load_checkpoint(path).to_params()
+
+
+class TestCheckpointShapes:
+    """A load checks every array against the shape the config gives it and names the one that is wrong."""
+
+    @pytest.fixture()
+    def ckpt(self):
+        config = dataclasses.replace(mdl.tiny_config(vocab_size=40, max_len=8), positional_mode="learned")
+        params = mdl.init_params(config, np.random.default_rng(0))
+        params.heads["Rhyme"] = mdl.init_head(config, 5, np.random.default_rng(1))
+        return training.checkpoint_from_params(params, config, "digest", 3)
+
+    def _reload(self, ckpt, tmp_path):
+        save_checkpoint(ckpt, tmp_path / "c.ckpt")
+        return load_checkpoint(tmp_path / "c.ckpt")
+
+    def test_a_well_formed_checkpoint_loads(self, ckpt, tmp_path):
+        params = self._reload(ckpt, tmp_path).to_params()
+        assert {name: t.data.tobytes() for name, t in params.named_parameters()} == \
+            {name: a.tobytes() for name, a in ckpt.arrays.items()}
+
+    @pytest.mark.parametrize("name", ["token_embedding", "positional", "layers.1.ffn_w2", "layers.0.ln2_bias",
+                                      "mlm_b"])
+    def test_missing_encoder_array_named(self, ckpt, tmp_path, name):
+        del ckpt.arrays[name]
+        with pytest.raises(CorruptFile, match=f"array {name} is missing"):
+            self._reload(ckpt, tmp_path).to_params()
+
+    @pytest.mark.parametrize("name, shape, want", [
+        ("layers.0.w_qkv", (32, 90), (32, 96)), ("mlm_w", (40, 32), (32, 40)),
+        ("layers.1.ln1_gain", (32, 1), (32,)), ("positional", (9, 32), (8, 32)),
+    ])
+    def test_encoder_array_of_the_wrong_shape_named(self, ckpt, tmp_path, name, shape, want):
+        ckpt.arrays[name] = np.zeros(shape)
+        with pytest.raises(CorruptFile, match=re.escape(f"array {name} is of shape {shape}, want shape {want}")):
+            self._reload(ckpt, tmp_path).to_params()
+
+    @pytest.mark.parametrize("name, shape, named", [("b", (4,), "b"), ("w", (32, 4), "b"), ("w", (31, 5), "w"),
+                                                    ("w", (32,), "w"), ("b", (5, 1), "b")])
+    def test_head_whose_w_and_b_disagree_named(self, ckpt, tmp_path, name, shape, named):
+        ckpt.arrays[f"heads.Rhyme.{name}"] = np.zeros(shape)
+        with pytest.raises(CorruptFile, match=f"array heads.Rhyme.{named} is of shape"):
+            self._reload(ckpt, tmp_path).to_params()
+
+    @pytest.mark.parametrize("name", ["layers.2.w_o", "heads.Rhyme.extra", "positional"])
+    def test_array_the_model_does_not_have_named(self, ckpt, tmp_path, name):
+        if name == "positional":  # a sinusoidal model has no position table
+            ckpt.model_config = dataclasses.replace(ckpt.model_config, positional_mode="sinusoidal")
+        ckpt.arrays.setdefault(name, np.zeros((32, 32)))
+        with pytest.raises(CorruptFile, match=f"arrays {name} are not part of the model"):
+            self._reload(ckpt, tmp_path).to_params()
+
+    def test_head_without_its_bias_named(self, ckpt):
+        del ckpt.arrays["heads.Rhyme.b"]
+        with pytest.raises(CorruptFile, match="array heads.Rhyme.b is missing"):
+            ckpt.to_params()
 
 
 @pytest.fixture(scope="module")
