@@ -245,12 +245,15 @@ def trim_batch(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def encoder_forward(
     ids, mask, config: ModelConfig, params: ModelParams,
-    dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0,
+    dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0, cls_only: bool = False,
 ) -> Tensor:
     """Hidden states (B x T x hidden) for a (B, T) id matrix and its mask.
 
     Padded positions never change real ones: their keys get zero attention
-    weight. Dropout runs only at a rate and rng the caller passes.
+    weight. Dropout runs only at a rate and rng the caller passes. With
+    ``cls_only`` the result is (B x 1 x hidden), each sequence's [CLS] state:
+    the last layer's attention and residual add still run over every position,
+    and the rest of that layer (no step of which mixes positions) on row 0 alone.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask)
@@ -265,8 +268,10 @@ def encoder_forward(
     bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads, bias)
-        attn = ag.dropout(attn, dropout_rate, dropout_rng)
-        x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
+        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
+        if cls_only and layer is params.layers[-1]:
+            x = ag.reshape(_cls_rows(x), (-1, 1, config.hidden))
+        x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
         ffn = ag.dropout(ffn, dropout_rate, dropout_rng)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
@@ -292,16 +297,20 @@ def mlm_loss(hidden: Tensor, targets, params: ModelParams) -> Tensor:
     return ag.cross_entropy(mlm_logits(picked, params), targets[rows])
 
 
+def _cls_rows(hidden: Tensor) -> Tensor:
+    """The (B x d) [CLS] rows (position 0) of (B x T x d) or (T x d) states."""
+    t, d = hidden.shape[-2:]
+    flat = ag.reshape(hidden, (-1, d))
+    return ag.take_rows(flat, np.arange(0, flat.shape[0], t))
+
+
 def classify(hidden: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
     """Class logits (B x num_labels) from each sequence's [CLS] position
     (row 0); a single (T x d) sequence gives one row."""
-    t, d = hidden.shape[-2:]
-    flat = ag.reshape(hidden, (-1, d))
-    cls_rows = ag.take_rows(flat, np.arange(0, flat.shape[0], t))
-    return ag.add(ag.matmul(cls_rows, head_w), head_b)
+    return ag.add(ag.matmul(_cls_rows(hidden), head_w), head_b)
 
 
 def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
     with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
-        return classify(encoder_forward(*stack_batch(seqs), config, params), *head).data.copy()
+        return classify(encoder_forward(*stack_batch(seqs), config, params, cls_only=True), *head).data.copy()

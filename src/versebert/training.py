@@ -75,6 +75,10 @@ class TrainConfig:
                 raise InvalidConfig(f"{name} must be at least {least}")
         if not 0.0 <= self.dropout < 1.0:
             raise InvalidConfig("dropout must be in [0, 1)")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise InvalidConfig("lr must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise InvalidConfig("weight_decay must be finite and non-negative")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k != "checkpoint_path"}

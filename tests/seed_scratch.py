@@ -210,6 +210,7 @@ def oracle_ops():
 
 
 def predict_logits(seqs, config, params, head) -> np.ndarray:
-    """Forward-only class logits through the fresh-allocating ops."""
+    """Forward-only class logits through the fresh-allocating ops, on the
+    same [CLS]-only last layer as ``model.predict_logits``."""
     with oracle_ops(), ag.no_grad():
-        return mdl.classify(mdl.encoder_forward(*mdl.stack_batch(seqs), config, params), *head).data
+        return mdl.classify(mdl.encoder_forward(*mdl.stack_batch(seqs), config, params, cls_only=True), *head).data

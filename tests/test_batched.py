@@ -1,9 +1,13 @@
 """The batched encoder against the per-sequence, per-head one it replaced
 (``seed_model``): hidden states, [CLS] logits, MLM loss and every parameter
-gradient agree to 1e-12 on a batch of mixed lengths."""
+gradient agree to 1e-12 on a batch of mixed lengths. And ``predict_logits``,
+whose last layer runs past attention on [CLS] alone, against the full chain."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from versebert import autograd as ag
 from versebert import model as mdl
@@ -37,11 +41,10 @@ def targets_for(s, picks):
 TARGETS = [targets_for(s, p) for s, p in zip(BATCH, ([1, 3], [1], [1, 4, 10], [2, 5], [1]))]
 
 
-@pytest.fixture(params=["sinusoidal", "learned"])
-def model(request):
+def build(positional_mode, labels=5):
     cfg = mdl.ModelConfig(
         num_layers=2, num_heads=4, hidden=16, vocab_size=64, max_len=MAX_LEN,
-        dropout=0.0, positional_mode=request.param,
+        dropout=0.0, positional_mode=positional_mode,
     )
     params = mdl.init_params(cfg, np.random.default_rng(5))
     # larger weights than the 0.02 init, so attention is far from uniform
@@ -50,11 +53,16 @@ def model(request):
         if not name.endswith("gain"):
             p.data = scale_rng.normal(0.0, 0.3, size=p.data.shape)
     head = (
-        ag.Tensor(scale_rng.normal(size=(cfg.hidden, 5)), requires_grad=True),
-        ag.Tensor(scale_rng.normal(size=(5,)), requires_grad=True),
+        ag.Tensor(scale_rng.normal(size=(cfg.hidden, labels)), requires_grad=True),
+        ag.Tensor(scale_rng.normal(size=(labels,)), requires_grad=True),
     )
+    return cfg, params, head
+
+
+@pytest.fixture(params=["sinusoidal", "learned"])
+def model(request):
     ag.reset_tape()
-    yield cfg, params, head
+    yield build(request.param)
     ag.reset_tape()
 
 
@@ -167,3 +175,23 @@ def test_predict_one_verse_matches_its_row_in_a_batch(model):
     batch = mdl.predict_logits(BATCH, cfg, params, head)
     for b, s in enumerate(BATCH):
         assert close(mdl.predict_logits([s], cfg, params, head)[0], batch[b])
+
+
+_built = functools.lru_cache(maxsize=None)(build)  # tape-free use only: nothing here writes a gradient
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(2, MAX_LEN), min_size=1, max_size=40),
+       mode=st.sampled_from(["sinusoidal", "learned"]), labels=st.sampled_from([5, 300]), first=st.integers(0, 9))
+def test_cls_only_logits_match_the_full_chain(lengths, mode, labels, first):
+    cfg, params, head = _built(mode, labels)
+    batch = [seq(n, 4 + (first + i) % 10) for i, n in enumerate(lengths)]
+    ids, mask = mdl.stack_batch(batch)
+    with ag.no_grad():
+        full = mdl.encoder_forward(ids, mask, cfg, params)
+        want = mdl.classify(full, *head).data
+        cls = mdl.encoder_forward(ids, mask, cfg, params, cls_only=True).data
+    got = mdl.predict_logits(batch, cfg, params, head)
+    assert cls.shape == (len(batch), 1, cfg.hidden) and close(cls[:, 0], full.data[:, 0])
+    assert got.shape == want.shape == (len(batch), labels) and close(got, want)
+    assert (got.argmax(axis=1) == want.argmax(axis=1)).all()

@@ -271,6 +271,7 @@ class TestBadInvocations:
                                            "checkpoint_path, keep_prob, mask_prob, mask_ratio, random_prob"),
         "eval-every-zero": ("pretrain", None, ["--eval-every", "0"], "eval_every"),
         "negative-max-steps": ("pretrain", None, ["--max-steps", "-3"], "max_steps"),
+        "negative-lr": ("pretrain", None, ["--lr", "-1"], "lr must be finite and positive"),
         "synth-zero-verses": ("synth", None, ["--n", "0"], "n must be positive"),
         "split-ratio-above-one": ("finetune", None, ["--ratio", "1.5"], "ratio must be in (0, 1)"),
         "pretrain-negative-seed": ("pretrain", None, ["--seed", "-1"], "seed must be at least 0"),

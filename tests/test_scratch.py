@@ -5,6 +5,7 @@ taped pass, a reset on an exception, the cap, and no large allocation once
 the buffer is warm. Plus the cached positional table."""
 
 import functools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -225,17 +226,39 @@ class TestBuffer:
         seqs = _seqs([MAX_LEN] * 32)
         predict = seed_scratch.predict_logits if oracle else mdl.predict_logits
         predict(seqs, config, params, head)
-        tracemalloc.start()
+        burst = _largest_burst(lambda: predict(seqs, config, params, head))
+        # Each array of this pass holds at most 4,096 or at least 32,768 float64s
+        # (256 KiB). A reduction also takes numpy's 64 KiB iteration buffer, so a
+        # burst under 128 KiB leaves no room for any such array. The small arrays
+        # of the [CLS]-only last layer add up past 128 KiB over the whole pass,
+        # so its overall peak would not tell them from one large array.
+        assert burst >= 4 * KIB64 if oracle else burst < 2 * KIB64
+
+
+def _largest_burst(call) -> int:
+    """The most bytes ``call`` holds at once beyond what was live when its
+    current stretch of C code began: tracemalloc's peak is read and reset at
+    every Python-level call and return, builtins included."""
+    largest = start = 0
+
+    def hook(frame, event, arg):
+        nonlocal largest, start
+        largest = max(largest, tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        sys.setprofile(hook)
         try:
-            base = tracemalloc.get_traced_memory()[0]
-            predict(seqs, config, params, head)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            call()
         finally:
-            tracemalloc.stop()
-        # Each array of this pass holds at most 1,024 or at least 32,768 float64s
-        # (256 KiB). A broadcasting ufunc also takes numpy's 64 KiB iteration
-        # buffer, so a peak under 128 KiB leaves no room for any such array.
-        assert peak >= 4 * KIB64 if oracle else peak < 2 * KIB64
+            sys.setprofile(None)
+        hook(None, "return", None)  # the stretch after the last event
+    finally:
+        tracemalloc.stop()
+    return largest
 
 
 class TestPositions:

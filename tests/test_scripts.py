@@ -28,3 +28,11 @@ def test_step_probe_completes(tmp_path):
     assert done.stdout.startswith("pretrain-tiny seed 3: ")
     lines = done.stdout.splitlines()
     assert lines[1].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[2])
+
+
+def test_step_probe_classify_prints_the_labels_digest(tmp_path):
+    done = _run_script("step_probe.py", "--workload", "classify", "--steps", "2", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("classify seed 3: ") and re.fullmatch(r"  labels sha256: [0-9a-f]{64}", lines[1])
+    assert lines[2].startswith("  B=1 predict_logits: ")

@@ -62,6 +62,16 @@ class TestTrainConfig:
         with pytest.raises(InvalidConfig, match="seed must be at least 0"):
             TrainConfig(seed=-1)
 
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_lr_must_be_finite_and_positive(self, lr):
+        with pytest.raises(InvalidConfig, match="lr must be finite and positive"):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("weight_decay", [-5.0, math.nan, math.inf])
+    def test_weight_decay_must_be_finite_and_non_negative(self, weight_decay):
+        with pytest.raises(InvalidConfig, match="weight_decay must be finite and non-negative"):
+            TrainConfig(weight_decay=weight_decay)
+
     def test_from_dict_uses_defaults_for_unspecified(self):
         cfg = TrainConfig.from_dict({"max_steps": 5})
         assert cfg.max_steps == 5
