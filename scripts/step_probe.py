@@ -21,7 +21,9 @@ held-out verses and prints their minor faults per call, the padded and real
 positions of one pass and a sha256 of its labels, so two trees can be
 compared for identical labels. It then scores each held-out verse alone, as
 ``predict`` does, and prints the p50 milliseconds and the minor faults per
-B=1 ``predict_logits`` call.
+B=1 ``predict_logits`` call, and a sha256 over the float64 bytes of every
+logits row of that pass, in corpus order, so two trees can be compared bit for
+bit on the predict path.
 """
 
 from __future__ import annotations
@@ -129,13 +131,14 @@ def probe_classify(seed: int, calls: int) -> None:
     ckpt, store, tax, vocab = args
     config, params = ckpt.model_config, ckpt.to_params()
     seqs = [tokenizer.encode(preprocess.preprocess_verse(r).line, vocab, config.max_len) for r in store.records]
-    ms, faults = [], _minflt()
+    ms, logits, faults = [], [], _minflt()
     for seq in seqs:
         t = time.perf_counter()
-        mdl.predict_logits([seq], config, params, params.heads[tax.task_id])
+        logits.append(mdl.predict_logits([seq], config, params, params.heads[tax.task_id]))
         ms.append(1000.0 * (time.perf_counter() - t))
     print(f"  B=1 predict_logits: {statistics.median(ms):.3f} ms p50 over {len(seqs)} verses, "
           f"{(_minflt() - faults) / len(seqs):.2f} minor faults/call")
+    print("  logits sha256:", hashlib.sha256(b"".join(row.astype("<f8").tobytes() for row in logits)).hexdigest())
 
 
 def main() -> None:

@@ -169,33 +169,22 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` over the last two axes. ``b`` is either one matrix shared by
-    every leading index of ``a`` (a weight) or has ``a``'s leading axes."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2] or (
-        b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]
-    ):
+    """``a @ b`` over ``a``'s last axis, with ``b`` one matrix (a weight) shared by every leading index of ``a``."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeMismatch(f"matmul: {a.shape} @ {b.shape}")
     a_data, b_data = a.data, b.data
-    if b_data.ndim == 2:
-        # one GEMM over all leading rows instead of one per leading index
-        rows = a_data.reshape(-1, a.shape[-1])
-        out = Tensor(np.matmul(rows, b_data, out=_out((rows.shape[0], b_data.shape[1]))).reshape(
-            a.shape[:-1] + b.shape[-1:]), a.requires_grad or b.requires_grad)
+    # one GEMM over all leading rows instead of one per leading index
+    rows = a_data.reshape(-1, a.shape[-1])
+    out = Tensor(np.matmul(rows, b_data, out=_out((rows.shape[0], b_data.shape[1]))).reshape(
+        a.shape[:-1] + b.shape[-1:]), a.requires_grad or b.requires_grad)
 
-        def fn(g):
-            g_rows = g.reshape(-1, b.shape[-1])
-            _accumulate(a, (g_rows @ b_data.T).reshape(a.shape), owned=True)
-            if b.grad is None and b._grad_buf is not None:  # the step's first weight gradient
-                b.grad = np.matmul(rows.T, g_rows, out=b._grad_buf)
-            else:
-                _accumulate(b, rows.T @ g_rows, owned=True)
-    else:
-        out = Tensor(np.matmul(a_data, b_data, out=_out(a_data.shape[:-1] + b_data.shape[-1:])),
-                     a.requires_grad or b.requires_grad)
-
-        def fn(g):
-            _accumulate(a, g @ b_data.swapaxes(-1, -2), owned=True)
-            _accumulate(b, a_data.swapaxes(-1, -2) @ g, owned=True)
+    def fn(g):
+        g_rows = g.reshape(-1, b.shape[-1])
+        _accumulate(a, (g_rows @ b_data.T).reshape(a.shape), owned=True)
+        if b.grad is None and b._grad_buf is not None:  # the step's first weight gradient
+            b.grad = np.matmul(rows.T, g_rows, out=b._grad_buf)
+        else:
+            _accumulate(b, rows.T @ g_rows, owned=True)
 
     _record(out, fn)
     return out
@@ -505,6 +494,7 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
 # memory. Blocks of 8,192 pay more Python per element and blocks of 131,072
 # spill (both measured slower on pretrain-mid).
 _ADAMW_BLOCK = 32_768
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class AdamW:
@@ -518,13 +508,9 @@ class AdamW:
     blocks too, with the same operations, so the bytes do not change.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float = 5e-5, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         # C order, so ravel in step is a view whatever the parameter's layout
@@ -563,7 +549,7 @@ class AdamW:
 
     def _update(self, blocks, scratch: np.ndarray, t: int) -> None:
         """Step ``t`` on each (param, m, v, grad) block it pops from ``blocks``, with two scratch blocks."""
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr = _BETA1, _BETA2, self.lr
         bc1, bc2, decay = 1.0 - b1**t, 1.0 - b2**t, lr * self.weight_decay
         while True:
             try:
@@ -583,7 +569,7 @@ class AdamW:
             vb += tmp
             np.divide(vb, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += eps
+            tmp += _EPS
             np.divide(mb, bc1, out=upd)
             upd *= lr
             upd /= tmp

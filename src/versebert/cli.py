@@ -27,7 +27,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import CorruptFile, EmptyCorpus, InvalidConfig, VerseBertError
+from .errors import CorruptFile, EmptyCorpus, InvalidConfig, LabelOutOfRange, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -242,19 +242,15 @@ def cmd_predict(args) -> int:
     ckpt = training.load_checkpoint(args.ckpt)
     ckpt.check_vocab(vocab)
     tasks = ckpt.head_tasks()
-    if args.task:
-        task_id = corpus_mod.taxonomy(args.task).task_id
-    elif len(tasks) == 1:
-        task_id = tasks[0]
-    else:
+    if not args.task and len(tasks) > 1:
         print(f"checkpoint has heads {tasks}; pass --task", file=sys.stderr)
         return 2
-    tax = corpus_mod.taxonomy(task_id)
-    params = ckpt.to_params()
-    if task_id not in params.heads:
-        print(f"checkpoint has no head for task {task_id}", file=sys.stderr)
-        return 2
-    config = ckpt.model_config
+    if not (args.task or tasks):
+        raise LabelOutOfRange("checkpoint has no task head; finetune one first")
+    tax = corpus_mod.taxonomy(args.task or tasks[0])
+    if tax.task_id not in tasks:  # checked before to_params copies every array
+        raise LabelOutOfRange(f"checkpoint has no head for task {tax.task_id}")
+    config, params = ckpt.model_config, ckpt.to_params()
 
     failed = False
     for raw in sys.stdin:
@@ -268,7 +264,7 @@ def cmd_predict(args) -> int:
             failed = True
             continue
         seq = tokenizer.encode(line, vocab, config.max_len)
-        logits = mdl.predict_logits([seq], config, params, params.heads[task_id])[0]
+        logits = mdl.predict_logits([seq], config, params, params.heads[tax.task_id])[0]
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         pred = int(np.argmax(logits))

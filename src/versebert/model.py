@@ -251,9 +251,9 @@ def encoder_forward(
 
     Padded positions never change real ones: their keys get zero attention
     weight. Dropout runs only at a rate and rng the caller passes. With
-    ``cls_only`` the result is (B x 1 x hidden), each sequence's [CLS] state:
-    the last layer's attention and residual add still run over every position,
-    and the rest of that layer (no step of which mixes positions) on row 0 alone.
+    ``cls_only`` the result is ``cls_rows`` of it, (B x hidden): the last layer's
+    attention and residual add still run over every position, and the rest of
+    that layer (no step of which mixes positions) on each [CLS] row alone.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask)
@@ -270,7 +270,7 @@ def encoder_forward(
         attn = multi_head_attention(x, layer, mask, config.num_heads, bias)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
         if cls_only and layer is params.layers[-1]:
-            x = ag.reshape(_cls_rows(x), (-1, 1, config.hidden))
+            x = cls_rows(x)
         x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
         ffn = ag.dropout(ffn, dropout_rate, dropout_rng)
@@ -297,17 +297,17 @@ def mlm_loss(hidden: Tensor, targets, params: ModelParams) -> Tensor:
     return ag.cross_entropy(mlm_logits(picked, params), targets[rows])
 
 
-def _cls_rows(hidden: Tensor) -> Tensor:
-    """The (B x d) [CLS] rows (position 0) of (B x T x d) or (T x d) states."""
+def cls_rows(hidden: Tensor) -> Tensor:
+    """The (B x d) [CLS] rows (position 0) of (B x T x d) states, cut once per path: by
+    ``encoder_forward`` with ``cls_only``, or by ``finetune`` from the full forward."""
     t, d = hidden.shape[-2:]
     flat = ag.reshape(hidden, (-1, d))
     return ag.take_rows(flat, np.arange(0, flat.shape[0], t))
 
 
-def classify(hidden: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """Class logits (B x num_labels) from each sequence's [CLS] position
-    (row 0); a single (T x d) sequence gives one row."""
-    return ag.add(ag.matmul(_cls_rows(hidden), head_w), head_b)
+def classify(cls: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
+    """Class logits (B x num_labels) from the (B x d) [CLS] states that ``cls_rows`` gives."""
+    return ag.add(ag.matmul(cls, head_w), head_b)
 
 
 def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:

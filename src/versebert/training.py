@@ -36,7 +36,7 @@ from .errors import (
     VersionMismatch,
 )
 from .preprocess import atomic_text_file
-from .tokenizer import MASK_ID, TokenSequence, Vocab, encode
+from .tokenizer import MASK_ID, Vocab, encode
 
 log = logging.getLogger(__name__)
 
@@ -116,10 +116,7 @@ def apply_mlm_masking(batch, cfg: TrainConfig, rng: np.random.Generator, vocab_s
     ``mask_ratio``; each becomes [MASK] / a random non-special id / its original
     id per the configured split, and its target is its original id (elsewhere
     IGNORE_INDEX). The draws go row by row, exactly as if each row were masked
-    alone. A single TokenSequence gives a masked TokenSequence and 1-D targets."""
-    if isinstance(batch, TokenSequence):
-        ids, targets = apply_mlm_masking(([batch.ids], [batch.attention_mask]), cfg, rng, vocab_size)
-        return TokenSequence(tuple(ids[0].tolist()), batch.attention_mask, batch.max_len), targets[0]
+    alone, so one sequence is masked as a one-row batch."""
     ids = np.array(batch[0], dtype=np.int64)
     candidates = np.asarray(batch[1], dtype=bool) & (ids >= N_RESERVED)
     targets = np.full(ids.shape, IGNORE_INDEX, dtype=np.int64)
@@ -287,6 +284,8 @@ def load_checkpoint(path) -> Checkpoint:
                 log.warning("%s: dropping version 1 optimizer state", path)
         elif header["optimizer"] is not None:
             optimizer = {"step": header["optimizer"]["step"], "arrays": opt_arrays}
+            if type(optimizer["step"]) is not int or optimizer["step"] < 0:
+                raise CorruptFile(f"{path}: bad optimizer step {optimizer['step']!r}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorruptFile(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     return Checkpoint(config, arrays, digest, step, optimizer)
@@ -376,7 +375,7 @@ def finetune(
     def batch_loss(rngs, idx, ids, mask):
         with ag.no_grad() if head_only else contextlib.nullcontext():  # a frozen encoder needs no tape
             hidden = mdl.encoder_forward(ids, mask, ckpt.model_config, params, rngs.dropout, cfg.dropout)
-        return ag.cross_entropy(mdl.classify(hidden, head_w, head_b), labels[idx])
+        return ag.cross_entropy(mdl.classify(mdl.cls_rows(hidden), head_w, head_b), labels[idx])
 
     trainable = [head_w, head_b] if head_only else params.parameters()
     return _fit([line for line, _ in pairs], vocab, ckpt.model_config, cfg, params, trainable, batch_loss,

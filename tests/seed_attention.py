@@ -7,7 +7,9 @@ and matmul; ``multi_head_attention`` adds the head split (reshape, permute,
 records per encoder layer in all. The op must give the same output and the
 same input gradients, bit for bit. ``unstack`` is the op the split used; its
 backward adds each part's gradient into a zero-filled buffer, so a -0.0
-arrives as +0.0.
+arrives as +0.0. The two batched products (QK^T and the weighting of V) go
+through ``seed_autograd.matmul``, which keeps the batched-operand form that
+``ag.matmul`` dropped when attention became one op.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from versebert.autograd import Tensor
 from versebert.errors import AllMasked, ShapeMismatch
 from versebert.model import MASK_BIAS
 
-from seed_autograd import _scatter_add
+from seed_autograd import _scatter_add, matmul
 
 
 def unstack(a: Tensor) -> list[Tensor]:
@@ -46,10 +48,10 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask, return_weights: 
     if not mask.any(axis=-1).all():
         raise AllMasked("every key is masked; at least one must be attendable")
     k_t = ag.permute(k, (*range(k.data.ndim - 2), -1, -2))
-    scores = ag.scale(ag.matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
+    scores = ag.scale(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     bias = Tensor(np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :])
     weights = ag.softmax_rows(ag.add(scores, bias))
-    out = ag.matmul(weights, v)
+    out = matmul(weights, v)
     if return_weights:
         return out, weights
     return out

@@ -11,7 +11,8 @@ are the replaced code verbatim, except that ``training.`` qualifies the
 masking and the writer, whose names this module's own oracles take. They
 call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
-``ModelConfig.dropout``) swapped in; every other name is looked up on the
+``ModelConfig.dropout``) and the replaced ``classify`` (``seed_cls``, which
+cuts the [CLS] rows itself) swapped in; every other name is looked up on the
 real module at call time.
 """
 
@@ -43,6 +44,8 @@ from versebert.training import (
     checkpoint_from_params,
     make_rngs,
 )
+
+import seed_cls
 
 log = logging.getLogger(__name__)
 
@@ -132,9 +135,10 @@ def encoder_forward(
 
 
 class _ReplacedModel:
-    """``versebert.model`` with the replaced ``encoder_forward``."""
+    """``versebert.model`` with the replaced ``encoder_forward`` and ``classify``."""
 
     encoder_forward = staticmethod(encoder_forward)
+    classify = staticmethod(seed_cls.classify)
 
     def __getattr__(self, name):
         return getattr(model, name)

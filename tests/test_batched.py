@@ -1,7 +1,8 @@
 """The batched encoder against the per-sequence, per-head one it replaced
 (``seed_model``): hidden states, [CLS] logits, MLM loss and every parameter
 gradient agree to 1e-12 on a batch of mixed lengths. And ``predict_logits``,
-whose last layer runs past attention on [CLS] alone, against the full chain."""
+whose last layer runs past attention on [CLS] alone, against the full chain
+and, byte for byte, against the [CLS] path it replaced (``seed_cls``)."""
 
 import functools
 
@@ -13,6 +14,7 @@ from versebert import autograd as ag
 from versebert import model as mdl
 from versebert.tokenizer import TokenSequence
 
+import seed_cls
 import seed_model
 
 TOL = 1e-12
@@ -133,7 +135,7 @@ def test_classification_gradients_match(model):
     cfg, params, head = model
     labels = [0, 4, 2, 1, 3]
     ids, mask = mdl.stack_batch(BATCH)
-    ag.backward(ag.cross_entropy(mdl.classify(mdl.encoder_forward(ids, mask, cfg, params), *head), labels))
+    ag.backward(ag.cross_entropy(mdl.classify(mdl.cls_rows(mdl.encoder_forward(ids, mask, cfg, params)), *head), labels))
     named_head = [("head_w", head[0]), ("head_b", head[1])]
     got = _grads(params, named_head)
 
@@ -189,9 +191,21 @@ def test_cls_only_logits_match_the_full_chain(lengths, mode, labels, first):
     ids, mask = mdl.stack_batch(batch)
     with ag.no_grad():
         full = mdl.encoder_forward(ids, mask, cfg, params)
-        want = mdl.classify(full, *head).data
+        want = mdl.classify(mdl.cls_rows(full), *head).data
         cls = mdl.encoder_forward(ids, mask, cfg, params, cls_only=True).data
     got = mdl.predict_logits(batch, cfg, params, head)
-    assert cls.shape == (len(batch), 1, cfg.hidden) and close(cls[:, 0], full.data[:, 0])
+    assert cls.shape == (len(batch), cfg.hidden) and close(cls, full.data[:, 0])
     assert got.shape == want.shape == (len(batch), labels) and close(got, want)
     assert (got.argmax(axis=1) == want.argmax(axis=1)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(2, MAX_LEN), min_size=1, max_size=40),
+       mode=st.sampled_from(["sinusoidal", "learned"]), labels=st.sampled_from([5, 300]), first=st.integers(0, 9))
+def test_predict_logits_bytes_match_the_replaced_cls_path(lengths, mode, labels, first):
+    # the replaced path cut to (B, 1, d) states, and its classify gathered their rows again
+    cfg, params, head = _built(mode, labels)
+    batch = [seq(n, 4 + (first + i) % 10) for i, n in enumerate(lengths)]
+    got = mdl.predict_logits(batch, cfg, params, head)
+    want = seed_cls.predict_logits(batch, cfg, params, head)
+    assert got.shape == want.shape == (len(batch), labels) and got.tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from versebert import cli, evaluation, model as mdl, tokenizer, training
@@ -164,6 +165,30 @@ class TestExitCodes:
         assert err.startswith("CorruptFile: ") and str(bad) in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert os.listdir(tmp_path) == ["bad.tsv"]
+
+    @pytest.mark.parametrize("ckpt, task", [("ckpt", None), ("ckpt", "rhyme"), ("tuned", "gender")],
+                             ids=["no-head", "no-head-task", "other-task"])
+    def test_predict_without_the_needed_head_is_label_out_of_range(self, pipeline, monkeypatch, capsys, ckpt, task):
+        # a pretrain-only checkpoint has no head at all; the finetuned one has only Rhyme's
+        monkeypatch.setattr("sys.stdin", io.StringIO("قفا نبك\n"))
+        argv = ["predict", "--ckpt", str(pipeline[ckpt]), "--vocab", str(pipeline["vocab"])]
+        assert cli.main(argv + (["--task", task] if task else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("LabelOutOfRange: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_predict_with_several_heads_and_no_task_is_usage_error(self, pipeline, tmp_path, monkeypatch, capsys):
+        ckpt = training.load_checkpoint(pipeline["tuned"])
+        w, b = mdl.init_head(ckpt.model_config, taxonomy("gender").num_labels, np.random.default_rng(0))
+        ckpt.arrays.update({"heads.Gender.w": w.data, "heads.Gender.b": b.data})
+        path = tmp_path / "two.ckpt"
+        training.save_checkpoint(ckpt, path)
+        monkeypatch.setattr("sys.stdin", io.StringIO("قفا نبك\n"))
+        argv = ["predict", "--ckpt", str(path), "--vocab", str(pipeline["vocab"])]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "checkpoint has heads ['Gender', 'Rhyme']; pass --task\n"
+        assert cli.main(argv + ["--task", "gender"]) == 0
+        assert capsys.readouterr().out.split("\t")[0] in taxonomy("gender").labels
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"

@@ -36,3 +36,4 @@ def test_step_probe_classify_prints_the_labels_digest(tmp_path):
     lines = done.stdout.splitlines()
     assert lines[0].startswith("classify seed 3: ") and re.fullmatch(r"  labels sha256: [0-9a-f]{64}", lines[1])
     assert lines[2].startswith("  B=1 predict_logits: ")
+    assert re.fullmatch(r"  logits sha256: [0-9a-f]{64}", lines[3])

@@ -38,6 +38,12 @@ def full_seq(n_real, max_len=32, first_id=7):
     return TokenSequence(tuple(ids), tuple(mask), max_len)
 
 
+def mask_one(seq, cfg, rng, vocab_size):
+    """(masked ids, targets) of one sequence, masked as a one-row batch."""
+    ids, targets = apply_mlm_masking(([seq.ids], [seq.attention_mask]), cfg, rng, vocab_size)
+    return tuple(ids[0].tolist()), targets[0]
+
+
 class TestTrainConfig:
     def test_paper_defaults(self):
         cfg = TrainConfig()
@@ -82,29 +88,29 @@ class TestMasking:
     def test_ratio_zero_is_identity(self):
         seq = full_seq(20)
         cfg = TrainConfig(mask_ratio=0.0, max_steps=1)
-        masked, targets = apply_mlm_masking(seq, cfg, np.random.default_rng(0), 64)
-        assert masked.ids == seq.ids
+        masked, targets = mask_one(seq, cfg, np.random.default_rng(0), 64)
+        assert masked == seq.ids
         assert np.all(targets == training.IGNORE_INDEX)
 
     def test_ratio_one_all_masked(self):
         seq = full_seq(20)
         cfg = TrainConfig(mask_ratio=1.0, mask_prob=1.0, random_prob=0.0, keep_prob=0.0, max_steps=1)
-        masked, targets = apply_mlm_masking(seq, cfg, np.random.default_rng(0), 64)
+        masked, targets = mask_one(seq, cfg, np.random.default_rng(0), 64)
         candidates = [i for i, (t, m) in enumerate(zip(seq.ids, seq.attention_mask)) if m and t >= 7]
         for i in candidates:
-            assert masked.ids[i] == MASK_ID
+            assert masked[i] == MASK_ID
             assert targets[i] == seq.ids[i]
 
     def test_specials_never_selected(self):
         ids = (2, 5, 8, 9, 6, 3) + (0,) * 26
         seq = TokenSequence(ids, (1,) * 6 + (0,) * 26, 32)
         cfg = TrainConfig(mask_ratio=1.0, mask_prob=1.0, random_prob=0.0, keep_prob=0.0, max_steps=1)
-        masked, targets = apply_mlm_masking(seq, cfg, np.random.default_rng(1), 64)
+        masked, targets = mask_one(seq, cfg, np.random.default_rng(1), 64)
         for i in (0, 1, 4, 5):  # [CLS], [s], [e], [SEP]
-            assert masked.ids[i] == seq.ids[i]
+            assert masked[i] == seq.ids[i]
             assert targets[i] == training.IGNORE_INDEX
         for i in range(6, 32):  # padding
-            assert masked.ids[i] == 0
+            assert masked[i] == 0
             assert targets[i] == training.IGNORE_INDEX
 
     def test_selection_fraction_binomial(self):
@@ -113,7 +119,7 @@ class TestMasking:
         total, selected = 0, 0
         for _ in range(3400):
             seq = full_seq(32)
-            _, targets = apply_mlm_masking(seq, cfg, rng, 512)
+            _, targets = mask_one(seq, cfg, rng, 512)
             total += 30
             selected += int(np.sum(targets != training.IGNORE_INDEX))
         frac = selected / total
@@ -125,12 +131,12 @@ class TestMasking:
         n_mask = n_keep = n_random = 0
         for _ in range(600):
             seq = full_seq(32)
-            masked, targets = apply_mlm_masking(seq, cfg, rng, 512)
+            masked, targets = mask_one(seq, cfg, rng, 512)
             sel = np.flatnonzero(targets != training.IGNORE_INDEX)
             for i in sel:
-                if masked.ids[i] == MASK_ID:
+                if masked[i] == MASK_ID:
                     n_mask += 1
-                elif masked.ids[i] == seq.ids[i]:
+                elif masked[i] == seq.ids[i]:
                     n_keep += 1
                 else:
                     n_random += 1
@@ -145,9 +151,9 @@ class TestMasking:
         cfg = TrainConfig(mask_ratio=1.0, mask_prob=0.0, random_prob=1.0, keep_prob=0.0, max_steps=1)
         rng = np.random.default_rng(5)
         seq = full_seq(30)
-        masked, targets = apply_mlm_masking(seq, cfg, rng, 64)
+        masked, targets = mask_one(seq, cfg, rng, 64)
         sel = np.flatnonzero(targets != training.IGNORE_INDEX)
-        assert np.all(np.array([masked.ids[i] for i in sel]) >= 7)
+        assert np.all(np.array([masked[i] for i in sel]) >= 7)
 
 
 class TestRngStreams:
@@ -402,8 +408,11 @@ class TestCheckpointV2:
         lambda h: h["arrays"][0].update(name="bogus:x"),
         lambda h: h.update(global_step="7"),
         lambda h: h["model_config"].update(hidden=-4),
+        *(lambda h, step=step: h.update(optimizer={"step": step}) for step in ("x", -5, 2.5, None, True)),
     ], ids=["missing-key", "missing-sha", "missing-shape", "negative-shape", "float-shape",
-            "negative-offset", "overlap", "past-payload", "bad-name", "bad-step", "bad-config"])
+            "negative-offset", "overlap", "past-payload", "bad-name", "bad-step", "bad-config",
+            "str-optimizer-step", "negative-optimizer-step", "float-optimizer-step", "null-optimizer-step",
+            "bool-optimizer-step"])
     def test_malformed_header_raises_corrupt_file(self, saved, change):
         _, path = saved
         edit_header(path, change)
