@@ -129,12 +129,12 @@ def probe_classify(seed: int, calls: int) -> None:
 
     # one verse per call, as the predict command scores stdin
     ckpt, store, tax, vocab = args
-    config, params = ckpt.model_config, ckpt.to_params()
+    config, logits_of = evaluation.classifier(ckpt, tax, vocab)
     seqs = [tokenizer.encode(preprocess.preprocess_verse(r).line, vocab, config.max_len) for r in store.records]
     ms, logits, faults = [], [], _minflt()
     for seq in seqs:
         t = time.perf_counter()
-        logits.append(mdl.predict_logits([seq], config, params, params.heads[tax.task_id]))
+        logits.append(logits_of([seq]))
         ms.append(1000.0 * (time.perf_counter() - t))
     print(f"  B=1 predict_logits: {statistics.median(ms):.3f} ms p50 over {len(seqs)} verses, "
           f"{(_minflt() - faults) / len(seqs):.2f} minor faults/call")

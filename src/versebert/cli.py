@@ -3,7 +3,8 @@
 Subcommands: synth, preprocess, train-tokenizer, encode, pretrain, finetune,
 evaluate, predict. Every file-producing run writes a JSON manifest next to its
 main output (command, resolved config, input digests, seed, artifact paths,
-wall-clock duration) so results can be replayed exactly.
+wall-clock duration from ``main``'s start, and the Python, numpy, BLAS and
+OPENBLAS_THREAD_TIMEOUT in effect) so results can be replayed exactly.
 
 Exit codes: 0 success, 1 domain error or a file that cannot be read or written
 (error class name on stderr), 2 usage error. ``predict`` answers a stdin line
@@ -19,6 +20,8 @@ import contextlib
 import hashlib
 import json
 import logging
+import os
+import platform
 import sys
 import time
 
@@ -48,16 +51,21 @@ def _digest_file(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path, command, config, inputs, seed, artifacts, started):
+def _write_manifest(args, config, inputs, seed=None, extra=()):
+    """The manifest of ``args``' command next to ``args.out``, timed from ``main``'s start."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
-        "command": command,
+        "command": args.command,
         "config": config,
         "input_digests": {str(p): _digest_file(p) for p in inputs},
         "seed": seed,
-        "artifacts": [str(a) for a in artifacts],
-        "duration_seconds": round(time.time() - started, 3),
+        "artifacts": [str(a) for a in (args.out, *extra)],
+        "duration_seconds": round(time.time() - args.started, 3),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "blas": f"{blas['name']} {blas['version']}",
+                        "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")},
     }
-    with preprocess.atomic_text_file(str(out_path) + ".manifest.json") as fh:
+    with preprocess.atomic_text_file(str(args.out) + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -109,36 +117,25 @@ def _add_train_flags(p, flags: dict):
 
 
 def cmd_synth(args) -> int:
-    started = time.time()
     store = corpus_mod.generate_synthetic(args.n, args.seed, args.signal)
     corpus_mod.write_corpus(store, args.out)
-    _write_manifest(
-        args.out, "synth",
-        {"n": args.n, "signal": corpus_mod.taxonomy(args.signal).task_id},
-        [], args.seed, [args.out], started,
-    )
+    _write_manifest(args, {"n": args.n, "signal": corpus_mod.taxonomy(args.signal).task_id}, [], args.seed)
     return 0
 
 
 def cmd_preprocess(args) -> int:
-    started = time.time()
     store = corpus_mod.load_corpus(args.infile)
     verses = preprocess.preprocess_corpus(store)
     preprocess.write_lines(verses, args.out)
-    _write_manifest(args.out, "preprocess", {}, [args.infile], None, [args.out], started)
+    _write_manifest(args, {}, [args.infile])
     return 0
 
 
 def cmd_train_tokenizer(args) -> int:
-    started = time.time()
     lines = preprocess.read_lines(args.infile)
     vocab = tokenizer.train_wordpiece(lines, args.vocab_size, args.min_frequency)
     vocab.save(args.out)
-    _write_manifest(
-        args.out, "train-tokenizer",
-        {"vocab_size": args.vocab_size, "min_frequency": args.min_frequency},
-        [args.infile], None, [args.out], started,
-    )
+    _write_manifest(args, {"vocab_size": args.vocab_size, "min_frequency": args.min_frequency}, [args.infile])
     return 0
 
 
@@ -155,31 +152,18 @@ def cmd_encode(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    started = time.time()
     vocab = tokenizer.Vocab.load(args.vocab)
     lines = preprocess.read_lines(args.lines)
     file_cfg = _load_config_file(args.config, "pretrain", training.TrainConfig, mdl.ModelConfig)
     model_cfg = _resolve_model_config(args, file_cfg, len(vocab))
     train_cfg = _resolve_train_config(args, file_cfg)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     training.pretrain(lines, vocab, model_cfg, train_cfg)
-    _write_manifest(
-        args.out, "pretrain",
-        {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
-        [args.lines, args.vocab], train_cfg.seed, [args.out], started,
-    )
+    _write_manifest(args, {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
+                    [args.lines, args.vocab], train_cfg.seed)
     return 0
 
 
-def _labeled_lines(store, task_id):
-    pairs = []
-    for record, label in corpus_mod.task_pairs(store, task_id):
-        pairs.append((preprocess.preprocess_verse(record).line, label))
-    return pairs
-
-
 def cmd_finetune(args) -> int:
-    started = time.time()
     vocab = tokenizer.Vocab.load(args.vocab)
     ckpt = training.load_checkpoint(args.ckpt)
     tax = corpus_mod.taxonomy(args.task)
@@ -192,25 +176,19 @@ def cmd_finetune(args) -> int:
     )
     if not corpus_mod.task_pairs(val_store, tax.task_id):  # checked before training, so no checkpoint is left
         raise EmptyCorpus(f"finetune: the validation split has no {tax.task_id} label")
-    pairs = _labeled_lines(train_store, tax.task_id)
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
+    pairs = [(preprocess.preprocess_verse(r).line, y) for r, y in corpus_mod.task_pairs(train_store, tax.task_id)]
     tuned = training.finetune(ckpt, pairs, tax, vocab, train_cfg, head_only=args.head_only)
 
     report = evaluation.evaluate(tuned, val_store, tax, vocab)
     log.info("validation accuracy: %.4f over %d samples", report.accuracy, report.total_samples)
     _write_manifest(
-        args.out, "finetune",
-        {
-            "task": tax.task_id, "ratio": args.ratio, "head_only": args.head_only,
-            "train": train_cfg.to_dict(),
-        },
-        [args.ckpt, args.corpus, args.vocab], train_cfg.seed, [args.out], started,
+        args, {"task": tax.task_id, "ratio": args.ratio, "head_only": args.head_only, "train": train_cfg.to_dict()},
+        [args.ckpt, args.corpus, args.vocab], train_cfg.seed,
     )
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    started = time.time()
     vocab = tokenizer.Vocab.load(args.vocab)
     ckpt = training.load_checkpoint(args.ckpt)
     tax = corpus_mod.taxonomy(args.task)
@@ -222,10 +200,7 @@ def cmd_evaluate(args) -> int:
     with preprocess.atomic_text_file(csv_path) as fh:
         fh.write(report.confusion_csv())
     print(report.format_table())
-    _write_manifest(
-        args.out, "evaluate", {"task": tax.task_id},
-        [args.ckpt, args.corpus, args.vocab], None, [args.out, csv_path], started,
-    )
+    _write_manifest(args, {"task": tax.task_id}, [args.ckpt, args.corpus, args.vocab], extra=[csv_path])
     return 0
 
 
@@ -240,7 +215,6 @@ def _predict_record(line_text: str) -> corpus_mod.VerseRecord:
 def cmd_predict(args) -> int:
     vocab = tokenizer.Vocab.load(args.vocab)
     ckpt = training.load_checkpoint(args.ckpt)
-    ckpt.check_vocab(vocab)
     tasks = ckpt.head_tasks()
     if not args.task and len(tasks) > 1:
         print(f"checkpoint has heads {tasks}; pass --task", file=sys.stderr)
@@ -248,9 +222,7 @@ def cmd_predict(args) -> int:
     if not (args.task or tasks):
         raise LabelOutOfRange("checkpoint has no task head; finetune one first")
     tax = corpus_mod.taxonomy(args.task or tasks[0])
-    if tax.task_id not in tasks:  # checked before to_params copies every array
-        raise LabelOutOfRange(f"checkpoint has no head for task {tax.task_id}")
-    config, params = ckpt.model_config, ckpt.to_params()
+    config, logits_of = evaluation.classifier(ckpt, tax, vocab)
 
     failed = False
     for raw in sys.stdin:
@@ -264,7 +236,7 @@ def cmd_predict(args) -> int:
             failed = True
             continue
         seq = tokenizer.encode(line, vocab, config.max_len)
-        logits = mdl.predict_logits([seq], config, params, params.heads[tax.task_id])[0]
+        logits = logits_of([seq])[0]
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         pred = int(np.argmax(logits))
@@ -348,6 +320,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 2
+    args.started = time.time()
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
     except (VerseBertError, OSError) as exc:

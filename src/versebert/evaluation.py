@@ -1,6 +1,6 @@
-"""Classification metrics: confusion matrices, per-class P/R/F1, macro and
-support-weighted averages, and report serialization (JSON, aligned text table,
-confusion CSV).
+"""The classifier set-up that ``evaluate`` and ``predict`` share, and classification
+metrics: confusion matrices, per-class P/R/F1, macro and support-weighted averages,
+and report serialization (JSON, aligned text table, confusion CSV).
 
 Conventions: rows of the confusion matrix are true labels, columns are
 predictions; any 0/0 ratio is defined as 0; the weighted F1 is the
@@ -141,17 +141,26 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
     )
 
 
+def classifier(ckpt, taxonomy: LabelTaxonomy, vocab: Vocab):
+    """(model config, ``seqs -> logits``) of ``ckpt``'s head for ``taxonomy``, served with ``vocab``,
+    the one set-up of ``evaluate`` and ``predict``. Another vocab raises ``DigestMismatch``; a missing
+    head, or one whose outputs are not the task's labels, raises ``LabelOutOfRange``."""
+    ckpt.check_vocab(vocab)
+    if taxonomy.task_id not in ckpt.head_tasks():  # checked before to_params copies every array
+        raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
+    config, params = ckpt.model_config, ckpt.to_params()
+    head = params.heads[taxonomy.task_id]
+    if (outputs := head[1].shape[0]) != taxonomy.num_labels:
+        raise LabelOutOfRange(f"checkpoint head for {taxonomy.task_id} has {outputs} outputs, "
+                              f"the task has {taxonomy.num_labels} labels")
+    return config, lambda seqs: mdl.predict_logits(seqs, config, params, head)
+
+
 def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vocab):
     """(preds, truths) id lists in corpus order over the records that carry the task
     label, scored ``EVAL_CHUNK`` per forward pass in a stable sort by real length.
     A corpus with no such record raises ``EmptyCorpus``."""
-    ckpt.check_vocab(vocab)
-    if taxonomy.task_id not in ckpt.head_tasks():
-        raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
-    config = ckpt.model_config
-    params = ckpt.to_params()
-    head = params.heads[taxonomy.task_id]
-
+    config, logits_of = classifier(ckpt, taxonomy, vocab)
     seqs, truths = [], []
     for record, label in task_pairs(corpus, taxonomy.task_id):
         seqs.append(encode(preprocess.preprocess_verse(record).line, vocab, config.max_len))
@@ -162,7 +171,7 @@ def predict_corpus(ckpt, corpus: CorpusStore, taxonomy: LabelTaxonomy, vocab: Vo
     preds = np.zeros(len(seqs), dtype=np.int64)
     for i in range(0, len(order), EVAL_CHUNK):
         rows = order[i : i + EVAL_CHUNK]
-        preds[rows] = np.argmax(mdl.predict_logits([seqs[r] for r in rows], config, params, head), axis=1)
+        preds[rows] = np.argmax(logits_of([seqs[r] for r in rows]), axis=1)
     return preds.tolist(), truths
 
 

@@ -13,7 +13,6 @@ formulation (a learned table is available via ``positional_mode="learned"``).
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields
@@ -83,14 +82,8 @@ def paper_config(vocab_size: int = 50_000) -> ModelConfig:
     return ModelConfig(vocab_size=vocab_size)
 
 
-def positional_encoding(p: int, i: int, d: int) -> float:
-    """Sinusoidal position value for position ``p`` and embedding dimension ``i``."""
-    if i % 2 == 0:
-        return math.sin(p / 10000.0 ** (i / d))
-    return math.cos(p / 10000.0 ** ((i - 1) / d))
-
-
 def sinusoidal_table(max_len: int, d: int) -> np.ndarray:
+    """(max_len x d) positions: row p holds sin(p / 10000^(i/d)) at even i and cos(p / 10000^((i-1)/d)) at odd i."""
     pos = np.arange(max_len, dtype=np.float64)[:, None]
     idx = np.arange(d, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (idx - (idx % 2)) / d)

@@ -363,8 +363,8 @@ def finetune(
 ) -> Checkpoint:
     """Attach a fresh classification head and train on (line, label) pairs.
 
-    ``pairs`` hold preprocessed verse lines. With ``head_only`` the encoder is
-    frozen and only the head receives updates.
+    ``pairs`` hold preprocessed verse lines. Only the encoder and the new head
+    are trained; with ``head_only`` the encoder is frozen too.
     """
     ckpt.check_vocab(vocab)
     params = ckpt.to_params()
@@ -377,6 +377,8 @@ def finetune(
             hidden = mdl.encoder_forward(ids, mask, ckpt.model_config, params, rngs.dropout, cfg.dropout)
         return ag.cross_entropy(mdl.classify(mdl.cls_rows(hidden), head_w, head_b), labels[idx])
 
-    trainable = [head_w, head_b] if head_only else params.parameters()
+    # never the MLM head or another task's head: AdamW would decay them, as a missing gradient is zeros
+    encoder = [] if head_only else [p for n, p in params.named_parameters() if not n.startswith(("mlm_", "heads."))]
+    trainable = [*encoder, head_w, head_b]
     return _fit([line for line, _ in pairs], vocab, ckpt.model_config, cfg, params, trainable, batch_loss,
                 on_step, f"finetune[{taxonomy.task_id}]", ckpt.global_step)

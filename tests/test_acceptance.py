@@ -123,9 +123,8 @@ def test_criterion_02_attention_invariants():
 
 
 def test_criterion_03_positional_encoding():
-    exact_ok = all(mdl.positional_encoding(0, i, 64) == 0.0 for i in range(0, 64, 2)) and all(
-        mdl.positional_encoding(0, i, 64) == 1.0 for i in range(1, 64, 2)
-    )
+    first = mdl.sinusoidal_table(1, 64)[0]
+    exact_ok = bool(np.all(first[0::2] == 0.0) and np.all(first[1::2] == 1.0))
     mpmath.mp.dps = 50
     rng = np.random.default_rng(2)
     worst = 0.0
@@ -135,7 +134,7 @@ def test_criterion_03_positional_encoding():
         i = int(rng.integers(0, d))
         angle = mpmath.mpf(p) / mpmath.power(10000, mpmath.mpf(i - (i % 2)) / d)
         expected = mpmath.sin(angle) if i % 2 == 0 else mpmath.cos(angle)
-        worst = max(worst, abs(mdl.positional_encoding(p, i, d) - float(expected)))
+        worst = max(worst, abs(mdl.sinusoidal_table(p + 1, d)[p, i] - float(expected)))
     ok = exact_ok and worst < 1e-12
     report(3, ok, f"positions: PE(0,even)=0 and PE(0,odd)=1 exact, "
                   f"100 random triples within {worst:.1e} of reference (<1e-12)")

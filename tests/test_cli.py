@@ -2,8 +2,10 @@ import dataclasses
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,31 @@ class TestPipelineSmoke:
         assert printed == [tax.name(p) for p in preds]
 
 
+class TestManifests:
+    def test_each_manifest_records_the_numeric_environment(self, pipeline, tmp_path):
+        report = tmp_path / "report.json"
+        assert cli.main(["evaluate", "--ckpt", str(pipeline["tuned"]), "--corpus", str(pipeline["corpus"]),
+                         "--task", "rhyme", "--vocab", str(pipeline["vocab"]), "--out", str(report)]) == 0
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        want = {"python": platform.python_version(), "numpy": np.__version__,
+                "blas": f"{blas['name']} {blas['version']}", "openblas_thread_timeout": os.environ["OPENBLAS_THREAD_TIMEOUT"]}
+        outs = [pipeline[key] for key in ("corpus", "lines", "vocab", "ckpt", "tuned")] + [report]
+        manifests = [json.loads(Path(f"{out}.manifest.json").read_text()) for out in outs]
+        assert [m["command"] for m in manifests] == ["synth", "preprocess", "train-tokenizer", "pretrain", "finetune",
+                                                     "evaluate"]
+        for out, manifest in zip(outs, manifests):
+            assert manifest["environment"] == want
+            assert manifest["artifacts"][0] == str(out) and manifest["duration_seconds"] >= 0.0
+        assert manifests[-1]["artifacts"] == [str(report), f"{report}.confusion.csv"]
+
+    def test_duration_is_timed_from_main(self, pipeline, tmp_path, monkeypatch):
+        clock = iter([100.0, 102.5])
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(time=lambda: next(clock)))
+        out = tmp_path / "lines.tsv"
+        assert cli.main(["preprocess", "--in", str(pipeline["corpus"]), "--out", str(out)]) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["duration_seconds"] == 2.5
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert cli.main(["frobnicate"]) == 2
@@ -176,6 +203,39 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("LabelOutOfRange: ") and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("set_up, error", [
+        ("foreign-vocab", "DigestMismatch"), ("pretrain-only", "LabelOutOfRange"), ("other-task", "LabelOutOfRange"),
+        ("5-outputs", "LabelOutOfRange"), ("40-outputs", "LabelOutOfRange"),
+    ])
+    def test_evaluate_and_predict_refuse_a_bad_set_up_alike(self, pipeline, tmp_path, monkeypatch, capsys,
+                                                             set_up, error):
+        ckpt, vocab, task = pipeline["tuned"], pipeline["vocab"], "rhyme"
+        if set_up == "foreign-vocab":
+            vocab = tmp_path / "vocab.txt"
+            vocab.write_text(pipeline["vocab"].read_text(encoding="utf-8") + "zzqq\n", encoding="utf-8")
+        elif set_up == "pretrain-only":
+            ckpt = pipeline["ckpt"]
+        elif set_up == "other-task":
+            task = "gender"
+        else:  # the Rhyme head resized; the task has 31 labels
+            tuned = training.load_checkpoint(pipeline["tuned"])
+            w, b = mdl.init_head(tuned.model_config, int(set_up.split("-")[0]), np.random.default_rng(0))
+            tuned.arrays.update({"heads.Rhyme.w": w.data, "heads.Rhyme.b": b.data})
+            ckpt = tmp_path / "resized.ckpt"
+            training.save_checkpoint(tuned, ckpt)
+        common = ["--ckpt", str(ckpt), "--vocab", str(vocab), "--task", task]
+        report = tmp_path / "report.json"
+        assert cli.main(["evaluate", *common, "--corpus", str(pipeline["corpus"]), "--out", str(report)]) == 1
+        errors = [capsys.readouterr().err]
+        monkeypatch.setattr("sys.stdin", io.StringIO("قفا نبك\n"))
+        assert cli.main(["predict", *common]) == 1
+        captured = capsys.readouterr()
+        errors.append(captured.err)
+        assert [err.split(":")[0] for err in errors] == [error, error]
+        assert all(err.count("\n") == 1 for err in errors) and captured.out == "" and not report.exists()
+        if set_up.endswith("-outputs"):
+            assert all(f"{set_up.split('-')[0]} outputs" in err and "31 labels" in err for err in errors)
 
     def test_predict_with_several_heads_and_no_task_is_usage_error(self, pipeline, tmp_path, monkeypatch, capsys):
         ckpt = training.load_checkpoint(pipeline["tuned"])

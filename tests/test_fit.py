@@ -68,6 +68,26 @@ def test_finetune_matches_the_separate_set_up(synth_rhyme, base, pairs, tmp_path
     assert got == want
 
 
+def test_finetune_decays_only_what_it_trains(synth_rhyme, base, pairs):
+    """With weight decay, the MLM head and another task's head come back as loaded, and the encoder
+    and the new head as the replaced set-up, which also decayed those it never trained, left them."""
+    _, _, vocab = synth_rhyme
+    loaded = dataclasses.replace(base, arrays=dict(base.arrays))
+    w, _ = mdl.init_head(base.model_config, corpus.taxonomy("gender").num_labels, np.random.default_rng(0))
+    loaded.arrays.update({"heads.Gender.w": w.data, "heads.Gender.b": np.full(w.shape[1], 0.5)})
+    cfg = training.tiny_train_config(max_steps=6, lr=3e-3, seed=2, weight_decay=0.01)
+    tax = corpus.taxonomy("rhyme")
+    got = training.finetune(loaded, pairs, tax, vocab, cfg).arrays
+    want = seed_training.finetune(loaded, pairs, tax, vocab, cfg).arrays
+    untrained = ["mlm_w", "mlm_b", "heads.Gender.w", "heads.Gender.b"]
+    for name in untrained:
+        assert np.array_equal(got[name], loaded.arrays[name]), name
+        assert not np.array_equal(want[name], loaded.arrays[name]), name
+    assert sorted(got) == sorted(want) and "heads.Rhyme.w" in got
+    for name in set(got) - set(untrained):
+        assert np.array_equal(got[name], want[name]), name
+
+
 @pytest.mark.parametrize("run", ["pretrain", "pretrain decay", "finetune", "finetune head_only"])
 def test_a_two_thread_adamw_writes_the_same_checkpoint(synth_rhyme, base, pairs, tmp_path, monkeypatch, run):
     """Against the single-thread whole-array step of ``seed_adamw``."""

@@ -51,13 +51,14 @@ def multi_head_oracle(x, layer, mask, num_heads):
 
 class TestPositionalEncoding:
     def test_position_zero(self):
+        row = mdl.sinusoidal_table(1, 16)[0]
         for i in range(0, 12, 2):
-            assert mdl.positional_encoding(0, i, 16) == 0.0
+            assert row[i] == 0.0
         for i in range(1, 12, 2):
-            assert mdl.positional_encoding(0, i, 16) == 1.0
+            assert row[i] == 1.0
 
     def test_sin_of_one(self):
-        assert mdl.positional_encoding(1, 0, 4) == pytest.approx(0.8414709848078965, abs=1e-12)
+        assert mdl.sinusoidal_table(2, 4)[1, 0] == pytest.approx(0.8414709848078965, abs=1e-12)
 
     def test_against_high_precision_reference(self, rng):
         mpmath.mp.dps = 50
@@ -68,13 +69,14 @@ class TestPositionalEncoding:
             exponent = mpmath.mpf(i - (i % 2)) / d
             angle = mpmath.mpf(p) / mpmath.power(10000, exponent)
             expected = mpmath.sin(angle) if i % 2 == 0 else mpmath.cos(angle)
-            assert abs(mdl.positional_encoding(p, i, d) - float(expected)) < 1e-12
+            assert abs(mdl.sinusoidal_table(p + 1, d)[p, i] - float(expected)) < 1e-12
 
     def test_table_matches_scalar_function(self):
         table = mdl.sinusoidal_table(10, 8)
         for p in range(10):
             for i in range(8):
-                assert table[p, i] == pytest.approx(mdl.positional_encoding(p, i, 8), abs=1e-15)
+                want = math.sin(p / 10000.0 ** (i / 8)) if i % 2 == 0 else math.cos(p / 10000.0 ** ((i - 1) / 8))
+                assert table[p, i] == pytest.approx(want, abs=1e-15)
 
     def test_values_bounded(self):
         table = mdl.sinusoidal_table(64, 32)
@@ -86,7 +88,7 @@ class TestPositionalEncoding:
         a = math.sin(3 / 10000 ** (i / d))
         b = math.sin((3 + period) / 10000 ** (i / d))
         assert abs(a - b) < 1e-6
-        assert mdl.positional_encoding(3, i, d) == pytest.approx(a, abs=1e-12)
+        assert mdl.sinusoidal_table(4, d)[3, i] == pytest.approx(a, abs=1e-12)
 
 
 class TestScaledDotAttention:

@@ -29,9 +29,6 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # Definitions kept although only tests reach them, each with its reason.
 ALLOWED = {
-    # the scalar sinusoidal formula, the reference that acceptance criterion 03
-    # checks the vectorised table against
-    "positional_encoding",
     # single-head attention on separate q, k and v with a 0/1 mask, which acceptance
     # criteria 02 and 04 check; the encoder calls ``ag.attention`` on its fused projection
     "scaled_dot_attention",
