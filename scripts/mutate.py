@@ -62,6 +62,8 @@ MUTANTS = (
            ATTENTION_BYTES),
     Mutant("attention-swaps-k-and-v", AUTOGRAD,
            "q, k, v = qkv.data.reshape(", "q, v, k = qkv.data.reshape(", ATTENTION_BYTES),
+    Mutant("head-merge-without-the-swap", AUTOGRAD,
+           "o = o.swapaxes(-2, -3)", "o = o.swapaxes(-1, -1)", ATTENTION_BYTES),
     Mutant("cls-from-row-1", MODEL,
            "np.arange(0, flat.shape[0], t)", "np.arange(1, flat.shape[0], t)",
            ("tests/test_batched.py::test_cls_logits_match",
@@ -77,6 +79,19 @@ MUTANTS = (
     Mutant("no-overlap-check", TRAINING,
            "if start < reach and end > start:", "if False:",
            ("tests/test_training.py::TestCheckpointV2::test_malformed_header_raises_corrupt_file",)),
+    Mutant("optimizer-state-loads", TRAINING,
+           'if header["optimizer"] is not None:', "if False:",
+           ("tests/test_training.py::TestCheckpointV2::test_v1_with_optimizer_state_is_refused",
+            "tests/test_steady_state.py::TestCheckpointWrite::test_a_file_with_optimizer_state_is_refused")),
+    Mutant("check-vocab-never-raises", TRAINING,
+           "if self.vocab_digest != vocab.digest():", "if False:",
+           ("tests/test_training.py::TestFinetune::test_digest_mismatch_rejected",
+            "tests/test_cli.py::TestExitCodes::test_evaluate_and_predict_refuse_a_bad_set_up_alike"
+            "[foreign-vocab-DigestMismatch]")),
+    Mutant("to-params-accepts-unknown-arrays", TRAINING,
+           "if unknown := sorted(set(self.arrays) - {name for name, _ in params.named_parameters()}):",
+           "if unknown := []:",
+           ("tests/test_training.py::TestCheckpointShapes::test_array_the_model_does_not_have_named",)),
     Mutant("no-v1-column-order", TRAINING,
            'for w in ("w_q", "w_k", "w_v")', 'for w in ("w_q", "w_v", "w_k")',
            ("tests/test_training.py::TestCheckpointV2::test_v1_and_its_v2_migration_give_identical_params",)),

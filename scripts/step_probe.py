@@ -3,15 +3,19 @@
     PYTHONPATH=src python3 scripts/step_probe.py [--workload pretrain-mid]
         [--seed 3] [--steps 40] [--losses 4]
 
-For each workload it runs ``training.pretrain`` once, in this process, and
-prints the median milliseconds per step (step 1 excluded), the mean
+It first prints the directory ``versebert`` was imported from, so an A/B
+between two checkouts shows which tree each run used. For each workload it
+runs ``training.pretrain`` once, in this process, and prints the median
+milliseconds per step (step 1 excluded), the mean
 milliseconds per step spent in ``autograd.backward`` and ``AdamW.step``, the
 CPU milliseconds per step of the whole process (``ru_utime + ru_stime``, all
 threads: a BLAS worker that spins while the step waits reads as CPU above wall
 time), the tape records per step (``ag.tape_size()`` as ``backward``
-starts), the minor page faults per step (``ru_minflt`` of this process) in
-all and split into ``autograd.backward``, ``AdamW.step`` and the rest of the
-step (the forward, masking and loss), the peak RSS of the process so far,
+starts), the mean minor page faults per step (``ru_minflt`` of this process)
+in all and split into ``autograd.backward``, ``AdamW.step`` and the rest of
+the step (the forward, masking and loss), the median minor faults per step
+(the mean is set by the heap's one-time growth in the first few steps, the
+median by a steady step), the peak RSS of the process so far,
 the first losses as float hex, and a sha256 over the final checkpoint's
 arrays (each name, shape and float64 bytes, in name order), so two trees can
 be compared for bit-identical losses and parameters. Inputs come from
@@ -90,14 +94,16 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
           tally(ag.AdamW, "step", totals)):
         ckpt = training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
+    faults = [b[2] - a[2] for a, b in zip(stamps, stamps[1:])]
     n = max(1, len(stamps) - 1)
     cpu_s, total, backward, backward_s, adamw, adamw_s = ((stamps[-1][k] - stamps[0][k]) / n for k in range(1, 7))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step "
           f"({1000.0 * backward_s:.2f} backward, {1000.0 * adamw_s:.2f} AdamW.step), "
           f"{1000.0 * cpu_s:.2f} CPU ms/step, "
-          f"{statistics.median(records):.0f} tape records/step, {total:.0f} minor faults/step "
+          f"{statistics.median(records):.0f} tape records/step, {total:.0f} minor faults/step mean "
           f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
+          f"{statistics.median(faults):.0f} median, "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
     digest = hashlib.sha256()
@@ -150,6 +156,7 @@ def main() -> None:
     args = ap.parse_args()
     if args.steps < 2:
         ap.error("--steps must be at least 2")
+    print("versebert from", Path(mdl.__file__).resolve().parent)
     for workload in args.workload or ("pretrain-tiny", "pretrain-mid"):
         if workload == "classify":
             probe_classify(args.seed, args.steps)

@@ -503,6 +503,7 @@ class AdamW:
     parameter-sized temporary unless a parameter or gradient is not
     C-contiguous and has to be flattened by a copy. A helper thread takes
     blocks too, with the same operations, so the bytes do not change.
+    The moments live as long as the optimizer: a checkpoint holds parameters only.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 5e-5, weight_decay: float = 0.0):
@@ -575,8 +576,3 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment arrays keyed by parameter position, for checkpointing."""
-        return {f"{k}.{i}": a for i, pair in enumerate(zip(self.m, self.v)) for k, a in zip("mv", pair)}
-

@@ -39,8 +39,7 @@ TRAIN_FLAGS = {"batch_size": int, "lr": float, "weight_decay": float, "dropout":
                "mask_ratio": float, "max_steps": int, "seed": int, "eval_every": int}
 MODEL_FLAGS = {"num_layers": int, "num_heads": int, "hidden": int, "max_len": int}
 # Config fields each command sets itself or never reads; neither a config file nor a flag may set them.
-NOT_FROM_USER = {"pretrain": ("vocab_size", "checkpoint_path"),
-                 "finetune": ("checkpoint_path", "mask_ratio", "mask_prob", "random_prob", "keep_prob")}
+NOT_FROM_USER = {"pretrain": ("vocab_size",), "finetune": ("mask_ratio", "mask_prob", "random_prob", "keep_prob")}
 
 
 def _digest_file(path) -> str:
@@ -101,7 +100,7 @@ def _merge(args, preset, file_cfg: dict, flags: dict) -> dict:
 
 def _resolve_train_config(args, file_cfg: dict) -> training.TrainConfig:
     preset = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
-    return training.TrainConfig.from_dict({**_merge(args, preset, file_cfg, TRAIN_FLAGS), "checkpoint_path": args.out})
+    return training.TrainConfig.from_dict(_merge(args, preset, file_cfg, TRAIN_FLAGS))
 
 
 def _resolve_model_config(args, file_cfg: dict, vocab_size: int) -> mdl.ModelConfig:
@@ -157,7 +156,7 @@ def cmd_pretrain(args) -> int:
     file_cfg = _load_config_file(args.config, "pretrain", training.TrainConfig, mdl.ModelConfig)
     train_cfg = _resolve_train_config(args, file_cfg)
     model_cfg = _resolve_model_config(args, {**file_cfg, "dropout": train_cfg.dropout}, len(vocab))
-    training.pretrain(lines, vocab, model_cfg, train_cfg)
+    training.save_checkpoint(training.pretrain(lines, vocab, model_cfg, train_cfg), args.out)
     _write_manifest(args, {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
                     [args.lines, args.vocab], train_cfg.seed)
     return 0
@@ -178,6 +177,7 @@ def cmd_finetune(args) -> int:
         raise EmptyCorpus(f"finetune: the validation split has no {tax.task_id} label")
     pairs = [(preprocess.preprocess_verse(r).line, y) for r, y in corpus_mod.task_pairs(train_store, tax.task_id)]
     tuned = training.finetune(ckpt, pairs, tax, vocab, train_cfg, head_only=args.head_only)
+    training.save_checkpoint(tuned, args.out)
 
     report = evaluation.evaluate(tuned, val_store, tax, vocab)
     log.info("validation accuracy: %.4f over %d samples", report.accuracy, report.total_samples)

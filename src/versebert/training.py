@@ -5,7 +5,9 @@ init, masking, dropout, data), so runs are bit-reproducible in a single
 execution context. Checkpoints are a small self-describing binary: magic +
 version, a JSON header (config, vocab digest, payload sha256, array manifest
 with shapes and offsets), then raw little-endian float64 array payloads.
-Version 1 files, which stored per-head Q/K/V arrays, still load.
+A checkpoint holds the model's parameters only; pretrain and finetune return
+it, and the caller writes it. Version 1 files, which stored per-head Q/K/V
+arrays, still load.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ class TrainConfig:
     max_steps: int = 800_000
     seed: int = 0
     eval_every: int = 1000
-    checkpoint_path: Optional[str] = None
 
     def __post_init__(self):
         mdl.check_numeric_fields(self)
@@ -81,7 +82,7 @@ class TrainConfig:
             raise InvalidConfig("weight_decay must be finite and non-negative")
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "checkpoint_path"}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -145,7 +146,6 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]
     vocab_digest: str
     global_step: int
-    optimizer: Optional[dict] = None  # {"step": int, "arrays": {name: array}}
 
     def to_params(self) -> mdl.ModelParams:
         """Rebuild ModelParams (including any task heads) from the named arrays; an array that is
@@ -178,21 +178,14 @@ class Checkpoint:
 
 
 def checkpoint_from_params(params: mdl.ModelParams, config: mdl.ModelConfig, vocab_digest: str,
-                           global_step: int, optimizer: Optional[AdamW] = None) -> Checkpoint:
+                           global_step: int) -> Checkpoint:
     arrays = {name: t.data.copy() for name, t in params.named_parameters()}
-    opt_state = None if optimizer is None else {
-        "step": optimizer.step_count, "arrays": {k: v.copy() for k, v in optimizer.state_arrays().items()},
-    }
-    return Checkpoint(config, arrays, vocab_digest, global_step, opt_state)
+    return Checkpoint(config, arrays, vocab_digest, global_step)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Atomically write a JSON manifest header, then each raw float64 payload in turn."""
     named = [(f"param:{name}", ckpt.arrays[name]) for name in sorted(ckpt.arrays)]
-    opt_meta = None
-    if ckpt.optimizer is not None:
-        opt_meta = {"step": ckpt.optimizer["step"]}
-        named += [(f"opt:{name}", ckpt.optimizer["arrays"][name]) for name in sorted(ckpt.optimizer["arrays"])]
     payload = [np.ascontiguousarray(arr, dtype="<f8") for _, arr in named]
     entries, digest, offset = [], hashlib.sha256(), 0
     for (name, _), arr in zip(named, payload):
@@ -204,7 +197,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "model_config": ckpt.model_config.to_dict(),
         "vocab_digest": ckpt.vocab_digest,
         "global_step": ckpt.global_step,
-        "optimizer": opt_meta,
+        "optimizer": None,  # kept so the bytes, and older readers, stay as they were
         "arrays": entries,
         "payload_sha256": digest.hexdigest(),
     }
@@ -214,30 +207,30 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.writelines([header_bytes, *payload])
 
 
-def _read_arrays(entries: list, data: memoryview) -> tuple[dict, dict]:
-    """(params, optimizer arrays) from the header's array manifest; every shape
-    must be non-negative integers and every span must lie inside ``data``
-    without overlapping another."""
-    found: dict[str, dict[str, np.ndarray]] = {"param": {}, "opt": {}}
+def _read_arrays(entries: list, data: memoryview) -> dict:
+    """The parameter arrays of the header's array manifest; every name must be
+    ``param:<name>``, every shape non-negative integers and every span must lie
+    inside ``data`` without overlapping another."""
+    found: dict[str, np.ndarray] = {}
     spans = []
     for entry in entries:
         name, shape, start = entry["name"], entry["shape"], entry["offset"]
         kind, _, key = name.partition(":")
-        if kind not in found or key in found[kind]:
+        if kind != "param" or key in found:
             raise CorruptFile(f"unknown or repeated array name {name!r}")
         if not isinstance(shape, list) or any(type(n) is not int or n < 0 for n in [*shape, start]):
             raise CorruptFile(f"bad shape {shape!r} or offset {start!r} for {name}")
         end = start + 8 * math.prod(shape)
         if end > len(data):
             raise CorruptFile(f"payload of {name} runs past the end of the file")
-        found[kind][key] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64, copy=False)
+        found[key] = np.frombuffer(data[start:end], dtype="<f8").reshape(shape).astype(np.float64, copy=False)
         spans.append((start, end, name))
     reach = 0
     for start, end, name in sorted(spans):
         if start < reach and end > start:
             raise CorruptFile(f"payload of {name} overlaps another array")
         reach = max(reach, end)
-    return found["param"], found["opt"]
+    return found
 
 
 def _fuse_v1_heads(arrays: dict, config: mdl.ModelConfig) -> None:
@@ -252,10 +245,11 @@ def _fuse_v1_heads(arrays: dict, config: mdl.ModelConfig) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a version 1 or 2 checkpoint; any malformed part raises CorruptFile.
 
-    A version 1 file comes back in the version 2 layout. Its AdamW moments are
-    indexed by the old parameter order, so they are dropped. On a little-endian
-    host every array is a view into one buffer of the file's bytes, which stays
-    alive as long as any of them; ``Checkpoint.to_params`` copies.
+    A version 1 file comes back in the version 2 layout. A file of either
+    version whose header carries optimizer state is refused, as this reader
+    holds parameters only. On a little-endian host every array is a view into
+    one buffer of the file's bytes, which stays alive as long as any of them;
+    ``Checkpoint.to_params`` copies.
     """
     with open(path, "rb") as fh:
         blob = bytearray(os.fstat(fh.fileno()).st_size)
@@ -272,23 +266,18 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
         if version >= 2 and header["payload_sha256"] != hashlib.sha256(data).hexdigest():
             raise CorruptFile(f"{path}: payload does not match its sha256")
-        arrays, opt_arrays = _read_arrays(header["arrays"], data)
+        if header["optimizer"] is not None:
+            raise CorruptFile(f"{path}: holds optimizer state, which checkpoints do not carry")
+        arrays = _read_arrays(header["arrays"], data)
         config = mdl.ModelConfig.from_dict(header["model_config"])
         step, digest = header["global_step"], header["vocab_digest"]
         if type(step) is not int or step < 0 or not isinstance(digest, str):
             raise CorruptFile(f"{path}: bad global_step or vocab_digest")
-        optimizer = None
         if version == 1:
             _fuse_v1_heads(arrays, config)
-            if header["optimizer"] is not None:
-                log.warning("%s: dropping version 1 optimizer state", path)
-        elif header["optimizer"] is not None:
-            optimizer = {"step": header["optimizer"]["step"], "arrays": opt_arrays}
-            if type(optimizer["step"]) is not int or optimizer["step"] < 0:
-                raise CorruptFile(f"{path}: bad optimizer step {optimizer['step']!r}")
     except (KeyError, TypeError, ValueError, AttributeError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorruptFile(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
-    return Checkpoint(config, arrays, digest, step, optimizer)
+    return Checkpoint(config, arrays, digest, step)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
@@ -302,7 +291,8 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 def _fit(texts: list[str], vocab: Vocab, config: mdl.ModelConfig, cfg: TrainConfig, params: mdl.ModelParams,
          trainable: list[Tensor], batch_loss, on_step, name: str, start_step: int = 0) -> Checkpoint:
     """The step loop of pretrain and finetune: AdamW steps on ``trainable``, each on ``batch_loss(rngs, idx,
-    ids, mask)`` of a trimmed batch of ``texts`` (skipped but counted if it raises ``EmptyReduction``)."""
+    ids, mask)`` of a trimmed batch of ``texts`` (skipped but counted if it raises ``EmptyReduction``).
+    Returns the checkpoint of ``params``; the caller writes it, if anywhere."""
     if not texts:
         raise EmptyCorpus(f"{name} has no lines to train on")
     rngs = make_rngs(cfg.seed)
@@ -331,10 +321,7 @@ def _fit(texts: list[str], vocab: Vocab, config: mdl.ModelConfig, cfg: TrainConf
             log.info("%s step %d/%d loss %.4f", name, step, cfg.max_steps, value)
     if skipped:
         log.warning("%s skipped %d of %d steps: %s", name, skipped, cfg.max_steps, reason)
-    ckpt = checkpoint_from_params(params, config, vocab.digest(), start_step + cfg.max_steps)
-    if cfg.checkpoint_path:
-        save_checkpoint(ckpt, cfg.checkpoint_path)
-    return ckpt
+    return checkpoint_from_params(params, config, vocab.digest(), start_step + cfg.max_steps)
 
 
 def pretrain(

@@ -8,7 +8,8 @@ masking its rows one at a time here, a save must give these bytes, and a
 pretrain or finetune run must give the checkpoint bytes and ``on_step``
 calls of ``pretrain`` and ``finetune`` here. Those two and ``_run_steps``
 are the replaced code verbatim, except that ``training.`` qualifies the
-masking and the writer, whose names this module's own oracles take. They
+masking, whose name this module's own oracle takes, and that they return the
+checkpoint without writing it, as the commands now write it. They
 call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
 ``ModelConfig.dropout``) and the replaced ``classify`` (``seed_cls``, which
@@ -73,7 +74,9 @@ def apply_mlm_masking(seq: TokenSequence, cfg, rng: np.random.Generator, vocab_s
     return masked, targets
 
 
-def save_checkpoint(ckpt, path) -> None:
+def save_checkpoint(ckpt, path, optimizer=None) -> None:
+    """The old writer. ``optimizer``, a ``{"step": int, "arrays": {name: array}}``,
+    adds AdamW state as the format once allowed; ``load_checkpoint`` now refuses it."""
     entries = []
     payload = bytearray()
 
@@ -85,10 +88,10 @@ def save_checkpoint(ckpt, path) -> None:
     for name in sorted(ckpt.arrays):
         put(f"param:{name}", ckpt.arrays[name])
     opt_meta = None
-    if ckpt.optimizer is not None:
-        opt_meta = {"step": ckpt.optimizer["step"]}
-        for name in sorted(ckpt.optimizer["arrays"]):
-            put(f"opt:{name}", ckpt.optimizer["arrays"][name])
+    if optimizer is not None:
+        opt_meta = {"step": optimizer["step"]}
+        for name in sorted(optimizer["arrays"]):
+            put(f"opt:{name}", optimizer["arrays"][name])
 
     header = {
         "model_config": ckpt.model_config.to_dict(),
@@ -194,10 +197,7 @@ def pretrain(
         return mdl.mlm_loss(hidden, targets, params)
 
     _run_steps(cfg, opt, batch_loss, on_step, "pretrain")
-    ckpt = checkpoint_from_params(params, config, vocab.digest(), cfg.max_steps)
-    if cfg.checkpoint_path:
-        training.save_checkpoint(ckpt, cfg.checkpoint_path)
-    return ckpt
+    return checkpoint_from_params(params, config, vocab.digest(), cfg.max_steps)
 
 
 def finetune(
@@ -242,7 +242,4 @@ def finetune(
         return ag.cross_entropy(mdl.classify(hidden, head_w, head_b), labels[idx])
 
     _run_steps(cfg, opt, batch_loss, on_step, f"finetune[{taxonomy.task_id}]")
-    out = checkpoint_from_params(params, config, ckpt.vocab_digest, ckpt.global_step + cfg.max_steps)
-    if cfg.checkpoint_path:
-        training.save_checkpoint(out, cfg.checkpoint_path)
-    return out
+    return checkpoint_from_params(params, config, ckpt.vocab_digest, ckpt.global_step + cfg.max_steps)

@@ -158,8 +158,8 @@ def test_pretrain_checkpoint_bytes_match_the_composed_chain(tmp_path, monkeypatc
     cfg = mdl.ModelConfig(num_layers=2, num_heads=2, hidden=12, vocab_size=len(vocab), max_len=16)
     paths = [tmp_path / "op.ckpt", tmp_path / "chain.ckpt"]
     for path in paths:
-        training.pretrain(lines, vocab, cfg, training.tiny_train_config(batch_size=4, max_steps=3, seed=1,
-                                                                        dropout=0.1, checkpoint_path=str(path)))
+        tcfg = training.tiny_train_config(batch_size=4, max_steps=3, seed=1, dropout=0.1)
+        training.save_checkpoint(training.pretrain(lines, vocab, cfg, tcfg), path)
         monkeypatch.setattr(mdl, "multi_head_attention", lambda x, layer, mask, heads, bias=None:
                             seed_attention.multi_head_attention(x, layer, mask, heads))
     assert paths[0].read_bytes() == paths[1].read_bytes()

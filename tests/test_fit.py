@@ -17,7 +17,7 @@ def _run(fn, tmp_path, tag, cfg, *args, **kwargs):
     """(checkpoint bytes, on_step calls) of one run written to ``tmp_path/tag``."""
     path = tmp_path / f"{tag}.ckpt"
     calls = []
-    fn(*args, dataclasses.replace(cfg, checkpoint_path=str(path)), on_step=lambda *c: calls.append(c), **kwargs)
+    training.save_checkpoint(fn(*args, cfg, on_step=lambda *c: calls.append(c), **kwargs), path)
     return path.read_bytes(), calls
 
 
@@ -134,8 +134,7 @@ def _failing_run(fn, tmp_path, tag, cfg, *args, **kwargs):
     """(error message, on_step calls, tape size) of a run that must raise NonFiniteLoss."""
     calls = []
     with pytest.raises(NonFiniteLoss) as info:
-        fn(*args, dataclasses.replace(cfg, checkpoint_path=str(tmp_path / tag)),
-           on_step=lambda *c: calls.append(c), **kwargs)
+        training.save_checkpoint(fn(*args, cfg, on_step=lambda *c: calls.append(c), **kwargs), tmp_path / tag)
     assert not (tmp_path / tag).exists()
     return str(info.value), calls, ag.tape_size()
 
@@ -168,11 +167,13 @@ def test_a_non_finite_finetune_loss_raises_as_before(synth_rhyme, base, pairs, t
 
 def test_empty_training_input_is_empty_corpus(synth_rhyme, base, tmp_path):
     _, _, vocab = synth_rhyme
-    cfg = training.tiny_train_config(max_steps=2, checkpoint_path=str(tmp_path / "c.ckpt"))
+    cfg = training.tiny_train_config(max_steps=2)
     with pytest.raises(EmptyCorpus, match="pretrain"):
-        training.pretrain([], vocab, mdl.tiny_config(vocab_size=len(vocab)), cfg)
+        training.save_checkpoint(training.pretrain([], vocab, mdl.tiny_config(vocab_size=len(vocab)), cfg),
+                                 tmp_path / "c.ckpt")
     with pytest.raises(EmptyCorpus, match=r"finetune\[Rhyme\]"):
-        training.finetune(base, [], corpus.taxonomy("rhyme"), vocab, cfg)
+        training.save_checkpoint(training.finetune(base, [], corpus.taxonomy("rhyme"), vocab, cfg),
+                                 tmp_path / "c.ckpt")
     assert not (tmp_path / "c.ckpt").exists()
 
 

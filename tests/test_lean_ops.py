@@ -101,9 +101,8 @@ class TestHandDown:
         paths = [tmp_path / "handed.ckpt", tmp_path / "copied.ckpt"]
         monkeypatch.setattr(ag, "gelu", seed_autograd.gelu)  # the one op whose bits change
         for path in paths:
-            tcfg = training.tiny_train_config(batch_size=8, max_steps=5, seed=2, dropout=dropout,
-                                              checkpoint_path=str(path))
-            training.pretrain(lines, vocab, cfg, tcfg)
+            tcfg = training.tiny_train_config(batch_size=8, max_steps=5, seed=2, dropout=dropout)
+            training.save_checkpoint(training.pretrain(lines, vocab, cfg, tcfg), path)
             seed_autograd.install_ops(monkeypatch)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -277,19 +276,15 @@ class TestCheckpointViews:
         lines = [v.line for v in preprocess.preprocess_corpus(store)]
         vocab = tokenizer.train_wordpiece(lines, 256)
         path = tmp_path_factory.mktemp("ckpt") / "base.ckpt"
-        training.pretrain(lines, vocab, mdl.tiny_config(vocab_size=len(vocab)),
-                          training.tiny_train_config(batch_size=8, max_steps=3, seed=1, checkpoint_path=str(path)))
+        training.save_checkpoint(training.pretrain(lines, vocab, mdl.tiny_config(vocab_size=len(vocab)),
+                                                   training.tiny_train_config(batch_size=8, max_steps=3, seed=1)),
+                                 path)
         return store, vocab, path
 
-    def test_arrays_view_one_buffer_and_to_params_copies(self, pretrained, tmp_path):
+    def test_arrays_view_one_buffer_and_to_params_copies(self, pretrained):
         _, _, path = pretrained
         ckpt = training.load_checkpoint(path)
-        opt = ag.AdamW(ckpt.to_params().parameters())
-        with_moments = training.checkpoint_from_params(ckpt.to_params(), ckpt.model_config, ckpt.vocab_digest, 3,
-                                                       optimizer=opt)
-        training.save_checkpoint(with_moments, tmp_path / "opt.ckpt")
-        ckpt = training.load_checkpoint(tmp_path / "opt.ckpt")
-        loaded = list(ckpt.arrays.values()) + list(ckpt.optimizer["arrays"].values())
+        loaded = list(ckpt.arrays.values())
         buffers = {id(_buffer_of(a)) for a in loaded}
         assert len(buffers) == 1 and isinstance(_buffer_of(loaded[0]), bytearray)
         assert sum(a.nbytes for a in loaded) <= len(_buffer_of(loaded[0]))
@@ -307,8 +302,8 @@ class TestCheckpointViews:
         copied.arrays = {k: np.array(v) for k, v in copied.arrays.items()}  # independent arrays, as before
         outs = [tmp_path / "views.ckpt", tmp_path / "copies.ckpt"]
         for ckpt, out in zip((loaded, copied), outs):
-            tcfg = training.tiny_train_config(batch_size=8, max_steps=4, seed=5, checkpoint_path=str(out))
-            training.finetune(ckpt, pairs, corpus.taxonomy("Rhyme"), vocab, tcfg)
+            tcfg = training.tiny_train_config(batch_size=8, max_steps=4, seed=5)
+            training.save_checkpoint(training.finetune(ckpt, pairs, corpus.taxonomy("Rhyme"), vocab, tcfg), out)
         assert outs[0].read_bytes() == outs[1].read_bytes()
         again = training.load_checkpoint(path)
         assert all(np.array_equal(loaded.arrays[k], again.arrays[k]) for k in again.arrays)

@@ -29,15 +29,17 @@ def test_run_pipeline_completes(tmp_path):
 def test_step_probe_completes(tmp_path):
     done = _run_script("step_probe.py", "--workload", "pretrain-tiny", "--steps", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("pretrain-tiny seed 3: ")
     lines = done.stdout.splitlines()
-    assert lines[1].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[2])
+    assert lines[0] == f"versebert from {ROOT / 'src' / 'versebert'}"
+    assert lines[1].startswith("pretrain-tiny seed 3: ")
+    assert re.search(r" minor faults/step mean \(.*\), \d+ median, ", lines[1]), lines[1]
+    assert lines[2].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[3])
 
 
 def test_step_probe_classify_prints_the_labels_digest(tmp_path):
     done = _run_script("step_probe.py", "--workload", "classify", "--steps", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
+    lines = done.stdout.splitlines()[1:]  # after the versebert directory
     assert lines[0].startswith("classify seed 3: ") and re.fullmatch(r"  labels sha256: [0-9a-f]{64}", lines[1])
     assert lines[2].startswith("  B=1 predict_logits: ")
     assert re.fullmatch(r"  logits sha256: [0-9a-f]{64}", lines[3])

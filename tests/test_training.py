@@ -201,8 +201,8 @@ class TestPretrain:
         assert len(vocab) * cfg.hidden > ag._ADAMW_BLOCK
         paths = [tmp_path / "blocked.ckpt", tmp_path / "seed.ckpt"]
         for path in paths:
-            tcfg = training.tiny_train_config(max_steps=3, seed=4, weight_decay=0.01, checkpoint_path=str(path))
-            training.pretrain(lines, vocab, cfg, tcfg)
+            tcfg = training.tiny_train_config(max_steps=3, seed=4, weight_decay=0.01)
+            save_checkpoint(training.pretrain(lines, vocab, cfg, tcfg), path)
             monkeypatch.setattr(ag.AdamW, "step", seed_adamw.step)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -277,20 +277,9 @@ class TestPretrain:
 
 
 class TestCheckpointIO:
-    def _ckpt(self, overfit_setup, steps=2, optimizer=False):
+    def _ckpt(self, overfit_setup, steps=2):
         lines, vocab, cfg = overfit_setup
-        tcfg = training.tiny_train_config(max_steps=steps, seed=6)
-        ckpt = training.pretrain(lines, vocab, cfg, tcfg)
-        if optimizer:
-            params = ckpt.to_params()
-            opt = ag.AdamW(params.parameters(), lr=0.1)
-            for p in opt.params:
-                p.grad = np.ones_like(p.data)
-            opt.step()
-            ckpt = training.checkpoint_from_params(
-                params, cfg, ckpt.vocab_digest, ckpt.global_step, optimizer=opt
-            )
-        return ckpt
+        return training.pretrain(lines, vocab, cfg, training.tiny_train_config(max_steps=steps, seed=6))
 
     def test_round_trip_bit_exact(self, overfit_setup, tmp_path):
         ckpt = self._ckpt(overfit_setup)
@@ -302,15 +291,6 @@ class TestCheckpointIO:
         assert again.global_step == ckpt.global_step
         for name in ckpt.arrays:
             assert np.array_equal(again.arrays[name], ckpt.arrays[name]), name
-
-    def test_round_trip_with_optimizer_state(self, overfit_setup, tmp_path):
-        ckpt = self._ckpt(overfit_setup, optimizer=True)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(ckpt, path)
-        again = load_checkpoint(path)
-        assert again.optimizer["step"] == ckpt.optimizer["step"]
-        for name in ckpt.optimizer["arrays"]:
-            assert np.array_equal(again.optimizer["arrays"][name], ckpt.optimizer["arrays"][name])
 
     def test_truncated_file(self, overfit_setup, tmp_path):
         ckpt = self._ckpt(overfit_setup)
@@ -343,8 +323,8 @@ class TestCheckpointIO:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def save_v1(ckpt, path):
-    """The version 1 writer: per-head Q/K/V arrays and no payload digest."""
+def save_v1(ckpt, path, optimizer=None):
+    """The version 1 writer: per-head Q/K/V arrays and no payload digest; ``optimizer`` goes into the header."""
     cfg = ckpt.model_config
     arrays = dict(ckpt.arrays)
     for li in range(cfg.num_layers):
@@ -359,7 +339,7 @@ def save_v1(ckpt, path):
         payload.extend(arr.tobytes())
     header = json.dumps({
         "model_config": cfg.to_dict(), "vocab_digest": ckpt.vocab_digest,
-        "global_step": ckpt.global_step, "optimizer": None, "arrays": entries,
+        "global_step": ckpt.global_step, "optimizer": optimizer, "arrays": entries,
     }).encode()
     path.write_bytes(b"VBC1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + bytes(payload))
 
@@ -395,6 +375,12 @@ class TestCheckpointV2:
             a.named_parameters(), b.named_parameters(), ckpt.to_params().named_parameters()
         ):
             assert np.array_equal(x.data, y.data) and np.array_equal(x.data, z.data), name
+
+    def test_v1_with_optimizer_state_is_refused(self, saved, tmp_path):
+        ckpt, _ = saved
+        save_v1(ckpt, tmp_path / "old.ckpt", optimizer={"step": 2})
+        with pytest.raises(CorruptFile, match="optimizer state"):
+            load_checkpoint(tmp_path / "old.ckpt")
 
     def test_header_records_payload_sha256(self, saved):
         _, path = saved
