@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 
 AUTOGRAD, MODEL, TRAINING = "src/versebert/autograd.py", "src/versebert/model.py", "src/versebert/training.py"
+CLI, TOKENIZER = "src/versebert/cli.py", "src/versebert/tokenizer.py"
 ATTENTION_BYTES = ("tests/test_attention.py::test_scaled_dot_attention_matches_the_composed_chain",
                    "tests/test_attention.py::test_split_attend_merge_matches_the_composed_chain")
 
@@ -99,12 +100,29 @@ MUTANTS = (
            "if (outputs := head[1].shape[0]) != taxonomy.num_labels:",
            "if (outputs := head[1].shape[0]) < 0:",
            ("tests/test_cli.py::TestExitCodes::test_evaluate_and_predict_refuse_a_bad_set_up_alike",)),
-    Mutant("no-min-frequency-floor", "src/versebert/tokenizer.py",
+    Mutant("no-min-frequency-floor", TOKENIZER,
            "floor = max(min_frequency, 1)", "floor = min_frequency",
            ("tests/test_tokenizer.py::TestTrainWordpiece::test_min_frequency_zero_equals_one",)),
-    Mutant("no-heap-re-push", "src/versebert/tokenizer.py",
+    Mutant("no-heap-re-push", TOKENIZER,
            "heapq.heappush(heap, e)", "pass",
            ("tests/test_tokenizer.py::TestTrainerMatchesSeedTrainer::test_identical_tokens",)),
+    Mutant("vocab-accepts-a-wrong-reserved-prefix", TOKENIZER,
+           "if tuple(self.tokens[:N_RESERVED]) != RESERVED:", "if False:",
+           ("tests/test_tokenizer.py::TestVocabIO::test_reserved_prefix_enforced",)),
+    Mutant("corpus-accepts-a-repeated-column", "src/versebert/corpus.py",
+           "if col not in FIELDS or col in header[:i]:", "if col not in FIELDS:",
+           ("tests/test_corpus.py::TestLoadCorpus::test_column_named_twice",)),
+    Mutant("config-file-accepts-unknown-keys", CLI,
+           "if unknown := sorted(set(cfg) - known):", "if unknown := []:",
+           ("tests/test_cli.py::TestBadInvocations::test_exits_one_with_a_named_error_and_writes_nothing"
+            "[unknown-config-keys]",)),
+    Mutant("ffn-dim-from-the-preset", CLI,
+           '{"ffn_dim": None, **file_cfg}', "file_cfg",
+           ("tests/test_cli.py::TestConfigMerging::test_ffn_dim_follows_hidden_unless_the_config_file_sets_it",)),
+    Mutant("no-validation-pre-check", CLI,
+           "if not [preprocess.preprocess_verse(r) for r, _ in corpus_mod.task_pairs(val_store, tax.task_id)]:",
+           "if not corpus_mod.task_pairs(val_store, tax.task_id):",
+           ("tests/test_cli.py::TestTrainingInput::test_finetune_with_a_bad_validation_verse_fails_before_training",)),
 )
 
 

@@ -24,6 +24,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -39,7 +40,7 @@ TRAIN_FLAGS = {"batch_size": int, "lr": float, "weight_decay": float, "dropout":
                "mask_ratio": float, "max_steps": int, "seed": int, "eval_every": int}
 MODEL_FLAGS = {"num_layers": int, "num_heads": int, "hidden": int, "max_len": int}
 # Config fields each command sets itself or never reads; neither a config file nor a flag may set them.
-NOT_FROM_USER = {"pretrain": ("vocab_size",), "finetune": ("mask_ratio", "mask_prob", "random_prob", "keep_prob")}
+NOT_FROM_USER = {"pretrain": ("vocab_size",), "finetune": ("mask_ratio",)}
 
 
 def _digest_file(path) -> str:
@@ -92,7 +93,7 @@ def _given_flags(args, flags) -> dict:
 
 def _merge(args, preset, file_cfg: dict, flags: dict) -> dict:
     """The fields of config ``preset``, overridden by ``file_cfg``, then by the explicit ``flags``."""
-    merged = preset.to_dict()
+    merged = asdict(preset)
     merged.update({key: file_cfg[key] for key in merged if key in file_cfg})
     merged.update(_given_flags(args, flags))
     return merged
@@ -100,12 +101,13 @@ def _merge(args, preset, file_cfg: dict, flags: dict) -> dict:
 
 def _resolve_train_config(args, file_cfg: dict) -> training.TrainConfig:
     preset = training.tiny_train_config() if args.preset == "tiny" else training.TrainConfig()
-    return training.TrainConfig.from_dict(_merge(args, preset, file_cfg, TRAIN_FLAGS))
+    return training.TrainConfig(**_merge(args, preset, file_cfg, TRAIN_FLAGS))
 
 
 def _resolve_model_config(args, file_cfg: dict, vocab_size: int) -> mdl.ModelConfig:
     preset = (mdl.tiny_config if args.preset == "tiny" else mdl.paper_config)(vocab_size=vocab_size)
-    return mdl.ModelConfig.from_dict(_merge(args, preset, file_cfg, MODEL_FLAGS))
+    # ffn_dim is derived from hidden, not copied from the preset, unless the config file sets it
+    return mdl.ModelConfig(**_merge(args, preset, {"ffn_dim": None, **file_cfg}, MODEL_FLAGS))
 
 
 def _add_train_flags(p, flags: dict):
@@ -157,7 +159,7 @@ def cmd_pretrain(args) -> int:
     train_cfg = _resolve_train_config(args, file_cfg)
     model_cfg = _resolve_model_config(args, {**file_cfg, "dropout": train_cfg.dropout}, len(vocab))
     training.save_checkpoint(training.pretrain(lines, vocab, model_cfg, train_cfg), args.out)
-    _write_manifest(args, {"model": model_cfg.to_dict(), "train": train_cfg.to_dict()},
+    _write_manifest(args, {"model": asdict(model_cfg), "train": asdict(train_cfg)},
                     [args.lines, args.vocab], train_cfg.seed)
     return 0
 
@@ -173,7 +175,8 @@ def cmd_finetune(args) -> int:
     train_store, val_store = corpus_mod.split(
         store, args.ratio, args.split_seed if args.split_seed is not None else train_cfg.seed
     )
-    if not corpus_mod.task_pairs(val_store, tax.task_id):  # checked before training, so no checkpoint is left
+    # every validation verse is read before training, so a missing label or a bad verse leaves no checkpoint
+    if not [preprocess.preprocess_verse(r) for r, _ in corpus_mod.task_pairs(val_store, tax.task_id)]:
         raise EmptyCorpus(f"finetune: the validation split has no {tax.task_id} label")
     pairs = [(preprocess.preprocess_verse(r).line, y) for r, y in corpus_mod.task_pairs(train_store, tax.task_id)]
     tuned = training.finetune(ckpt, pairs, tax, vocab, train_cfg, head_only=args.head_only)
@@ -182,7 +185,7 @@ def cmd_finetune(args) -> int:
     report = evaluation.evaluate(tuned, val_store, tax, vocab)
     log.info("validation accuracy: %.4f over %d samples", report.accuracy, report.total_samples)
     _write_manifest(
-        args, {"task": tax.task_id, "ratio": args.ratio, "head_only": args.head_only, "train": train_cfg.to_dict()},
+        args, {"task": tax.task_id, "ratio": args.ratio, "head_only": args.head_only, "train": asdict(train_cfg)},
         [args.ckpt, args.corpus, args.vocab], train_cfg.seed,
     )
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import numbers
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,13 +53,6 @@ class ModelConfig:
     @property
     def d_k(self) -> int:
         return self.hidden // self.num_heads
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def check_numeric_fields(config) -> None:

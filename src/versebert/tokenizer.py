@@ -36,7 +36,8 @@ from .errors import CorruptFile, EmptyCorpus, ShapeMismatch
 from .preprocess import atomic_text_file
 
 RESERVED = ("[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]", "[s]", "[e]")
-PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID, S_ID, E_ID = range(7)
+N_RESERVED = len(RESERVED)  # ids below it are special: never masked or drawn as replacements
+PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID, S_ID, E_ID = range(N_RESERVED)
 FRAME_TOKENS = ("[PAD]", "[CLS]", "[SEP]")  # placed only by ``encode``
 CONTINUATION = "##"
 MAX_WORD_CHARS = 100  # longer words fall back to [UNK]
@@ -53,7 +54,7 @@ class Vocab:
     segment_cache: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if tuple(self.tokens[:7]) != RESERVED:
+        if tuple(self.tokens[:N_RESERVED]) != RESERVED:
             raise ValueError(f"ids 0-6 must be the reserved tokens {RESERVED}")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("duplicate token in vocabulary")

@@ -38,12 +38,12 @@ from .errors import (
     VersionMismatch,
 )
 from .preprocess import atomic_text_file
-from .tokenizer import MASK_ID, Vocab, encode
+from .tokenizer import MASK_ID, N_RESERVED, Vocab, encode
 
 log = logging.getLogger(__name__)
 
 IGNORE_INDEX = mdl.IGNORE_INDEX
-N_RESERVED = 7  # ids 0-6 are special and never masked or drawn as replacements
+MASK_PROB, RANDOM_PROB = 0.8, 0.1  # BERT's split of the selected positions; the rest keep their ids
 
 CHECKPOINT_MAGIC = b"VBC1"
 CHECKPOINT_VERSION = 2
@@ -52,25 +52,21 @@ READABLE_VERSIONS = (1, 2)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The settings a training run varies; the masking split is fixed at ``MASK_PROB`` and ``RANDOM_PROB``."""
+
     batch_size: int = 256
     lr: float = 5e-5
     weight_decay: float = 0.0
     dropout: float = 0.1
     mask_ratio: float = 0.15
-    mask_prob: float = 0.8
-    random_prob: float = 0.1
-    keep_prob: float = 0.1
     max_steps: int = 800_000
     seed: int = 0
     eval_every: int = 1000
 
     def __post_init__(self):
         mdl.check_numeric_fields(self)
-        for name in ("mask_ratio", "mask_prob", "random_prob", "keep_prob"):  # NaN fails here too
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise InvalidConfig(f"{name} must be in [0, 1]")
-        if abs(self.mask_prob + self.random_prob + self.keep_prob - 1.0) > 1e-12:
-            raise InvalidConfig("mask/random/keep probabilities must sum to 1")
+        if not 0.0 <= self.mask_ratio <= 1.0:  # NaN fails here too
+            raise InvalidConfig("mask_ratio must be in [0, 1]")
         for name, least in (("batch_size", 1), ("eval_every", 1), ("max_steps", 0), ("seed", 0)):
             if getattr(self, name) < least:
                 raise InvalidConfig(f"{name} must be at least {least}")
@@ -80,13 +76,6 @@ class TrainConfig:
             raise InvalidConfig("lr must be finite and positive")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
             raise InvalidConfig("weight_decay must be finite and non-negative")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def tiny_train_config(**overrides) -> TrainConfig:
@@ -114,16 +103,16 @@ def make_rngs(seed: int) -> RunRngs:
 def apply_mlm_masking(batch, cfg: TrainConfig, rng: np.random.Generator, vocab_size: int):
     """(masked ids, targets) of an ``(ids, mask)`` pair of (B, T) matrices.
     Unpadded non-special positions are selected independently with probability
-    ``mask_ratio``; each becomes [MASK] / a random non-special id / its original
-    id per the configured split, and its target is its original id (elsewhere
-    IGNORE_INDEX). The draws go row by row, exactly as if each row were masked
-    alone, so one sequence is masked as a one-row batch."""
+    ``mask_ratio``; each becomes [MASK] with probability ``MASK_PROB``, a random
+    non-special id with ``RANDOM_PROB``, or else keeps its id, and its target is
+    its original id (elsewhere IGNORE_INDEX). The draws go row by row, exactly
+    as if each row were masked alone, so one sequence is masked as a one-row batch."""
     ids = np.array(batch[0], dtype=np.int64)
     candidates = np.asarray(batch[1], dtype=bool) & (ids >= N_RESERVED)
     targets = np.full(ids.shape, IGNORE_INDEX, dtype=np.int64)
     if cfg.mask_ratio == 0.0:
         return ids, targets
-    lo, hi = cfg.mask_prob, cfg.mask_prob + cfg.random_prob
+    lo, hi = MASK_PROB, MASK_PROB + RANDOM_PROB
     picks, fates, replacements = [], [np.empty(0)], [np.empty(0, np.int64)]  # rows may skip the last two
     for n in candidates.sum(axis=1).tolist():  # an empty draw leaves the stream as it was, so it is skipped
         picks.append(rng.random(n) < cfg.mask_ratio)
@@ -194,7 +183,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         offset += arr.nbytes
 
     header = {
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
         "vocab_digest": ckpt.vocab_digest,
         "global_step": ckpt.global_step,
         "optimizer": None,  # kept so the bytes, and older readers, stay as they were
@@ -269,7 +258,7 @@ def load_checkpoint(path) -> Checkpoint:
         if header["optimizer"] is not None:
             raise CorruptFile(f"{path}: holds optimizer state, which checkpoints do not carry")
         arrays = _read_arrays(header["arrays"], data)
-        config = mdl.ModelConfig.from_dict(header["model_config"])
+        config = mdl.ModelConfig(**header["model_config"])
         step, digest = header["global_step"], header["vocab_digest"]
         if type(step) is not int or step < 0 or not isinstance(digest, str):
             raise CorruptFile(f"{path}: bad global_step or vocab_digest")

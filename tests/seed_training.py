@@ -14,12 +14,15 @@ call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
 ``ModelConfig.dropout``) and the replaced ``classify`` (``seed_cls``, which
 cuts the [CLS] rows itself) swapped in; every other name is looked up on the
-real module at call time.
+real module at call time. The per-sequence masking reads its split from
+``training.MASK_PROB`` and ``RANDOM_PROB``, the constants that replaced its
+config fields, so a test that patches them patches both.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import json
 import logging
@@ -65,8 +68,8 @@ def apply_mlm_masking(seq: TokenSequence, cfg, rng: np.random.Generator, vocab_s
     targets[selected] = ids[selected]
 
     fate = rng.random(selected.size)
-    to_mask = selected[fate < cfg.mask_prob]
-    to_random = selected[(fate >= cfg.mask_prob) & (fate < cfg.mask_prob + cfg.random_prob)]
+    to_mask = selected[fate < training.MASK_PROB]
+    to_random = selected[(fate >= training.MASK_PROB) & (fate < training.MASK_PROB + training.RANDOM_PROB)]
     ids[to_mask] = MASK_ID
     if to_random.size:
         ids[to_random] = rng.integers(N_RESERVED, vocab_size, size=to_random.size)
@@ -94,7 +97,7 @@ def save_checkpoint(ckpt, path, optimizer=None) -> None:
             put(f"opt:{name}", optimizer["arrays"][name])
 
     header = {
-        "model_config": ckpt.model_config.to_dict(),
+        "model_config": dataclasses.asdict(ckpt.model_config),
         "vocab_digest": ckpt.vocab_digest,
         "global_step": ckpt.global_step,
         "optimizer": opt_meta,

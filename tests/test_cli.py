@@ -327,6 +327,17 @@ class TestTrainingInput:
         assert err.startswith("EmptyCorpus: finetune") and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["c.tsv"]
 
+    def test_finetune_with_a_bad_validation_verse_fails_before_training(self, pipeline, tmp_path, capsys):
+        store = load_corpus(pipeline["corpus"])
+        bad_id = split(store, 0.8, 3)[1].records[0].verse_id
+        records = [dataclasses.replace(r, hemistich1="!!! ???") if r.verse_id == bad_id else r for r in store.records]
+        write_corpus(CorpusStore(tuple(records), "t"), tmp_path / "c.tsv")
+        assert cli.main(self._finetune_argv(pipeline, tmp_path / "r.ckpt", "--task", "rhyme", "--split-seed", "3",
+                                            corpus=tmp_path / "c.tsv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EmptyHemistich: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["c.tsv"]
+
     def test_evaluate_on_a_corpus_without_the_task_label_is_empty_corpus(self, pipeline, tmp_path, capsys):
         write_corpus(generate_synthetic(20, seed=2, signal="gender"), tmp_path / "g.tsv")
         assert cli.main(["evaluate", "--ckpt", str(pipeline["tuned"]), "--corpus", str(tmp_path / "g.tsv"),
@@ -349,6 +360,8 @@ class TestBadInvocations:
     CASES = {
         "unknown-config-keys": ("pretrain", {"batch_sise": 8, "hidden_size": 64}, [], "batch_sise, hidden_size"),
         "shape-key-in-finetune-config": ("finetune", {"hidden": 999}, [], "hidden"),
+        "split-keys-in-pretrain-config": ("pretrain", {"mask_prob": 0.8, "random_prob": 0.1, "keep_prob": 0.1}, [],
+                                          "keep_prob, mask_prob, random_prob"),
         "overwritten-keys-in-pretrain-config": ("pretrain", {"vocab_size": 9, "checkpoint_path": "elsewhere.ckpt"}, [],
                                                 "checkpoint_path, vocab_size"),
         "unread-keys-in-finetune-config": ("finetune", {"checkpoint_path": "elsewhere.ckpt", "mask_ratio": 0.9,
@@ -437,6 +450,15 @@ class TestConfigMerging:
         manifest = json.loads((tmp_path / "c.ckpt.manifest.json").read_text())
         assert manifest["config"]["train"]["dropout"] == manifest["config"]["model"]["dropout"] == rate
         assert training.load_checkpoint(out).model_config.dropout == rate
+
+    @pytest.mark.parametrize("file_cfg, ffn_dim", [({}, 256), ({"ffn_dim": 24}, 24)])
+    def test_ffn_dim_follows_hidden_unless_the_config_file_sets_it(self, pipeline, tmp_path, file_cfg, ffn_dim):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "c.ckpt"
+        cfg.write_text(json.dumps(file_cfg))
+        assert cli.main(["pretrain", "--lines", str(pipeline["lines"]), "--vocab", str(pipeline["vocab"]),
+                         "--out", str(out), "--preset", "tiny", "--config", str(cfg), "--hidden", "64",
+                         "--num-heads", "4", "--batch-size", "4", "--max-steps", "1"]) == 0
+        assert training.load_checkpoint(out).model_config.ffn_dim == ffn_dim
 
 
 class TestConfigErrors:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -352,7 +353,7 @@ class TestModelConfig:
 
     def test_round_trip(self):
         cfg = mdl.tiny_config()
-        assert mdl.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert mdl.ModelConfig(**dataclasses.asdict(cfg)) == cfg
 
     def test_paper_scale_constants(self):
         cfg = mdl.paper_config()

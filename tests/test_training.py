@@ -5,6 +5,7 @@ import logging
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,11 @@ def mask_one(seq, cfg, rng, vocab_size):
     return tuple(ids[0].tolist()), targets[0]
 
 
+def fixed_split(mask_prob, random_prob):
+    """Masking's [MASK] and random-id shares patched to these values while the block runs."""
+    return mock.patch.multiple(training, MASK_PROB=mask_prob, RANDOM_PROB=random_prob)
+
+
 class TestTrainConfig:
     def test_paper_defaults(self):
         cfg = TrainConfig()
@@ -53,17 +59,13 @@ class TestTrainConfig:
         assert cfg.weight_decay == 0.0
         assert cfg.dropout == 0.1
         assert cfg.mask_ratio == 0.15
-        assert (cfg.mask_prob, cfg.random_prob, cfg.keep_prob) == (0.8, 0.1, 0.1)
+        assert (training.MASK_PROB, training.RANDOM_PROB) == (0.8, 0.1)
         assert cfg.max_steps == 800_000
 
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            TrainConfig(mask_prob=0.5, random_prob=0.1, keep_prob=0.1)
-
-    @pytest.mark.parametrize("split", [(math.nan, 0.1, 0.1), (-0.5, 1.4, 0.1), (0.8, 0.1, math.inf)])
-    def test_each_probability_must_lie_in_the_unit_interval(self, split):
-        with pytest.raises(InvalidConfig, match="must be in \\[0, 1\\]"):
-            TrainConfig(mask_prob=split[0], random_prob=split[1], keep_prob=split[2])
+    @pytest.mark.parametrize("ratio", [math.nan, -0.5, 1.5, math.inf])
+    def test_mask_ratio_must_lie_in_the_unit_interval(self, ratio):
+        with pytest.raises(InvalidConfig, match="mask_ratio must be in \\[0, 1\\]"):
+            TrainConfig(mask_ratio=ratio)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidConfig, match="seed must be at least 0"):
@@ -80,7 +82,7 @@ class TestTrainConfig:
             TrainConfig(weight_decay=weight_decay)
 
     def test_from_dict_uses_defaults_for_unspecified(self):
-        cfg = TrainConfig.from_dict({"max_steps": 5})
+        cfg = TrainConfig(**{"max_steps": 5})
         assert cfg.max_steps == 5
         assert cfg.lr == 5e-5
 
@@ -95,8 +97,9 @@ class TestMasking:
 
     def test_ratio_one_all_masked(self):
         seq = full_seq(20)
-        cfg = TrainConfig(mask_ratio=1.0, mask_prob=1.0, random_prob=0.0, keep_prob=0.0, max_steps=1)
-        masked, targets = mask_one(seq, cfg, np.random.default_rng(0), 64)
+        cfg = TrainConfig(mask_ratio=1.0, max_steps=1)
+        with fixed_split(1.0, 0.0):
+            masked, targets = mask_one(seq, cfg, np.random.default_rng(0), 64)
         candidates = [i for i, (t, m) in enumerate(zip(seq.ids, seq.attention_mask)) if m and t >= 7]
         for i in candidates:
             assert masked[i] == MASK_ID
@@ -105,8 +108,9 @@ class TestMasking:
     def test_specials_never_selected(self):
         ids = (2, 5, 8, 9, 6, 3) + (0,) * 26
         seq = TokenSequence(ids, (1,) * 6 + (0,) * 26, 32)
-        cfg = TrainConfig(mask_ratio=1.0, mask_prob=1.0, random_prob=0.0, keep_prob=0.0, max_steps=1)
-        masked, targets = mask_one(seq, cfg, np.random.default_rng(1), 64)
+        cfg = TrainConfig(mask_ratio=1.0, max_steps=1)
+        with fixed_split(1.0, 0.0):
+            masked, targets = mask_one(seq, cfg, np.random.default_rng(1), 64)
         for i in (0, 1, 4, 5):  # [CLS], [s], [e], [SEP]
             assert masked[i] == seq.ids[i]
             assert targets[i] == training.IGNORE_INDEX
@@ -149,10 +153,11 @@ class TestMasking:
             assert abs(count / n - p) <= 3 * sigma + 1 / 505
 
     def test_random_replacements_never_special(self):
-        cfg = TrainConfig(mask_ratio=1.0, mask_prob=0.0, random_prob=1.0, keep_prob=0.0, max_steps=1)
+        cfg = TrainConfig(mask_ratio=1.0, max_steps=1)
         rng = np.random.default_rng(5)
         seq = full_seq(30)
-        masked, targets = mask_one(seq, cfg, rng, 64)
+        with fixed_split(0.0, 1.0):
+            masked, targets = mask_one(seq, cfg, rng, 64)
         sel = np.flatnonzero(targets != training.IGNORE_INDEX)
         assert np.all(np.array([masked[i] for i in sel]) >= 7)
 
@@ -338,7 +343,7 @@ def save_v1(ckpt, path, optimizer=None):
         entries.append({"name": f"param:{name}", "shape": list(arr.shape), "offset": len(payload)})
         payload.extend(arr.tobytes())
     header = json.dumps({
-        "model_config": cfg.to_dict(), "vocab_digest": ckpt.vocab_digest,
+        "model_config": dataclasses.asdict(cfg), "vocab_digest": ckpt.vocab_digest,
         "global_step": ckpt.global_step, "optimizer": optimizer, "arrays": entries,
     }).encode()
     path.write_bytes(b"VBC1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + bytes(payload))
