@@ -23,6 +23,7 @@ survived or ended in an error.
 
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -46,7 +47,7 @@ class Mutant(NamedTuple):
 
 
 AUTOGRAD, MODEL, TRAINING = "src/versebert/autograd.py", "src/versebert/model.py", "src/versebert/training.py"
-CLI, TOKENIZER = "src/versebert/cli.py", "src/versebert/tokenizer.py"
+CLI, CORPUS, TOKENIZER = "src/versebert/cli.py", "src/versebert/corpus.py", "src/versebert/tokenizer.py"
 ATTENTION_BYTES = ("tests/test_attention.py::test_scaled_dot_attention_matches_the_composed_chain",
                    "tests/test_attention.py::test_split_attend_merge_matches_the_composed_chain")
 
@@ -66,9 +67,25 @@ MUTANTS = (
     Mutant("head-merge-without-the-swap", AUTOGRAD,
            "o = o.swapaxes(-2, -3)", "o = o.swapaxes(-1, -1)", ATTENTION_BYTES),
     Mutant("cls-from-row-1", MODEL,
-           "np.arange(0, flat.shape[0], t)", "np.arange(1, flat.shape[0], t)",
+           "np.arange(0, b * t, t)", "np.arange(1, b * t, t)",
            ("tests/test_batched.py::test_cls_logits_match",
             "tests/test_batched.py::test_classification_gradients_match")),
+    Mutant("cut-at-the-first-layer", MODEL,
+           "if cut := rows is not None and layer is params.layers[-1]:",
+           "if cut := rows is not None and layer is params.layers[0]:",
+           ("tests/test_fit.py::test_pretrain_at_the_mid_shape_keeps_its_bytes",)),
+    Mutant("cut-before-the-residual-add", MODEL,
+           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))\n"
+           "        if cut := rows is not None and layer is params.layers[-1]:\n"
+           "            x = ag.take_rows(ag.reshape(x, (-1, config.hidden)), rows)\n",
+           "        if cut := rows is not None and layer is params.layers[-1]:\n"
+           "            x, attn = (ag.take_rows(ag.reshape(a, (-1, config.hidden)), rows) for a in (x, attn))\n"
+           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))\n",
+           ("tests/test_fit.py::test_the_dropout_stream_ends_where_the_separate_set_up_leaves_it",
+            "tests/test_batched.py::test_a_row_cut_matches_the_full_forward_at_its_rows")),
+    Mutant("dropout-mask-drawn-at-the-cut-size", MODEL,
+           "(ids.size, rows) if cut else None", "None",
+           ("tests/test_fit.py::test_the_dropout_stream_ends_where_the_separate_set_up_leaves_it",)),
     Mutant("trim-one-short", MODEL,
            "int(mask.any(axis=0).nonzero()[0].max(initial=0)) + 1",
            "int(mask.any(axis=0).nonzero()[0].max(initial=0))",
@@ -109,9 +126,18 @@ MUTANTS = (
     Mutant("vocab-accepts-a-wrong-reserved-prefix", TOKENIZER,
            "if tuple(self.tokens[:N_RESERVED]) != RESERVED:", "if False:",
            ("tests/test_tokenizer.py::TestVocabIO::test_reserved_prefix_enforced",)),
-    Mutant("corpus-accepts-a-repeated-column", "src/versebert/corpus.py",
+    Mutant("vocab-loads-bytes-that-are-not-utf8", TOKENIZER,
+           'open(path, encoding="utf-8")', 'open(path, encoding="utf-8", errors="replace")',
+           ("tests/test_tokenizer.py::TestVocabIO::test_load_malformed_raises_corrupt_file[not-utf8]",)),
+    Mutant("corpus-accepts-a-repeated-column", CORPUS,
            "if col not in FIELDS or col in header[:i]:", "if col not in FIELDS:",
            ("tests/test_corpus.py::TestLoadCorpus::test_column_named_twice",)),
+    Mutant("corpus-accepts-too-few-fields", CORPUS,
+           "if len(cells) != len(header):", "if len(cells) > len(header):",
+           ("tests/test_corpus.py::TestLoadCorpus::test_too_few_fields",)),
+    Mutant("corpus-accepts-an-unknown-label", CORPUS,
+           "if val is not None and val not in domain:", "if False:",
+           ("tests/test_corpus.py::TestLoadCorpus::test_unknown_meter",)),
     Mutant("config-file-accepts-unknown-keys", CLI,
            "if unknown := sorted(set(cfg) - known):", "if unknown := []:",
            ("tests/test_cli.py::TestBadInvocations::test_exits_one_with_a_named_error_and_writes_nothing"
@@ -163,6 +189,7 @@ def checked_run(mutant: Mutant) -> str:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]).parse_args()  # no options; --help prints usage
     for m in MUTANTS:  # every fragment is checked before any mutant runs
         mutated_text(m)
     started, results = time.perf_counter(), []

@@ -4,7 +4,9 @@
         [--seed 3] [--steps 40] [--losses 4]
 
 It first prints the directory ``versebert`` was imported from, so an A/B
-between two checkouts shows which tree each run used. For each workload it
+between two checkouts shows which tree each run used, and the
+``OPENBLAS_THREAD_TIMEOUT`` that OpenBLAS read as numpy loaded: ``versebert``
+is imported first so that its default applies. For each workload it
 runs ``training.pretrain`` once, in this process, and prints the median
 milliseconds per step (step 1 excluded), the mean
 milliseconds per step spent in ``autograd.backward`` and ``AdamW.step``, the
@@ -32,10 +34,13 @@ bit on the predict path.
 
 from __future__ import annotations
 
+import versebert  # first: it sets the OpenBLAS thread timeout, which numpy's OpenBLAS reads once as it loads
+
 import argparse
 import contextlib
 import dataclasses
 import hashlib
+import os
 import resource
 import statistics
 import sys
@@ -44,9 +49,10 @@ from pathlib import Path
 
 import numpy as np
 
+from versebert import autograd as ag, corpus, evaluation, model as mdl, preprocess, tokenizer, training
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from versebert import autograd as ag, corpus, evaluation, model as mdl, preprocess, tokenizer, training  # noqa: E402
 from workloads import heldout, prepare_classifier, pretrain_inputs  # noqa: E402
 
 
@@ -156,7 +162,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.steps < 2:
         ap.error("--steps must be at least 2")
-    print("versebert from", Path(mdl.__file__).resolve().parent)
+    print(f"versebert from {Path(versebert.__file__).resolve().parent}, "
+          f"OPENBLAS_THREAD_TIMEOUT={os.environ.get('OPENBLAS_THREAD_TIMEOUT')}")
     for workload in args.workload or ("pretrain-tiny", "pretrain-mid"):
         if workload == "classify":
             probe_classify(args.seed, args.steps)

@@ -412,15 +412,17 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None, cut=None) -> Tensor:
+    """Inverted dropout; identity when rate is 0. With ``cut = (n, rows)``, ``x`` holds ``rows``
+    of n rows: the mask is drawn for all n and cut alike, so the stream moves as for the whole array."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout at a nonzero rate needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    drawn = rng.random(x.shape if cut is None else (cut[0], *x.shape[1:]))
+    keep = ((drawn if cut is None else drawn[cut[1]]) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
 
     def fn(g):

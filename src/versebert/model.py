@@ -230,15 +230,15 @@ def trim_batch(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def encoder_forward(
     ids, mask, config: ModelConfig, params: ModelParams,
-    dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0, cls_only: bool = False,
+    dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0, rows=None,
 ) -> Tensor:
     """Hidden states (B x T x hidden) for a (B, T) id matrix and its mask.
 
     Padded positions never change real ones: their keys get zero attention
     weight. Dropout runs only at a rate and rng the caller passes. With
-    ``cls_only`` the result is ``cls_rows`` of it, (B x hidden): the last layer's
-    attention and residual add still run over every position, and the rest of
-    that layer (no step of which mixes positions) on each [CLS] row alone.
+    ``rows``, flat indices into B*T, the result is (len(rows) x hidden): the
+    last layer's attention and first residual add run over every position, and
+    the rest of that layer, which mixes no positions, on those rows alone.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask)
@@ -254,11 +254,11 @@ def encoder_forward(
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads, bias)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
-        if cls_only and layer is params.layers[-1]:
-            x = cls_rows(x)
+        if cut := rows is not None and layer is params.layers[-1]:
+            x = ag.take_rows(ag.reshape(x, (-1, config.hidden)), rows)
         x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, dropout_rate, dropout_rng)
+        ffn = ag.dropout(ffn, dropout_rate, dropout_rng, (ids.size, rows) if cut else None)
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 
@@ -272,30 +272,25 @@ IGNORE_INDEX = -100  # the MLM target of a position that is not scored
 
 
 def mlm_loss(hidden: Tensor, targets, params: ModelParams) -> Tensor:
-    """Mean MLM cross-entropy over the positions whose target (one per
-    position) is not IGNORE_INDEX; only those rows reach the vocabulary projection."""
-    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
-    rows = np.flatnonzero(targets != IGNORE_INDEX)
-    if rows.size == 0:
+    """Mean MLM cross-entropy of the (N x hidden) states kept at the scored positions against their N targets."""
+    if len(targets) == 0:
         raise EmptyReduction("no masked position to score")
-    picked = ag.take_rows(ag.reshape(hidden, (-1, hidden.shape[-1])), rows)
-    return ag.cross_entropy(mlm_logits(picked, params), targets[rows])
+    return ag.cross_entropy(mlm_logits(hidden, params), targets)
 
 
-def cls_rows(hidden: Tensor) -> Tensor:
-    """The (B x d) [CLS] rows (position 0) of (B x T x d) states, cut once per path: by
-    ``encoder_forward`` with ``cls_only``, or by ``finetune`` from the full forward."""
-    t, d = hidden.shape[-2:]
-    flat = ag.reshape(hidden, (-1, d))
-    return ag.take_rows(flat, np.arange(0, flat.shape[0], t))
+def cls_rows(ids) -> np.ndarray:
+    """The flat indices of the [CLS] rows (position 0) of a (B, T) batch, as ``encoder_forward``'s ``rows``."""
+    b, t = np.shape(ids)
+    return np.arange(0, b * t, t)
 
 
 def classify(cls: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
-    """Class logits (B x num_labels) from the (B x d) [CLS] states that ``cls_rows`` gives."""
+    """Class logits (B x num_labels) from the (B x d) [CLS] states of ``cls_rows``."""
     return ag.add(ag.matmul(cls, head_w), head_b)
 
 
 def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
+    ids, mask = stack_batch(seqs)
     with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
-        return classify(encoder_forward(*stack_batch(seqs), config, params, cls_only=True), *head).data.copy()
+        return classify(encoder_forward(ids, mask, config, params, rows=cls_rows(ids)), *head).data.copy()

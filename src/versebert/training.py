@@ -326,8 +326,9 @@ def pretrain(
 
     def batch_loss(rngs, idx, ids, mask):
         ids, targets = apply_mlm_masking((ids, mask), cfg, rngs.masking, len(vocab))
-        hidden = mdl.encoder_forward(ids, mask, config, params, rngs.dropout, cfg.dropout)
-        return mdl.mlm_loss(hidden, targets, params)
+        scored = targets != IGNORE_INDEX  # only these rows reach the last FFN and the vocabulary projection
+        hidden = mdl.encoder_forward(ids, mask, config, params, rngs.dropout, cfg.dropout, np.flatnonzero(scored))
+        return mdl.mlm_loss(hidden, targets[scored], params)
 
     return _fit(lines, vocab, config, cfg, params, params.parameters(), batch_loss, on_step, "pretrain")
 
@@ -354,8 +355,9 @@ def finetune(
 
     def batch_loss(rngs, idx, ids, mask):
         with ag.no_grad() if head_only else contextlib.nullcontext():  # a frozen encoder needs no tape
-            hidden = mdl.encoder_forward(ids, mask, ckpt.model_config, params, rngs.dropout, cfg.dropout)
-        return ag.cross_entropy(mdl.classify(mdl.cls_rows(hidden), head_w, head_b), labels[idx])
+            cls = mdl.encoder_forward(ids, mask, ckpt.model_config, params, rngs.dropout, cfg.dropout,
+                                      mdl.cls_rows(ids))
+        return ag.cross_entropy(mdl.classify(cls, head_w, head_b), labels[idx])
 
     # never the MLM head or another task's head: AdamW would decay them, as a missing gradient is zeros
     encoder = [] if head_only else [p for n, p in params.named_parameters() if not n.startswith(("mlm_", "heads."))]

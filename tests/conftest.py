@@ -1,7 +1,7 @@
+from versebert import corpus, model, preprocess, tokenizer, training  # first: its BLAS timeout applies as numpy loads
+
 import numpy as np
 import pytest
-
-from versebert import corpus, model, preprocess, tokenizer, training
 
 
 @pytest.fixture(scope="session")

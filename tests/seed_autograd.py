@@ -190,15 +190,17 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout; identity when rate is 0."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None, cut=None) -> Tensor:
+    """Inverted dropout; identity when rate is 0. ``cut`` draws the mask as ``autograd.dropout`` does,
+    which the encoder's row cut calls it with; only the gradient hand-off is the old one."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
     if rng is None:
         raise ValueError("training-mode dropout needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    drawn = rng.random(x.shape if cut is None else (cut[0], *x.shape[1:]))
+    keep = ((drawn if cut is None else drawn[cut[1]]) >= rate) / (1.0 - rate)
     out = Tensor(x.data * keep, x.requires_grad)
     _record(out, lambda g: _accumulate(x, g * keep, owned=True))
     return out

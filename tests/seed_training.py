@@ -12,9 +12,10 @@ masking, whose name this module's own oracle takes, and that they return the
 checkpoint without writing it, as the commands now write it. They
 call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
-``ModelConfig.dropout``) and the replaced ``classify`` (``seed_cls``, which
-cuts the [CLS] rows itself) swapped in; every other name is looked up on the
-real module at call time. The per-sequence masking reads its split from
+``ModelConfig.dropout``, and no row cut), the replaced ``mlm_loss`` (which
+gathers the masked rows of the full states itself) and the replaced
+``classify`` (``seed_cls``, which cuts the [CLS] rows itself) swapped in;
+every other name is looked up on the real module at call time. The per-sequence masking reads its split from
 ``training.MASK_PROB`` and ``RANDOM_PROB``, the constants that replaced its
 config fields, so a test that patches them patches both.
 """
@@ -140,10 +141,22 @@ def encoder_forward(
     return x
 
 
+def mlm_loss(hidden: Tensor, targets, params: model.ModelParams) -> Tensor:
+    """Mean MLM cross-entropy over the positions whose target (one per
+    position) is not IGNORE_INDEX; only those rows reach the vocabulary projection."""
+    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    rows = np.flatnonzero(targets != IGNORE_INDEX)
+    if rows.size == 0:
+        raise EmptyReduction("no masked position to score")
+    picked = ag.take_rows(ag.reshape(hidden, (-1, hidden.shape[-1])), rows)
+    return ag.cross_entropy(model.mlm_logits(picked, params), targets[rows])
+
+
 class _ReplacedModel:
-    """``versebert.model`` with the replaced ``encoder_forward`` and ``classify``."""
+    """``versebert.model`` with the replaced ``encoder_forward``, ``mlm_loss`` and ``classify``."""
 
     encoder_forward = staticmethod(encoder_forward)
+    mlm_loss = staticmethod(mlm_loss)
     classify = staticmethod(seed_cls.classify)
 
     def __getattr__(self, name):

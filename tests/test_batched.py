@@ -1,8 +1,10 @@
 """The batched encoder against the per-sequence, per-head one it replaced
 (``seed_model``): hidden states, [CLS] logits, MLM loss and every parameter
-gradient agree to 1e-12 on a batch of mixed lengths. And ``predict_logits``,
-whose last layer runs past attention on [CLS] alone, against the full chain
-and, byte for byte, against the [CLS] path it replaced (``seed_cls``)."""
+gradient agree to 1e-12 on a batch of mixed lengths. A last layer run past
+attention on some rows alone (``encoder_forward``'s ``rows``) against those
+rows of the full chain, dropout draws included. And ``predict_logits``, which
+cuts to the [CLS] rows, against the full chain and, byte for byte, against the
+[CLS] path it replaced (``seed_cls``)."""
 
 import functools
 
@@ -110,9 +112,10 @@ def _grads(params, extra=()):
 def test_mlm_loss_and_every_gradient_match(model):
     cfg, params, _ = model
     ids, mask = mdl.stack_batch(BATCH)
-    loss = mdl.mlm_loss(
-        mdl.encoder_forward(ids, mask, cfg, params), np.stack(TARGETS)[:, : ids.shape[1]], params
-    )
+    targets = np.stack(TARGETS)[:, : ids.shape[1]]
+    scored = targets != mdl.IGNORE_INDEX
+    loss = mdl.mlm_loss(mdl.encoder_forward(ids, mask, cfg, params, rows=np.flatnonzero(scored)), targets[scored],
+                        params)
     ag.backward(loss)
     got = _grads(params)
 
@@ -135,7 +138,8 @@ def test_classification_gradients_match(model):
     cfg, params, head = model
     labels = [0, 4, 2, 1, 3]
     ids, mask = mdl.stack_batch(BATCH)
-    ag.backward(ag.cross_entropy(mdl.classify(mdl.cls_rows(mdl.encoder_forward(ids, mask, cfg, params)), *head), labels))
+    cls = mdl.encoder_forward(ids, mask, cfg, params, rows=mdl.cls_rows(ids))
+    ag.backward(ag.cross_entropy(mdl.classify(cls, *head), labels))
     named_head = [("head_w", head[0]), ("head_b", head[1])]
     got = _grads(params, named_head)
 
@@ -185,14 +189,14 @@ _built = functools.lru_cache(maxsize=None)(build)  # tape-free use only: nothing
 @settings(max_examples=80, deadline=None)
 @given(lengths=st.lists(st.integers(2, MAX_LEN), min_size=1, max_size=40),
        mode=st.sampled_from(["sinusoidal", "learned"]), labels=st.sampled_from([5, 300]), first=st.integers(0, 9))
-def test_cls_only_logits_match_the_full_chain(lengths, mode, labels, first):
+def test_cls_rows_logits_match_the_full_chain(lengths, mode, labels, first):
     cfg, params, head = _built(mode, labels)
     batch = [seq(n, 4 + (first + i) % 10) for i, n in enumerate(lengths)]
     ids, mask = mdl.stack_batch(batch)
     with ag.no_grad():
         full = mdl.encoder_forward(ids, mask, cfg, params)
-        want = mdl.classify(mdl.cls_rows(full), *head).data
-        cls = mdl.encoder_forward(ids, mask, cfg, params, cls_only=True).data
+        want = mdl.classify(ag.Tensor(full.data[:, 0]), *head).data
+        cls = mdl.encoder_forward(ids, mask, cfg, params, rows=mdl.cls_rows(ids)).data
     got = mdl.predict_logits(batch, cfg, params, head)
     assert cls.shape == (len(batch), cfg.hidden) and close(cls, full.data[:, 0])
     assert got.shape == want.shape == (len(batch), labels) and close(got, want)
@@ -209,3 +213,21 @@ def test_predict_logits_bytes_match_the_replaced_cls_path(lengths, mode, labels,
     got = mdl.predict_logits(batch, cfg, params, head)
     want = seed_cls.predict_logits(batch, cfg, params, head)
     assert got.shape == want.shape == (len(batch), labels) and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(2, MAX_LEN), min_size=1, max_size=12),
+       mode=st.sampled_from(["sinusoidal", "learned"]), rate=st.sampled_from([0.0, 0.2]), picks=st.lists(st.integers(0, 10**6), max_size=30), seed=st.integers(0, 9))
+def test_a_row_cut_matches_the_full_forward_at_its_rows(lengths, mode, rate, picks, seed):
+    """Any rows, none included, at dropout 0 and 0.2: the cut states are those rows of the full
+    states, and the dropout stream ends where the full forward leaves it."""
+    cfg, params, _ = _built(mode, 5)
+    ids, mask = mdl.stack_batch([seq(n, 4 + i % 10) for i, n in enumerate(lengths)])
+    rows = np.unique(np.array(picks, dtype=np.int64) % ids.size)
+    full_rng, cut_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with ag.no_grad():
+        full = mdl.encoder_forward(ids, mask, cfg, params, full_rng, rate).data.reshape(-1, cfg.hidden)
+        cut = mdl.encoder_forward(ids, mask, cfg, params, cut_rng, rate, rows).data
+    assert cut.shape == (rows.size, cfg.hidden)
+    assert rows.size == 0 or close(cut, full[rows])
+    assert cut_rng.bit_generator.state == full_rng.bit_generator.state

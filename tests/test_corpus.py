@@ -84,6 +84,11 @@ class TestLoadCorpus:
         with pytest.raises(MalformedRow, match="line 2"):
             load_corpus(path)
 
+    def test_too_few_fields(self, tmp_path):
+        path = _write(tmp_path, "hemistich1\tmeter\tgender\nقفا\tTaweel\tMale\nنبك\tTaweel\n")
+        with pytest.raises(MalformedRow, match="line 3: expected 3 fields, got 2"):
+            load_corpus(path)
+
     def test_column_named_twice(self, tmp_path):
         path = _write(tmp_path, "hemistich1\themistich1\nقفا\tنبك\n")
         with pytest.raises(MalformedRow, match="line 1: unknown or repeated column 'hemistich1'"):

@@ -1,6 +1,15 @@
 """The one training loop against the separate pretrain and finetune set-ups it
-replaced (``tests/seed_training.py``): the same checkpoint bytes and the same
-``on_step`` calls, skipped and failing steps included."""
+replaced (``tests/seed_training.py``): the same ``on_step`` calls, skipped and
+failing steps included, and the same checkpoint bytes wherever the last
+layer's row cut keeps them.
+
+``encoder_forward`` runs the last layer past attention on the rows a loss reads
+only. Pretrain and full finetune then reduce the cut FFN's weight gradients over
+those rows alone, and at the ``tiny`` shape OpenBLAS picks other kernels for
+the smaller GEMMs, so those checkpoints agree to ``close`` and not bit for
+bit. A frozen encoder (``head_only``) and a run at the ``pretrain-mid`` shape
+keep their bytes, and the dropout stream ends where the separate set-up left it.
+"""
 
 import dataclasses
 
@@ -19,6 +28,24 @@ def _run(fn, tmp_path, tag, cfg, *args, **kwargs):
     calls = []
     training.save_checkpoint(fn(*args, cfg, on_step=lambda *c: calls.append(c), **kwargs), path)
     return path.read_bytes(), calls
+
+
+def close(got: dict, want: dict) -> bool:
+    """The same array names, and each array within ``tests/test_batched.py``'s bound of its oracle:
+    max|got - want| <= 1e-12 * max(1, max|want|)."""
+    return got.keys() == want.keys() and all(
+        np.abs(got[n] - want[n]).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want[n]).max(initial=0.0)) for n in want)
+
+
+def assert_close_runs(got, want, tmp_path):
+    """``got`` and ``want``, ``_run`` results written as ``new`` and ``old``, call ``on_step`` at the
+    same steps with losses within 1e-12 relative, and hold the same header and ``close`` arrays."""
+    assert [step for step, _ in got[1]] == [step for step, _ in want[1]]
+    assert all(abs(a - b) <= 1e-12 * abs(b) for (_, a), (_, b) in zip(got[1], want[1]))
+    new, old = (training.load_checkpoint(tmp_path / f"{tag}.ckpt") for tag in ("new", "old"))
+    assert (new.model_config, new.vocab_digest, new.global_step) == (old.model_config, old.vocab_digest,
+                                                                     old.global_step)
+    assert close(new.arrays, old.arrays)
 
 
 def _pretrain(fn, tmp_path, tag, lines, vocab, config, cfg):
@@ -55,7 +82,51 @@ def test_pretrain_matches_the_separate_set_up(synth_rhyme, tmp_path, dropout, po
     got = _pretrain(training.pretrain, tmp_path, "new", lines, vocab, config, cfg)
     want = _pretrain(seed_training.pretrain, tmp_path, "old", lines, vocab, config, cfg)
     assert [step for step, _ in got[1]] == list(range(1, 8))
+    assert_close_runs(got, want, tmp_path)
+
+
+def test_pretrain_at_the_mid_shape_keeps_its_bytes(synth_rhyme, tmp_path):
+    """At ``pretrain-mid``'s 4 layers, 256 wide, batch 8, the cut last layer gives the separate set-up's bytes."""
+    _, lines, vocab = synth_rhyme
+    config = mdl.ModelConfig(num_layers=4, num_heads=4, hidden=256, vocab_size=len(vocab), max_len=32, dropout=0.0)
+    cfg = training.tiny_train_config(max_steps=4, batch_size=8, lr=1e-3, seed=3)
+    got = _pretrain(training.pretrain, tmp_path, "new", lines, vocab, config, cfg)
+    want = _pretrain(seed_training.pretrain, tmp_path, "old", lines, vocab, config, cfg)
+    assert len(got[1]) == 4
     assert got == want
+
+
+def _dropout_state(fn, monkeypatch, *args, **kwargs) -> dict:
+    """The dropout stream's ``bit_generator.state`` after the run ``fn(*args, **kwargs)``: the
+    stream of the last ``make_rngs`` call, which is the training loop's."""
+    made, make_rngs = [], training.make_rngs
+
+    def recording(seed):
+        made.append(make_rngs(seed))
+        return made[-1]
+
+    monkeypatch.setattr(training, "make_rngs", recording)
+    monkeypatch.setattr(seed_training, "make_rngs", recording)
+    fn(*args, **kwargs)
+    monkeypatch.undo()
+    return made[-1].dropout.bit_generator.state
+
+
+@pytest.mark.parametrize("run", ["pretrain", "finetune", "finetune head_only"])
+def test_the_dropout_stream_ends_where_the_separate_set_up_leaves_it(synth_rhyme, base, pairs, monkeypatch, run):
+    """At rate 0.2 the cut FFN's mask is drawn for every position, so N steps move the stream as before."""
+    _, lines, vocab = synth_rhyme
+    cfg = training.tiny_train_config(max_steps=5, seed=6, dropout=0.2)
+    if run == "pretrain":
+        config = mdl.tiny_config(vocab_size=len(vocab))
+        states = [_dropout_state(fn, monkeypatch, lines, vocab, config, cfg)
+                  for fn in (training.pretrain, seed_training.pretrain)]
+    else:
+        tax = corpus.taxonomy("rhyme")
+        states = [_dropout_state(fn, monkeypatch, base, pairs, tax, vocab, cfg, head_only="head_only" in run)
+                  for fn in (training.finetune, seed_training.finetune)]
+    fresh = training.make_rngs(6).dropout.bit_generator.state
+    assert states[0] == states[1] != fresh
 
 
 @pytest.mark.parametrize("head_only, dropout", [(False, 0.0), (True, 0.0), (False, 0.2), (True, 0.2)])
@@ -65,7 +136,10 @@ def test_finetune_matches_the_separate_set_up(synth_rhyme, base, pairs, tmp_path
     got = _finetune(training.finetune, tmp_path, "new", base, pairs, vocab, cfg, head_only)
     want = _finetune(seed_training.finetune, tmp_path, "old", base, pairs, vocab, cfg, head_only)
     assert len(got[1]) == 6
-    assert got == want
+    if head_only:  # the frozen encoder's cut [CLS] rows are bit-equal, and only the head trains
+        assert got == want
+    else:
+        assert_close_runs(got, want, tmp_path)
 
 
 def test_finetune_decays_only_what_it_trains(synth_rhyme, base, pairs):
@@ -84,8 +158,8 @@ def test_finetune_decays_only_what_it_trains(synth_rhyme, base, pairs):
         assert np.array_equal(got[name], loaded.arrays[name]), name
         assert not np.array_equal(want[name], loaded.arrays[name]), name
     assert sorted(got) == sorted(want) and "heads.Rhyme.w" in got
-    for name in set(got) - set(untrained):
-        assert np.array_equal(got[name], want[name]), name
+    trained = sorted(set(got) - set(untrained))
+    assert close({n: got[n] for n in trained}, {n: want[n] for n in trained})
 
 
 @pytest.mark.parametrize("run", ["pretrain", "pretrain decay", "finetune", "finetune head_only"])
@@ -114,7 +188,7 @@ def test_a_batch_without_masked_positions_is_skipped_as_before(synth_rhyme, tmp_
     want = _pretrain(seed_training.pretrain, tmp_path, "old", lines, vocab, config, cfg)
     steps = [step for step, _ in got[1]]
     assert 0 < len(steps) < 12  # some steps were skipped, some were taken
-    assert got == want
+    assert_close_runs(got, want, tmp_path)
     assert training.load_checkpoint(tmp_path / "new.ckpt").global_step == 12
 
 
@@ -144,8 +218,9 @@ def test_a_non_finite_pretrain_loss_raises_as_before(synth_rhyme, tmp_path, monk
     config = mdl.tiny_config(vocab_size=len(vocab))
     cfg = training.tiny_train_config(max_steps=5, seed=1)
     results = []
-    for tag, fn in (("new", training.pretrain), ("old", seed_training.pretrain)):
-        monkeypatch.setattr(mdl, "mlm_loss", _nan_on_call(3, mdl.mlm_loss))
+    # the old set-up calls its own mlm_loss, which gathers the masked rows itself
+    for tag, fn, owner in (("new", training.pretrain, mdl), ("old", seed_training.pretrain, seed_training.mdl)):
+        monkeypatch.setattr(owner, "mlm_loss", _nan_on_call(3, owner.mlm_loss))
         results.append(_failing_run(fn, tmp_path, tag, cfg, lines, vocab, config))
         monkeypatch.undo()
     assert results[0] == results[1]

@@ -161,9 +161,11 @@ def _mlm_loss(config, params, seqs) -> Tensor:
     """A taped MLM loss over every third position, with the gradients cleared."""
     ids, mask = mdl.stack_batch(seqs)
     targets = np.where(np.arange(ids.size).reshape(ids.shape) % 3 == 0, ids, mdl.IGNORE_INDEX)
+    scored = targets != mdl.IGNORE_INDEX
     for p in params.parameters():
         p.zero_grad()
-    return mdl.mlm_loss(mdl.encoder_forward(ids, mask, config, params), targets, params)
+    return mdl.mlm_loss(mdl.encoder_forward(ids, mask, config, params, rows=np.flatnonzero(scored)), targets[scored],
+                        params)
 
 
 class TestTapedPasses:

@@ -1,5 +1,6 @@
-"""The scripts that drive pretrain and finetune run to a clean exit, and the
-mutation script's table is current and its harness tells a kill from a survivor."""
+"""The scripts that drive pretrain and finetune run to a clean exit, every
+script imports ``versebert`` before numpy, and the mutation script's table is
+current and its harness tells a kill from a survivor."""
 
 import importlib.util
 import os
@@ -13,10 +14,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args, cwd):
+def _run_script(name, *args, cwd, flags=()):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *flags, str(ROOT / "scripts" / name), *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_a_script_imports_versebert_before_numpy(name, tmp_path):
+    """OpenBLAS reads the thread timeout that ``versebert`` sets once, as numpy loads it."""
+    done = _run_script(name, "--help", cwd=tmp_path, flags=("-X", "importtime"))
+    assert done.returncode == 0, done.stderr
+    # one line per module as its import ends, so a package's line follows its submodules'
+    loaded = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")]
+    numpy_at = next((i for i, m in enumerate(loaded) if m.split(".")[0] == "numpy"), None)
+    assert numpy_at is None or "versebert" in loaded[:numpy_at], loaded[:numpy_at]
 
 
 def test_run_pipeline_completes(tmp_path):
@@ -30,7 +42,8 @@ def test_step_probe_completes(tmp_path):
     done = _run_script("step_probe.py", "--workload", "pretrain-tiny", "--steps", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert lines[0] == f"versebert from {ROOT / 'src' / 'versebert'}"
+    timeout = os.environ["OPENBLAS_THREAD_TIMEOUT"]  # set by versebert, here as in the child
+    assert lines[0] == f"versebert from {ROOT / 'src' / 'versebert'}, OPENBLAS_THREAD_TIMEOUT={timeout}"
     assert lines[1].startswith("pretrain-tiny seed 3: ")
     assert re.search(r" minor faults/step mean \(.*\), \d+ median, ", lines[1]), lines[1]
     assert lines[2].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[3])
