@@ -63,7 +63,7 @@ MUTANTS = (
            "np.add.reduce(np.multiply(gy, y), axis=-1", "np.add.reduce(np.multiply(gy, y, out=gy), axis=-1",
            ATTENTION_BYTES),
     Mutant("attention-swaps-k-and-v", AUTOGRAD,
-           "q, k, v = qkv.data.reshape(", "q, v, k = qkv.data.reshape(", ATTENTION_BYTES),
+           "q, k, v = data.reshape(", "q, v, k = data.reshape(", ATTENTION_BYTES),
     Mutant("head-merge-without-the-swap", AUTOGRAD,
            "o = o.swapaxes(-2, -3)", "o = o.swapaxes(-1, -1)", ATTENTION_BYTES),
     Mutant("cls-from-row-1", MODEL,
@@ -75,17 +75,29 @@ MUTANTS = (
            "if cut := rows is not None and layer is params.layers[0]:",
            ("tests/test_fit.py::test_pretrain_at_the_mid_shape_keeps_its_bytes",)),
     Mutant("cut-before-the-residual-add", MODEL,
-           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))\n"
+           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng, (ids.size, real)))\n"
            "        if cut := rows is not None and layer is params.layers[-1]:\n"
-           "            x = ag.take_rows(ag.reshape(x, (-1, config.hidden)), rows)\n",
+           "            x = ag.take_rows(x, np.searchsorted(real, rows))  # flat indices into B*T, as rows of x\n",
            "        if cut := rows is not None and layer is params.layers[-1]:\n"
-           "            x, attn = (ag.take_rows(ag.reshape(a, (-1, config.hidden)), rows) for a in (x, attn))\n"
-           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))\n",
+           "            x, attn = (ag.take_rows(a, np.searchsorted(real, rows)) for a in (x, attn))\n"
+           "        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng, None if cut else (ids.size, real)))\n",
            ("tests/test_fit.py::test_the_dropout_stream_ends_where_the_separate_set_up_leaves_it",
             "tests/test_batched.py::test_a_row_cut_matches_the_full_forward_at_its_rows")),
     Mutant("dropout-mask-drawn-at-the-cut-size", MODEL,
-           "(ids.size, rows) if cut else None", "None",
+           "(ids.size, rows if cut else real)", "None if cut else (ids.size, real)",
            ("tests/test_fit.py::test_the_dropout_stream_ends_where_the_separate_set_up_leaves_it",)),
+    Mutant("positions-counted-in-packed-order", MODEL,
+           "ag.embedding_lookup(table, real % t)", "ag.embedding_lookup(table, np.arange(real.size) % t)",
+           ("tests/test_batched.py::test_hidden_states_match_at_real_positions",)),
+    Mutant("cut-rows-not-mapped-to-packed-order", MODEL,
+           "ag.take_rows(x, np.searchsorted(real, rows))", "ag.take_rows(x, rows)",
+           ("tests/test_batched.py::test_mlm_loss_and_every_gradient_match",)),
+    Mutant("attention-gathers-rows-shifted-by-one", AUTOGRAD,
+           "np.take(o, real, axis=0", "np.take(o, real + 1, axis=0",
+           ("tests/test_batched.py::test_hidden_states_match_at_real_positions",)),
+    Mutant("padded-projection-outside-the-scratch", AUTOGRAD,
+           "    out = _out((n, *rows.shape[1:]))\n", "    out = None\n",
+           ("tests/test_scratch.py::TestBuffer::test_a_warm_call_on_a_padded_batch_allocates_no_array_of_64_kib",)),
     Mutant("trim-one-short", MODEL,
            "int(mask.any(axis=0).nonzero()[0].max(initial=0)) + 1",
            "int(mask.any(axis=0).nonzero()[0].max(initial=0))",

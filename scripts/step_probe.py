@@ -17,7 +17,8 @@ starts), the mean minor page faults per step (``ru_minflt`` of this process)
 in all and split into ``autograd.backward``, ``AdamW.step`` and the rest of
 the step (the forward, masking and loss), the median minor faults per step
 (the mean is set by the heap's one-time growth in the first few steps, the
-median by a steady step), the peak RSS of the process so far,
+median by a steady step), the mean padded and real positions per step of the
+batches ``encoder_forward`` was given, the peak RSS of the process so far,
 the first losses as float hex, and a sha256 over the final checkpoint's
 arrays (each name, shape and float64 bytes, in name order), so two trees can
 be compared for bit-identical losses and parameters. Inputs come from
@@ -66,6 +67,23 @@ def _cpu_s() -> float:
 
 
 @contextlib.contextmanager
+def counting_positions(positions: list):
+    """Append the (padded, real) position counts of each batch ``mdl.encoder_forward`` gets to ``positions``."""
+    fn = mdl.encoder_forward
+
+    def counted(ids, mask, *args, **kwargs):
+        real = int(np.count_nonzero(mask))
+        positions.append((np.size(mask) - real, real))
+        return fn(ids, mask, *args, **kwargs)
+
+    mdl.encoder_forward = counted
+    try:
+        yield
+    finally:
+        mdl.encoder_forward = fn
+
+
+@contextlib.contextmanager
 def tally(owner, name: str, totals: dict, on_call=lambda: None):
     """Add the minor faults and the wall seconds taken inside ``owner.name`` to
     ``totals[name]``; call ``on_call`` as each call starts."""
@@ -90,26 +108,28 @@ def tally(owner, name: str, totals: dict, on_call=lambda: None):
 
 def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
     lines, vocab, config, cfg = pretrain_inputs(workload, seed)
-    losses, stamps, totals, records = [], [], {}, []
+    losses, stamps, totals, records, positions = [], [], {}, [], []
 
     def on_step(step, loss):
         losses.append(loss)
         stamps.append((time.perf_counter(), _cpu_s(), _minflt(), *totals["backward"], *totals["step"]))
 
     with (tally(ag, "backward", totals, lambda: records.append(ag.tape_size())),
-          tally(ag.AdamW, "step", totals)):
+          tally(ag.AdamW, "step", totals), counting_positions(positions)):
         ckpt = training.pretrain(lines, vocab, config, dataclasses.replace(cfg, max_steps=steps), on_step=on_step)
     ms = [1000.0 * (b[0] - a[0]) for a, b in zip(stamps, stamps[1:])]
     faults = [b[2] - a[2] for a, b in zip(stamps, stamps[1:])]
     n = max(1, len(stamps) - 1)
     cpu_s, total, backward, backward_s, adamw, adamw_s = ((stamps[-1][k] - stamps[0][k]) / n for k in range(1, 7))
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    padded, real = (statistics.mean(column) for column in zip(*positions))
     print(f"{workload} seed {seed}: {statistics.median(ms):.2f} ms/step "
           f"({1000.0 * backward_s:.2f} backward, {1000.0 * adamw_s:.2f} AdamW.step), "
           f"{1000.0 * cpu_s:.2f} CPU ms/step, "
           f"{statistics.median(records):.0f} tape records/step, {total:.0f} minor faults/step mean "
           f"({backward:.0f} backward, {adamw:.0f} AdamW.step, {total - backward - adamw:.0f} rest), "
           f"{statistics.median(faults):.0f} median, "
+          f"{padded:.1f} padded and {real:.1f} real positions/step ({100.0 * padded / (padded + real):.1f}% padding), "
           f"peak RSS {peak_mb:.0f} MB over {len(losses)} steps")
     print("  first losses:", " ".join(float.hex(x) for x in losses[:n_losses]))
     digest = hashlib.sha256()
@@ -122,13 +142,10 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
 def probe_classify(seed: int, calls: int) -> None:
     ckpt_path, vocab_path = prepare_classifier()
     args = (training.load_checkpoint(ckpt_path), heldout(seed), corpus.taxonomy("rhyme"), tokenizer.Vocab.load(vocab_path))
-    masks, predict_logits = [], mdl.predict_logits
-    mdl.predict_logits = lambda seqs, *rest: masks.append(mdl.stack_batch(seqs)[1]) or predict_logits(seqs, *rest)
-    try:
+    positions = []
+    with counting_positions(positions):
         preds, _ = evaluation.predict_corpus(*args)
-    finally:
-        mdl.predict_logits = predict_logits
-    real, ms, faults = sum(int(m.sum()) for m in masks), [], _minflt()
+    (padded, real), ms, faults = (sum(column) for column in zip(*positions)), [], _minflt()
     for _ in range(calls):
         t = time.perf_counter()
         evaluation.evaluate(*args)
@@ -136,7 +153,7 @@ def probe_classify(seed: int, calls: int) -> None:
     faults = (_minflt() - faults) / calls
     print(f"classify seed {seed}: {statistics.median(ms):.1f} ms/evaluate over {calls} calls, "
           f"{faults:.0f} minor faults/evaluate, "
-          f"{sum(m.size for m in masks) - real} padded and {real} real positions per pass")
+          f"{padded} padded and {real} real positions per pass")
     print("  labels sha256:", hashlib.sha256(" ".join(map(str, preds)).encode()).hexdigest())
 
     # one verse per call, as the predict command scores stdin

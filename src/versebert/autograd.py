@@ -189,12 +189,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    _record(out, lambda g: _accumulate(a, g.reshape(a.shape)))
-    return out
-
-
 def permute(a: Tensor, axes) -> Tensor:
     """Reorder the axes of ``a`` (``numpy.transpose`` with explicit axes)."""
     axes = tuple(ax % a.data.ndim for ax in axes)
@@ -256,21 +250,37 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def attention(qkv, bias: np.ndarray, heads: int = 0) -> tuple[Tensor, np.ndarray]:
+def _scattered(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """An n-row array with ``rows`` at the row indices ``idx`` and zeros elsewhere; scratch when forward-only."""
+    out = _out((n, *rows.shape[1:]))
+    if out is None:
+        out = np.zeros((n, *rows.shape[1:]))
+    else:
+        out.fill(0.0)
+    out[idx] = rows
+    return out
+
+
+def attention(qkv, bias: np.ndarray, heads: int = 0, real=None) -> tuple[Tensor, np.ndarray]:
     """softmax(q kᵀ / sqrt(d_k) + bias) v as one taped op; returns it and the weights (off the tape).
 
     ``qkv`` is (q, k, v) of shapes (..., n, d_k), (..., m, d_k), (..., m, d_v), or with ``heads``
     one (..., T, 3d) projection [Q heads | K heads | V heads], split into heads and merged back.
+    With ``heads`` and ``real``, the sorted flat indices of the N real positions of a (B, T) batch
+    whose B and T are ``bias``'s first and last axes, ``qkv`` is (N, 3d) and the result (N, d): with
+    padding, the rows go into a zero-padded (B·T, 3d) array first and the merged rows come back out.
     Each matmul sees the operand layouts of the 13 records this replaced (numpy picks BLAS or its own
     loop by stride), so values keep their bits. With or without the tape, the scores become the weights
     in place in one array and the heads merge into one C-order copy, taken from the scratch when
     forward-only; the backward keeps the weights and allocates its own two score-sized temporaries.
     """
     srcs = (qkv,) if heads else qkv
+    pad = real is not None and real.size < bias.shape[0] * bias.shape[-1]
     if heads:  # (..., T, 3, H, d / H) -> (3, ..., H, T, d / H)
-        *lead, t, _ = qkv.shape
+        lead, t = (qkv.shape[:-2], qkv.shape[-2]) if real is None else (bias.shape[:1], bias.shape[-1])
         split = (len(lead) + 1, *range(len(lead)), len(lead) + 2, len(lead), len(lead) + 3)
-        q, k, v = qkv.data.reshape(*lead, t, 3, heads, -1).transpose(split)
+        data = _scattered(qkv.data, real, lead[0] * t) if pad else qkv.data
+        q, k, v = data.reshape(*lead, t, 3, heads, -1).transpose(split)
     else:
         q, k, v = (s.data for s in srcs)
     scale = 1.0 / math.sqrt(q.shape[-1])
@@ -285,9 +295,13 @@ def attention(qkv, bias: np.ndarray, heads: int = 0) -> tuple[Tensor, np.ndarray
         # gives them: the gradient comes back in this layout, and the backward's matmuls pick kernels by stride
         o = o.swapaxes(-2, -3)
         o = (o if o.shape[-1] == 1 else np.positive(o, out=_out(o.shape), order="C")).reshape(*lead, t, -1)
+        if real is not None:
+            o = o.reshape(-1, o.shape[-1])
+            o = np.take(o, real, axis=0, out=_out((real.size, o.shape[-1])), mode="clip") if pad else o
     out = Tensor(o, any(s.requires_grad for s in srcs))
 
     def fn(g):
+        g = _scattered(g, real, lead[0] * t) if pad else g
         g = g.reshape(*lead, t, heads, -1).swapaxes(-2, -3) if heads else g
         gy = np.matmul(g, v.swapaxes(-1, -2))
         gv = np.matmul(y.swapaxes(-1, -2), g)
@@ -299,7 +313,7 @@ def attention(qkv, bias: np.ndarray, heads: int = 0) -> tuple[Tensor, np.ndarray
             buf = np.empty((*lead, t, 3, heads, q.shape[-1]))
             for part, grad in zip(buf.transpose(split), grads):
                 np.add(grad, 0.0, out=part)
-            _accumulate(qkv, buf.reshape(qkv.shape))
+            _accumulate(qkv, buf.reshape(-1, qkv.shape[-1])[real] if pad else buf.reshape(qkv.shape))
         else:
             for i in (2, 0, 1):  # the order the replaced backward reached them
                 _accumulate(srcs[i], grads[i])

@@ -1,8 +1,12 @@
 """BERT-style encoder built on the autograd tape: embeddings, sinusoidal or
 learned positions, stacked multi-head self-attention blocks (post-layer-norm),
-an MLM projection head, and per-task classification heads. A layer records 10 tape
-ops, 22 before ``ag.attention`` fused head split, scaled QK^T, key bias, softmax, weighting
-of V and head merge; of its score-sized arrays it keeps only the weights for its backward.
+an MLM projection head, and per-task classification heads. The encoder keeps the
+N real positions of a (B, T) batch as one (N, d) array: a layer's QKV projection,
+W_O, layer norms, FFN, residual adds and dropout run on those N rows, and only
+``ag.attention`` puts them into the (B, T) layout and takes them back out. A layer
+records 10 tape ops, 22 before ``ag.attention`` fused head split, scaled QK^T, key bias,
+softmax, weighting of V and head merge; of its score-sized arrays it keeps only the
+weights for its backward.
 
 Assumptions where the architecture is under-specified: the feed-forward inner
 dimension defaults to 4x hidden, and positions default to the sinusoidal
@@ -207,12 +211,13 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask, return_weights: 
     return (out, Tensor(weights)) if return_weights else out
 
 
-def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int, bias=None) -> Tensor:
+def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int, bias=None, real=None) -> Tensor:
     """All heads at once: one fused QKV projection, attention over its (..., H, T, d_k) split with the
-    heads merged back in column order, and W_O. ``x`` is (..., T, d), ``mask`` (..., T), ``bias`` None or key_bias."""
+    heads merged back in column order, and W_O. ``x`` is (..., T, d), ``mask`` (..., T), ``bias`` None or key_bias;
+    or, with ``real`` and ``bias`` of a (B, T) mask, ``x`` is the (N, d) rows at the flat indices ``real``."""
     if bias is None:  # one mask for every head's keys
         bias = key_bias(np.expand_dims(mask, -2), (*x.shape[:-2], num_heads, x.shape[-2]))
-    merged, _ = ag.attention(ag.matmul(x, layer.w_qkv), bias, num_heads)
+    merged, _ = ag.attention(ag.matmul(x, layer.w_qkv), bias, num_heads, real)
     return ag.matmul(merged, layer.w_o)
 
 
@@ -232,33 +237,33 @@ def encoder_forward(
     ids, mask, config: ModelConfig, params: ModelParams,
     dropout_rng: np.random.Generator | None = None, dropout_rate: float = 0.0, rows=None,
 ) -> Tensor:
-    """Hidden states (B x T x hidden) for a (B, T) id matrix and its mask.
+    """Hidden states (N x hidden) of the N real positions of a (B, T) id matrix and its mask, in flat order.
 
-    Padded positions never change real ones: their keys get zero attention
-    weight. Dropout runs only at a rate and rng the caller passes. With
-    ``rows``, flat indices into B*T, the result is (len(rows) x hidden): the
-    last layer's attention and first residual add run over every position, and
-    the rest of that layer, which mixes no positions, on those rows alone.
+    Only attention sees the (B, T) layout: every other op runs on the N real
+    rows, and padded keys get zero attention weight. Dropout runs only at a rate
+    and rng the caller passes, and each site draws its mask for all B*T rows. With
+    ``rows``, flat indices into B*T of real positions, the result is (len(rows) x
+    hidden): the last layer's attention and first residual add run over every
+    real position, and the rest of that layer, which mixes no positions, on those rows alone.
     """
     ids = np.asarray(ids, dtype=np.int64)
     mask = np.asarray(mask)
     if ids.ndim != 2 or mask.shape != ids.shape or ids.shape[1] > config.max_len:
         raise ShapeMismatch(f"ids {ids.shape} / mask {mask.shape} vs max_len {config.max_len}")
     t = ids.shape[1]
-    x = ag.embedding_lookup(params.token_embedding, ids)
-    if config.positional_mode == "learned":
-        x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
-    else:
-        x = ag.add(x, Tensor(_positions(config.max_len, config.hidden)[:t]))
+    real = np.flatnonzero(mask)
+    learned = config.positional_mode == "learned"
+    table = params.positional if learned else Tensor(_positions(config.max_len, config.hidden))
+    x = ag.add(ag.embedding_lookup(params.token_embedding, ids.reshape(-1)[real]), ag.embedding_lookup(table, real % t))
     bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
     for layer in params.layers:
-        attn = multi_head_attention(x, layer, mask, config.num_heads, bias)
-        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
+        attn = multi_head_attention(x, layer, mask, config.num_heads, bias, real)
+        x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng, (ids.size, real)))
         if cut := rows is not None and layer is params.layers[-1]:
-            x = ag.take_rows(ag.reshape(x, (-1, config.hidden)), rows)
+            x = ag.take_rows(x, np.searchsorted(real, rows))  # flat indices into B*T, as rows of x
         x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
-        ffn = ag.dropout(ffn, dropout_rate, dropout_rng, (ids.size, rows) if cut else None)
+        ffn = ag.dropout(ffn, dropout_rate, dropout_rng, (ids.size, rows if cut else real))
         x = ag.layer_norm(ag.add(x, ffn), layer.ln2_gain, layer.ln2_bias)
     return x
 

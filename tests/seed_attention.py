@@ -9,7 +9,10 @@ same input gradients, bit for bit. ``unstack`` is the op the split used; its
 backward adds each part's gradient into a zero-filled buffer, so a -0.0
 arrives as +0.0. The two batched products (QK^T and the weighting of V) go
 through ``seed_autograd.matmul``, which keeps the batched-operand form that
-``ag.matmul`` dropped when attention became one op.
+``ag.matmul`` dropped when attention became one op. On the encoder's packed
+real rows, ``multi_head_attention`` puts the projection into the (B, T)
+layout and takes the merged rows back out with two more records,
+``scatter_rows`` and ``take_rows``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from versebert.errors import AllMasked, ShapeMismatch
 from versebert.model import MASK_BIAS
 
 from seed_autograd import _scatter_add, matmul
+import tape_ops
 
 
 def unstack(a: Tensor) -> list[Tensor]:
@@ -62,11 +66,29 @@ def split_attend_merge(qkv: Tensor, mask, num_heads: int) -> Tensor:
     a (..., T, 3d) projection in, the merged (..., T, d) heads out."""
     *lead, t, width = qkv.shape
     n, d = len(lead), width // 3
-    split = ag.reshape(qkv, (*lead, t, 3, num_heads, d // num_heads))
+    split = tape_ops.reshape(qkv, (*lead, t, 3, num_heads, d // num_heads))
     q, k, v = unstack(ag.permute(split, (n + 1, *range(n), n + 2, n, n + 3)))
     heads = scaled_dot_attention(q, k, v, np.expand_dims(mask, -2))
-    return ag.reshape(ag.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
+    return tape_ops.reshape(ag.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
 
 
-def multi_head_attention(x: Tensor, layer, mask, num_heads: int) -> Tensor:
-    return ag.matmul(split_attend_merge(ag.matmul(x, layer.w_qkv), mask, num_heads), layer.w_o)
+def scatter_rows(a: Tensor, rows, n: int) -> Tensor:
+    """An n-row tensor holding ``a``'s rows at the row indices ``rows`` and zeros elsewhere."""
+    data = np.zeros((n, *a.shape[1:]))
+    data[rows] = a.data
+    out = Tensor(data, a.requires_grad)
+    ag._record(out, lambda g: ag._accumulate(a, g[rows]))
+    return out
+
+
+def multi_head_attention(x: Tensor, layer, mask, num_heads: int, real=None) -> Tensor:
+    """With ``real``, ``x`` holds the (N, d) rows of a (B, T) ``mask``'s real positions: the projection
+    goes into a zero-padded (B*T, 3d) array first, and the merged heads' real rows come back out."""
+    qkv = ag.matmul(x, layer.w_qkv)
+    if real is not None:
+        b, t = np.shape(mask)
+        qkv = tape_ops.reshape(scatter_rows(qkv, real, b * t), (b, t, -1))
+    merged = split_attend_merge(qkv, mask, num_heads)
+    if real is not None:
+        merged = ag.take_rows(tape_ops.reshape(merged, (-1, merged.shape[-1])), real)
+    return ag.matmul(merged, layer.w_o)

@@ -24,6 +24,8 @@ from versebert.autograd import Tensor, _record, _unbroadcast
 from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
 from versebert.model import IGNORE_INDEX
 
+import tape_ops
+
 
 def zero_grad(self) -> None:
     self.grad = None
@@ -244,8 +246,9 @@ OPS = (reshape, permute, add, scale, layer_norm, gelu, dropout, cross_entropy)
 
 
 def install_ops(monkeypatch) -> None:
-    """Swap the old ops in for the rest of a test."""
+    """Swap the old ops in for the rest of a test; ``reshape`` over ``tape_ops.reshape``, the others over
+    the ``versebert.autograd`` names."""
     from versebert import autograd
 
     for fn in OPS:
-        monkeypatch.setattr(autograd, fn.__name__, fn)
+        monkeypatch.setattr(tape_ops if fn is reshape else autograd, fn.__name__, fn)

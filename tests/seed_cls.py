@@ -19,6 +19,8 @@ from versebert import autograd as ag
 from versebert import model as mdl
 from versebert.autograd import Tensor
 
+import tape_ops
+
 
 def encoder_forward(
     ids, mask, config: mdl.ModelConfig, params: mdl.ModelParams,
@@ -39,7 +41,7 @@ def encoder_forward(
         attn = mdl.multi_head_attention(x, layer, mask, config.num_heads, bias)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
         if cls_only and layer is params.layers[-1]:
-            x = ag.reshape(_cls_rows(x), (-1, 1, config.hidden))
+            x = tape_ops.reshape(_cls_rows(x), (-1, 1, config.hidden))
         x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
         ffn = ag.dropout(ffn, dropout_rate, dropout_rng)
@@ -50,7 +52,7 @@ def encoder_forward(
 def _cls_rows(hidden: Tensor) -> Tensor:
     """The (B x d) [CLS] rows (position 0) of (B x T x d) or (T x d) states."""
     t, d = hidden.shape[-2:]
-    flat = ag.reshape(hidden, (-1, d))
+    flat = tape_ops.reshape(hidden, (-1, d))
     return ag.take_rows(flat, np.arange(0, flat.shape[0], t))
 
 

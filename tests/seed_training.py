@@ -51,6 +51,7 @@ from versebert.training import (
 )
 
 import seed_cls
+import tape_ops
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +149,7 @@ def mlm_loss(hidden: Tensor, targets, params: model.ModelParams) -> Tensor:
     rows = np.flatnonzero(targets != IGNORE_INDEX)
     if rows.size == 0:
         raise EmptyReduction("no masked position to score")
-    picked = ag.take_rows(ag.reshape(hidden, (-1, hidden.shape[-1])), rows)
+    picked = ag.take_rows(tape_ops.reshape(hidden, (-1, hidden.shape[-1])), rows)
     return ag.cross_entropy(model.mlm_logits(picked, params), targets[rows])
 
 

@@ -18,6 +18,7 @@ from versebert.errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
 
 import seed_adamw
 import seed_autograd
+import tape_ops
 from seed_attention import unstack
 from gradcheck import grad_check
 
@@ -153,14 +154,14 @@ class TestGradientsAgainstFiniteDifferences:
     def test_matmul_batched_against_shared_weight(self, rng):
         a = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-        self.check(lambda: ag.cross_entropy(ag.reshape(ag.matmul(a, w), (6, 5)), [0, 1, 2, 3, 4, 0]), [a, w])
+        self.check(lambda: ag.cross_entropy(tape_ops.reshape(ag.matmul(a, w), (6, 5)), [0, 1, 2, 3, 4, 0]), [a, w])
 
     def test_matmul_batched_both_sides(self, rng):
         # ``ag.matmul`` has only the shared-weight form; the attention oracle's batched products use this one
         a = Tensor(rng.normal(size=(2, 2, 3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(2, 2, 4, 3)), requires_grad=True)
         self.check(
-            lambda: ag.cross_entropy(ag.reshape(seed_autograd.matmul(a, b), (12, 3)), [0, 1, 2] * 4), [a, b]
+            lambda: ag.cross_entropy(tape_ops.reshape(seed_autograd.matmul(a, b), (12, 3)), [0, 1, 2] * 4), [a, b]
         )
 
     def test_reshape_permute_unstack_qkv_split(self, rng):
@@ -168,11 +169,11 @@ class TestGradientsAgainstFiniteDifferences:
         x = Tensor(rng.normal(size=(2, 3, 12)), requires_grad=True)
 
         def f():
-            split = ag.permute(ag.reshape(x, (2, 3, 3, 2, 2)), (2, 0, 3, 1, 4))
+            split = ag.permute(tape_ops.reshape(x, (2, 3, 3, 2, 2)), (2, 0, 3, 1, 4))
             q, k, v = unstack(split)
             scores = seed_autograd.matmul(q, ag.permute(k, (0, 1, 3, 2)))
             mixed = seed_autograd.matmul(ag.softmax_rows(scores), v)
-            return ag.cross_entropy(ag.reshape(mixed, (12, 2)), [0, 1] * 6)
+            return ag.cross_entropy(tape_ops.reshape(mixed, (12, 2)), [0, 1] * 6)
 
         self.check(f, [x])
 
@@ -180,7 +181,7 @@ class TestGradientsAgainstFiniteDifferences:
         table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
         ids = np.array([[1, 3, 3], [5, 1, 0]])
         self.check(
-            lambda: ag.cross_entropy(ag.reshape(ag.embedding_lookup(table, ids), (6, 4)), [0, 1, 2, 3, 0, 1]),
+            lambda: ag.cross_entropy(tape_ops.reshape(ag.embedding_lookup(table, ids), (6, 4)), [0, 1, 2, 3, 0, 1]),
             [table],
         )
 

@@ -1,10 +1,10 @@
 """The batched encoder against the per-sequence, per-head one it replaced
-(``seed_model``): hidden states, [CLS] logits, MLM loss and every parameter
-gradient agree to 1e-12 on a batch of mixed lengths. A last layer run past
-attention on some rows alone (``encoder_forward``'s ``rows``) against those
-rows of the full chain, dropout draws included. And ``predict_logits``, which
-cuts to the [CLS] rows, against the full chain and, byte for byte, against the
-[CLS] path it replaced (``seed_cls``)."""
+(``seed_model``): hidden states at the real positions, [CLS] logits, MLM loss
+and every parameter gradient agree to 1e-12 on a batch of mixed lengths. A
+last layer run past attention on some real rows alone (``encoder_forward``'s
+``rows``) against those rows of the full chain, dropout draws included. And
+``predict_logits``, which cuts to the [CLS] rows, against the full chain and,
+byte for byte, against the [CLS] path it replaced (``seed_cls``)."""
 
 import functools
 
@@ -74,9 +74,16 @@ def close(a, b):
     return np.abs(a - b).max() <= TOL * max(1.0, np.abs(b).max())
 
 
+def dense(states, mask):
+    """(B x T x hidden) states of the (N x hidden) ones at the real positions of ``mask``, zeros elsewhere."""
+    out = np.zeros((mask.size, states.shape[-1]))
+    out[np.flatnonzero(mask)] = states
+    return out.reshape(*mask.shape, -1)
+
+
 def batched_forward(cfg, params):
     ids, mask = mdl.stack_batch(BATCH)
-    return mdl.encoder_forward(ids, mask, cfg, params)
+    return dense(mdl.encoder_forward(ids, mask, cfg, params).data, mask)
 
 
 def test_batch_is_trimmed_to_its_longest_verse():
@@ -88,7 +95,7 @@ def test_batch_is_trimmed_to_its_longest_verse():
 def test_hidden_states_match_at_real_positions(model):
     cfg, params, _ = model
     with ag.no_grad():
-        got = batched_forward(cfg, params).data
+        got = batched_forward(cfg, params)
         heads = seed_model.split_heads(params, cfg.num_heads)
         for b, s in enumerate(BATCH):
             want = seed_model.encoder_forward(s, cfg, params, heads).data
@@ -160,8 +167,8 @@ def test_appended_padding_leaves_real_positions_unchanged(model):
     full_ids = np.array([s.ids for s in BATCH[:2]])
     full_mask = np.array([s.attention_mask for s in BATCH[:2]])
     with ag.no_grad():
-        trimmed = mdl.encoder_forward(ids, mask, cfg, params).data
-        padded = mdl.encoder_forward(full_ids, full_mask, cfg, params).data
+        trimmed = dense(mdl.encoder_forward(ids, mask, cfg, params).data, mask)
+        padded = dense(mdl.encoder_forward(full_ids, full_mask, cfg, params).data, full_mask)
     for b, s in enumerate(BATCH[:2]):
         n = sum(s.attention_mask)
         assert close(trimmed[b, :n], padded[b, :n])
@@ -194,11 +201,11 @@ def test_cls_rows_logits_match_the_full_chain(lengths, mode, labels, first):
     batch = [seq(n, 4 + (first + i) % 10) for i, n in enumerate(lengths)]
     ids, mask = mdl.stack_batch(batch)
     with ag.no_grad():
-        full = mdl.encoder_forward(ids, mask, cfg, params)
-        want = mdl.classify(ag.Tensor(full.data[:, 0]), *head).data
+        full = dense(mdl.encoder_forward(ids, mask, cfg, params).data, mask)
+        want = mdl.classify(ag.Tensor(full[:, 0]), *head).data
         cls = mdl.encoder_forward(ids, mask, cfg, params, rows=mdl.cls_rows(ids)).data
     got = mdl.predict_logits(batch, cfg, params, head)
-    assert cls.shape == (len(batch), cfg.hidden) and close(cls, full.data[:, 0])
+    assert cls.shape == (len(batch), cfg.hidden) and close(cls, full[:, 0])
     assert got.shape == want.shape == (len(batch), labels) and close(got, want)
     assert (got.argmax(axis=1) == want.argmax(axis=1)).all()
 
@@ -219,14 +226,15 @@ def test_predict_logits_bytes_match_the_replaced_cls_path(lengths, mode, labels,
 @given(lengths=st.lists(st.integers(2, MAX_LEN), min_size=1, max_size=12),
        mode=st.sampled_from(["sinusoidal", "learned"]), rate=st.sampled_from([0.0, 0.2]), picks=st.lists(st.integers(0, 10**6), max_size=30), seed=st.integers(0, 9))
 def test_a_row_cut_matches_the_full_forward_at_its_rows(lengths, mode, rate, picks, seed):
-    """Any rows, none included, at dropout 0 and 0.2: the cut states are those rows of the full
+    """Any real rows, none included, at dropout 0 and 0.2: the cut states are those rows of the full
     states, and the dropout stream ends where the full forward leaves it."""
     cfg, params, _ = _built(mode, 5)
     ids, mask = mdl.stack_batch([seq(n, 4 + i % 10) for i, n in enumerate(lengths)])
-    rows = np.unique(np.array(picks, dtype=np.int64) % ids.size)
+    real = np.flatnonzero(mask)
+    rows = np.unique(real[np.array(picks, dtype=np.int64) % real.size])
     full_rng, cut_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with ag.no_grad():
-        full = mdl.encoder_forward(ids, mask, cfg, params, full_rng, rate).data.reshape(-1, cfg.hidden)
+        full = dense(mdl.encoder_forward(ids, mask, cfg, params, full_rng, rate).data, mask).reshape(-1, cfg.hidden)
         cut = mdl.encoder_forward(ids, mask, cfg, params, cut_rng, rate, rows).data
     assert cut.shape == (rows.size, cfg.hidden)
     assert rows.size == 0 or close(cut, full[rows])

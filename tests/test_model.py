@@ -200,9 +200,8 @@ def _make_seq(ids, max_len=16):
 
 
 def _forward(seq, cfg, params):
-    """Hidden states (max_len x hidden) of one untrimmed sequence."""
-    hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
-    return ag.reshape(hidden, hidden.shape[1:])
+    """Hidden states (n x hidden) of the n real positions of one untrimmed sequence."""
+    return mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
 
 
 class TestEncoderForward:
@@ -210,7 +209,7 @@ class TestEncoderForward:
         cfg, params = tiny
         seq = _make_seq([2, 9, 10, 3])
         hidden = mdl.encoder_forward(np.array([seq.ids]), np.array([seq.attention_mask]), cfg, params)
-        assert hidden.shape == (1, 16, 32)
+        assert hidden.shape == (4, 32)  # the real positions only
 
     def test_deterministic_in_eval_mode(self, tiny):
         cfg, params = tiny
@@ -254,7 +253,7 @@ class TestHeads:
         cfg, params = tiny
         hidden = _forward(_make_seq([2, 9, 3]), cfg, params)
         logits = mdl.mlm_logits(hidden, params)
-        assert logits.shape == (16, 64)
+        assert logits.shape == (3, 64)
         ag.reset_tape()
 
     def test_mlm_bias_only(self, rng):

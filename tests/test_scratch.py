@@ -236,6 +236,14 @@ class TestBuffer:
         # so its overall peak would not tell them from one large array.
         assert burst >= 4 * KIB64 if oracle else burst < 2 * KIB64
 
+    def test_a_warm_call_on_a_padded_batch_allocates_no_array_of_64_kib(self):
+        """Half the verses padded: attention's zero-padded (B*T, 3d) projection and the rows it
+        gathers back come from the scratch as well, under the bound above."""
+        config, params, head = _model("sinusoidal", 5)
+        seqs = _seqs([MAX_LEN] * 16 + [5] * 16)
+        mdl.predict_logits(seqs, config, params, head)
+        assert _largest_burst(lambda: mdl.predict_logits(seqs, config, params, head)) < 2 * KIB64
+
 
 def _largest_burst(call) -> int:
     """The most bytes ``call`` holds at once beyond what was live when its

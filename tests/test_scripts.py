@@ -46,6 +46,7 @@ def test_step_probe_completes(tmp_path):
     assert lines[0] == f"versebert from {ROOT / 'src' / 'versebert'}, OPENBLAS_THREAD_TIMEOUT={timeout}"
     assert lines[1].startswith("pretrain-tiny seed 3: ")
     assert re.search(r" minor faults/step mean \(.*\), \d+ median, ", lines[1]), lines[1]
+    assert re.search(r", [\d.]+ padded and [\d.]+ real positions/step \([\d.]+% padding\), ", lines[1]), lines[1]
     assert lines[2].startswith("  first losses: 0x") and re.fullmatch(r"  parameters sha256: [0-9a-f]{64}", lines[3])
 
 

@@ -20,6 +20,7 @@ from versebert.tokenizer import TokenSequence
 
 import seed_autograd
 import seed_training
+import tape_ops
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestKeptGradients:
             for p in params:
                 p.zero_grad()
             x = ag.embedding_lookup(table, [[1, 2], [2, 5]])
-            ag.backward(ag.cross_entropy(ag.reshape(ag.add(ag.matmul(x, w), bias), (4, 4)), [0, 1, 2, 3]))
+            ag.backward(ag.cross_entropy(tape_ops.reshape(ag.add(ag.matmul(x, w), bias), (4, 4)), [0, 1, 2, 3]))
 
         for kept in (False, True):  # before and after the tape has kept an array
             if kept:
