@@ -125,8 +125,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
 
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
     """Add the rows of ``g`` into ``t.grad`` at the row indices ``idx``; a repeated row's gradients add up."""
-    if not t.requires_grad:
-        return
     if t.grad is None:
         t.grad = t._grad_buf = np.empty_like(t.data) if t._grad_buf is None else t._grad_buf
         t.grad.fill(0)
@@ -189,19 +187,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def permute(a: Tensor, axes) -> Tensor:
-    """Reorder the axes of ``a`` (``numpy.transpose`` with explicit axes)."""
-    axes = tuple(ax % a.data.ndim for ax in axes)
-    out = Tensor(a.data.transpose(axes), a.requires_grad)
-    inverse = tuple(map(axes.index, range(len(axes))))
-    _record(out, lambda g: _accumulate(a, g.transpose(inverse)))
-    return out
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose expects a matrix, got {a.shape}")
-    return permute(a, (1, 0))
+    out = Tensor(a.data.T, a.requires_grad)
+    _record(out, lambda g: _accumulate(a, g.T))
+    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -269,8 +260,8 @@ def attention(qkv, bias: np.ndarray, heads: int = 0, real=None) -> tuple[Tensor,
     With ``heads`` and ``real``, the sorted flat indices of the N real positions of a (B, T) batch
     whose B and T are ``bias``'s first and last axes, ``qkv`` is (N, 3d) and the result (N, d): with
     padding, the rows go into a zero-padded (B·T, 3d) array first and the merged rows come back out.
-    Each matmul sees the operand layouts of the 13 records this replaced (numpy picks BLAS or its own
-    loop by stride), so values keep their bits. With or without the tape, the scores become the weights
+    Every matmul's operands keep the layouts of ``tests/seed_attention.py``'s chain, as numpy picks BLAS
+    or its own loop by stride, so that bits hold. With or without the tape, the scores become the weights
     in place in one array and the heads merge into one C-order copy, taken from the scratch when
     forward-only; the backward keeps the weights and allocates its own two score-sized temporaries.
     """
@@ -513,12 +504,12 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator 
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments.
 
-    ``step`` walks each parameter in blocks of ``_ADAMW_BLOCK`` elements with
-    the same elementwise operations in the same order as a whole-array
-    update, so results are bit-identical to it. It allocates no
-    parameter-sized temporary unless a parameter or gradient is not
-    C-contiguous and has to be flattened by a copy. A helper thread takes
-    blocks too, with the same operations, so the bytes do not change.
+    ``step`` walks each parameter in blocks of ``_ADAMW_BLOCK`` elements with the same
+    elementwise operations in the same order as a whole-array update, so results are
+    bit-identical to it. A parameter that is not C-contiguous raises ShapeMismatch, so each
+    block is a view updated in place; a gradient that is not is flattened by a copy, the one
+    parameter-sized temporary a step may allocate. A helper thread takes blocks too, with
+    the same operations, so the bytes do not change.
     The moments live as long as the optimizer: a checkpoint holds parameters only.
     """
 
@@ -527,7 +518,7 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.step_count = 0
-        # C order, so ravel in step is a view whatever the parameter's layout
+        # C order, like every parameter step accepts, so ravel is a view
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
         self._scratch = np.empty((2, 2, _ADAMW_BLOCK))  # two blocks for each thread
@@ -536,14 +527,16 @@ class AdamW:
         self._helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first step
 
     def step(self) -> None:
-        # Check every gradient before touching any array, so a raise leaves no half step.
+        # Check every array before touching any, so a raise leaves no half step.
         for p in self.params:
             if p.grad is not None and p.grad.shape != p.data.shape:
                 raise ShapeMismatch(f"grad shape {p.grad.shape} vs param {p.data.shape}")
+            if not p.data.flags.c_contiguous:  # ravel would update a copy
+                raise ShapeMismatch(f"param of shape {p.data.shape} is not C-contiguous")
         t = self.step_count + 1
-        flat, blocks = [p.data.ravel() for p in self.params], deque()
-        for p, w, m, v in zip(self.params, flat, self.m, self.v):
-            m, v = m.ravel(), v.ravel()
+        blocks = deque()
+        for p, m, v in zip(self.params, self.m, self.v):
+            w, m, v = p.data.ravel(), m.ravel(), v.ravel()
             g = None if p.grad is None else p.grad.ravel()
             for lo in range(0, w.size, _ADAMW_BLOCK):
                 hi = lo + _ADAMW_BLOCK
@@ -556,9 +549,6 @@ class AdamW:
             self._update(blocks, self._scratch[0], t)
         finally:
             helper.result()  # joins the helper and re-raises what it raised
-        for p, w in zip(self.params, flat):
-            if not p.data.flags.c_contiguous:  # ravel copied: write the result back
-                p.data[...] = w.reshape(p.data.shape)
         self.step_count = t
 
     def _update(self, blocks, scratch: np.ndarray, t: int) -> None:

@@ -4,8 +4,8 @@ an MLM projection head, and per-task classification heads. The encoder keeps the
 N real positions of a (B, T) batch as one (N, d) array: a layer's QKV projection,
 W_O, layer norms, FFN, residual adds and dropout run on those N rows, and only
 ``ag.attention`` puts them into the (B, T) layout and takes them back out. A layer
-records 10 tape ops, 22 before ``ag.attention`` fused head split, scaled QK^T, key bias,
-softmax, weighting of V and head merge; of its score-sized arrays it keeps only the
+records 10 tape ops, one of them ``ag.attention`` (head split, scaled QK^T, key bias,
+softmax, weighting of V and head merge); of its score-sized arrays it keeps only the
 weights for its backward.
 
 Assumptions where the architecture is under-specified: the feed-forward inner
@@ -242,8 +242,8 @@ def encoder_forward(
     Only attention sees the (B, T) layout: every other op runs on the N real
     rows, and padded keys get zero attention weight. Dropout runs only at a rate
     and rng the caller passes, and each site draws its mask for all B*T rows. With
-    ``rows``, flat indices into B*T of real positions, the result is (len(rows) x
-    hidden): the last layer's attention and first residual add run over every
+    ``rows``, flat indices into B*T of real positions (any other raises ShapeMismatch), the result is
+    (len(rows) x hidden): the last layer's attention and first residual add run over every
     real position, and the rest of that layer, which mixes no positions, on those rows alone.
     """
     ids = np.asarray(ids, dtype=np.int64)
@@ -252,15 +252,17 @@ def encoder_forward(
         raise ShapeMismatch(f"ids {ids.shape} / mask {mask.shape} vs max_len {config.max_len}")
     t = ids.shape[1]
     real = np.flatnonzero(mask)
+    bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
+    if rows is not None and not np.array_equal(np.take(real, at := np.searchsorted(real, rows), mode="clip"), rows):
+        raise ShapeMismatch("rows must be flat indices into B*T of real positions")
     learned = config.positional_mode == "learned"
     table = params.positional if learned else Tensor(_positions(config.max_len, config.hidden))
     x = ag.add(ag.embedding_lookup(params.token_embedding, ids.reshape(-1)[real]), ag.embedding_lookup(table, real % t))
-    bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
     for layer in params.layers:
         attn = multi_head_attention(x, layer, mask, config.num_heads, bias, real)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng, (ids.size, real)))
         if cut := rows is not None and layer is params.layers[-1]:
-            x = ag.take_rows(x, np.searchsorted(real, rows))  # flat indices into B*T, as rows of x
+            x = ag.take_rows(x, at)  # rows' places among the real positions, as rows of x
         x = ag.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)
         ffn = ag.dropout(ffn, dropout_rate, dropout_rng, (ids.size, rows if cut else real))

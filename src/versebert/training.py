@@ -6,8 +6,7 @@ execution context. Checkpoints are a small self-describing binary: magic +
 version, a JSON header (config, vocab digest, payload sha256, array manifest
 with shapes and offsets), then raw little-endian float64 array payloads.
 A checkpoint holds the model's parameters only; pretrain and finetune return
-it, and the caller writes it. Version 1 files, which stored per-head Q/K/V
-arrays, still load.
+it, and the caller writes it. The reader takes the version the writer writes.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ MASK_PROB, RANDOM_PROB = 0.8, 0.1  # BERT's split of the selected positions; the
 
 CHECKPOINT_MAGIC = b"VBC1"
 CHECKPOINT_VERSION = 2
-READABLE_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True)
@@ -222,20 +220,11 @@ def _read_arrays(entries: list, data: memoryview) -> dict:
     return found
 
 
-def _fuse_v1_heads(arrays: dict, config: mdl.ModelConfig) -> None:
-    """Replace version 1's per-head Q/K/V arrays with each layer's fused
-    ``w_qkv``, in column order [Q heads | K heads | V heads]."""
-    for li in range(config.num_layers):
-        names = [f"layers.{li}.heads.{hi}.{w}" for w in ("w_q", "w_k", "w_v")
-                 for hi in range(config.num_heads)]
-        arrays[f"layers.{li}.w_qkv"] = np.concatenate([arrays.pop(n) for n in names], axis=1)
-
-
 def load_checkpoint(path) -> Checkpoint:
-    """Read a version 1 or 2 checkpoint; any malformed part raises CorruptFile.
+    """Read a ``CHECKPOINT_VERSION`` checkpoint; another version raises VersionMismatch,
+    and any malformed part CorruptFile.
 
-    A version 1 file comes back in the version 2 layout. A file of either
-    version whose header carries optimizer state is refused, as this reader
+    A file whose header carries optimizer state is refused, as this reader
     holds parameters only. On a little-endian host every array is a view into
     one buffer of the file's bytes, which stays alive as long as any of them;
     ``Checkpoint.to_params`` copies.
@@ -246,14 +235,14 @@ def load_checkpoint(path) -> Checkpoint:
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
     version, header_len = struct.unpack("<IQ", blob[4:16])
-    if version not in READABLE_VERSIONS:
-        raise VersionMismatch(f"{path}: format version {version}, reader supports {READABLE_VERSIONS}")
+    if version != CHECKPOINT_VERSION:
+        raise VersionMismatch(f"{path}: format version {version}, reader supports {CHECKPOINT_VERSION}")
     if len(blob) < 16 + header_len:
         raise CorruptFile(f"{path}: truncated header")
     data = memoryview(blob)[16 + header_len :]  # slices of it copy nothing
     try:
         header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
-        if version >= 2 and header["payload_sha256"] != hashlib.sha256(data).hexdigest():
+        if header["payload_sha256"] != hashlib.sha256(data).hexdigest():
             raise CorruptFile(f"{path}: payload does not match its sha256")
         if header["optimizer"] is not None:
             raise CorruptFile(f"{path}: holds optimizer state, which checkpoints do not carry")
@@ -262,8 +251,6 @@ def load_checkpoint(path) -> Checkpoint:
         step, digest = header["global_step"], header["vocab_digest"]
         if type(step) is not int or step < 0 or not isinstance(digest, str):
             raise CorruptFile(f"{path}: bad global_step or vocab_digest")
-        if version == 1:
-            _fuse_v1_heads(arrays, config)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:  # JSON and UTF-8 errors are ValueErrors
         raise CorruptFile(f"{path}: malformed header ({type(exc).__name__}: {exc})") from None
     return Checkpoint(config, arrays, digest, step)

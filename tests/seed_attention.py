@@ -51,7 +51,7 @@ def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask, return_weights: 
         raise ShapeMismatch(f"mask shape {mask.shape} vs keys {keys}")
     if not mask.any(axis=-1).all():
         raise AllMasked("every key is masked; at least one must be attendable")
-    k_t = ag.permute(k, (*range(k.data.ndim - 2), -1, -2))
+    k_t = tape_ops.permute(k, (*range(k.data.ndim - 2), -1, -2))
     scores = ag.scale(matmul(q, k_t), 1.0 / math.sqrt(q.shape[-1]))
     bias = Tensor(np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :])
     weights = ag.softmax_rows(ag.add(scores, bias))
@@ -67,9 +67,9 @@ def split_attend_merge(qkv: Tensor, mask, num_heads: int) -> Tensor:
     *lead, t, width = qkv.shape
     n, d = len(lead), width // 3
     split = tape_ops.reshape(qkv, (*lead, t, 3, num_heads, d // num_heads))
-    q, k, v = unstack(ag.permute(split, (n + 1, *range(n), n + 2, n, n + 3)))
+    q, k, v = unstack(tape_ops.permute(split, (n + 1, *range(n), n + 2, n, n + 3)))
     heads = scaled_dot_attention(q, k, v, np.expand_dims(mask, -2))
-    return tape_ops.reshape(ag.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
+    return tape_ops.reshape(tape_ops.permute(heads, (*range(n), n + 1, n, n + 2)), (*lead, t, d))
 
 
 def scatter_rows(a: Tensor, rows, n: int) -> Tensor:

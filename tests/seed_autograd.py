@@ -246,9 +246,9 @@ OPS = (reshape, permute, add, scale, layer_norm, gelu, dropout, cross_entropy)
 
 
 def install_ops(monkeypatch) -> None:
-    """Swap the old ops in for the rest of a test; ``reshape`` over ``tape_ops.reshape``, the others over
-    the ``versebert.autograd`` names."""
+    """Swap the old ops in for the rest of a test; ``reshape`` and ``permute`` over the ``tape_ops`` names,
+    the others over the ``versebert.autograd`` names."""
     from versebert import autograd
 
     for fn in OPS:
-        monkeypatch.setattr(tape_ops if fn is reshape else autograd, fn.__name__, fn)
+        monkeypatch.setattr(tape_ops if fn in (reshape, permute) else autograd, fn.__name__, fn)

@@ -1,7 +1,8 @@
 """Per-sequence MLM masking, the one-buffer checkpoint writer, and the
 separate pretrain and finetune set-ups with their ``_run_steps`` loop, which
 the batched masking, the streaming atomic writer and the one shared training
-loop replaced, kept as oracles for the equivalence tests.
+loop replaced, kept as oracles for the equivalence tests; and the version 1
+checkpoint writer, whose files the reader refuses.
 
 Masking a (B, T) batch must give the ids, targets and random stream of
 masking its rows one at a time here, a save must give these bytes, and a
@@ -110,6 +111,28 @@ def save_checkpoint(ckpt, path, optimizer=None) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<IQ", CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes + payload)
+
+
+def save_v1(ckpt, path, optimizer=None):
+    """The version 1 writer: per-head Q/K/V arrays and no payload digest; ``optimizer`` goes into the header.
+    ``load_checkpoint`` refuses its files."""
+    cfg = ckpt.model_config
+    arrays = dict(ckpt.arrays)
+    for li in range(cfg.num_layers):
+        cols = np.split(arrays.pop(f"layers.{li}.w_qkv"), 3 * cfg.num_heads, axis=1)
+        for i, w in enumerate(("w_q", "w_k", "w_v")):
+            for hi in range(cfg.num_heads):
+                arrays[f"layers.{li}.heads.{hi}.{w}"] = cols[i * cfg.num_heads + hi]
+    entries, payload = [], bytearray()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        entries.append({"name": f"param:{name}", "shape": list(arr.shape), "offset": len(payload)})
+        payload.extend(arr.tobytes())
+    header = json.dumps({
+        "model_config": dataclasses.asdict(cfg), "vocab_digest": ckpt.vocab_digest,
+        "global_step": ckpt.global_step, "optimizer": optimizer, "arrays": entries,
+    }).encode()
+    path.write_bytes(b"VBC1" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + bytes(payload))
 
 
 def encoder_forward(

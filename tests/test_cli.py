@@ -15,6 +15,8 @@ from versebert import cli, evaluation, model as mdl, tokenizer, training
 from versebert.corpus import CorpusStore, generate_synthetic, load_corpus, split, task_label, taxonomy, write_corpus
 from versebert.tokenizer import Vocab
 
+import seed_training
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -206,7 +208,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("set_up, error", [
         ("foreign-vocab", "DigestMismatch"), ("pretrain-only", "LabelOutOfRange"), ("other-task", "LabelOutOfRange"),
-        ("5-outputs", "LabelOutOfRange"), ("40-outputs", "LabelOutOfRange"),
+        ("5-outputs", "LabelOutOfRange"), ("40-outputs", "LabelOutOfRange"), ("v1-file", "VersionMismatch"),
     ])
     def test_evaluate_and_predict_refuse_a_bad_set_up_alike(self, pipeline, tmp_path, monkeypatch, capsys,
                                                              set_up, error):
@@ -218,6 +220,9 @@ class TestExitCodes:
             ckpt = pipeline["ckpt"]
         elif set_up == "other-task":
             task = "gender"
+        elif set_up == "v1-file":
+            ckpt = tmp_path / "v1.ckpt"
+            seed_training.save_v1(training.load_checkpoint(pipeline["tuned"]), ckpt)
         else:  # the Rhyme head resized; the task has 31 labels
             tuned = training.load_checkpoint(pipeline["tuned"])
             w, b = mdl.init_head(tuned.model_config, int(set_up.split("-")[0]), np.random.default_rng(0))
@@ -234,8 +239,11 @@ class TestExitCodes:
         errors.append(captured.err)
         assert [err.split(":")[0] for err in errors] == [error, error]
         assert all(err.count("\n") == 1 for err in errors) and captured.out == "" and not report.exists()
+        assert not list(tmp_path.glob("report*"))  # nor the confusion CSV or the manifest
         if set_up.endswith("-outputs"):
             assert all(f"{set_up.split('-')[0]} outputs" in err and "31 labels" in err for err in errors)
+        if set_up == "v1-file":
+            assert all("format version 1," in err for err in errors)
 
     def test_predict_with_several_heads_and_no_task_is_usage_error(self, pipeline, tmp_path, monkeypatch, capsys):
         ckpt = training.load_checkpoint(pipeline["tuned"])

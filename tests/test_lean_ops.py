@@ -125,12 +125,12 @@ class TestHandDown:
             v = leaves
             h = ag.add(ag.add(v["a"], v["b"]), ag.add(v["x"], v["x"]))
             h = ag.add(ag.add(h, v["bias"]), ag.add(v["row"], const))
-            h = ag.add(h, ag.permute(v["t"], (2, 1, 0)))
+            h = ag.add(h, tape_ops.permute(v["t"], (2, 1, 0)))
             h = ag.add(tape_ops.reshape(v["flat"], (2, 3, 4)), h)
             h = ag.layer_norm(ag.matmul(h, v["w"]), v["gain"], v["beta"])
             h = ag.add(h, ag.layer_norm(const, v["gain2"], v["beta2"]))
             h = ag.dropout(ag.scale(h, 0.5), 0.3, drop_rng)
-            h = tape_ops.reshape(ag.permute(tape_ops.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3)), (6, 4))
+            h = tape_ops.reshape(tape_ops.permute(tape_ops.reshape(h, (2, 3, 2, 2)), (0, 2, 1, 3)), (6, 4))
             return ag.cross_entropy(ag.gelu(h), [0, 2, 3, 1, 0, 2])
 
         return leaves, loss
@@ -176,7 +176,7 @@ class TestHandDown:
             seed_autograd.install_ops(monkeypatch)
         x = Tensor(rng.normal(size=(256, 256)), requires_grad=True)
         h = ag.dropout(ag.scale(x, 2.0), 0.5, np.random.default_rng(1))
-        h = ag.permute(ag.permute(ag.add(h, Tensor(rng.normal(size=(256, 256)))), (1, 0)), (1, 0))
+        h = tape_ops.permute(tape_ops.permute(ag.add(h, Tensor(rng.normal(size=(256, 256)))), (1, 0)), (1, 0))
         # only sum_all allocates: every op after it hands its gradient down, and x takes it over
         assert arrays <= self._backward_peak(ag.sum_all(tape_ops.reshape(h, (-1,))), x) < arrays + 0.5
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from versebert import autograd as ag
 from versebert import model as mdl
+from versebert.errors import ShapeMismatch
 
 import seed_padded
 import tape_ops
@@ -96,6 +97,18 @@ def test_packed_rows_match_the_padded_forward(shape, lengths, mode, rate, picks,
     else:
         assert close(got[0], want[0]) and abs(got[1] - want[1]) <= TOL * abs(want[1])
     assert same_grads(got[2], want[2], exact=shape == "mid")
+
+
+@pytest.mark.parametrize("ids, rows", [([[2, 9, 3, 0], [2, 11, 10, 3]], [3]), ([[2, 9, 3, 0], [2, 11, 3, 0]], [7])],
+                         ids=["padded-row", "past-the-last-real-row"])
+def test_rows_that_are_not_real_positions_raise_before_any_op(ids, rows):
+    """A padded row would otherwise map to the next real one, and one past the last real row would
+    index past the packed states."""
+    config, params = build("small", "sinusoidal")
+    ids = np.array(ids)
+    with pytest.raises(ShapeMismatch, match="real positions"):
+        mdl.encoder_forward(ids, (ids != 0).astype(np.int64), config, params, rows=np.array(rows))
+    assert ag.tape_size() == 0
 
 
 def _ops(encoder, config, params, ids, mask, rows):

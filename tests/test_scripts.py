@@ -1,12 +1,15 @@
 """The scripts that drive pretrain and finetune run to a clean exit, every
-script imports ``versebert`` before numpy, and the mutation script's table is
-current and its harness tells a kill from a survivor."""
+script imports ``versebert`` before numpy, the mutation script's table is
+current and its harness tells a kill from a survivor, and the line-reach
+script finds every statement of ``src/`` run or explained, with an allowlist
+that cannot go stale."""
 
 import importlib.util
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -59,15 +62,15 @@ def test_step_probe_classify_prints_the_labels_digest(tmp_path):
     assert re.fullmatch(r"  logits sha256: [0-9a-f]{64}", lines[3])
 
 
-def _mutate_module():
-    spec = importlib.util.spec_from_file_location("mutate", ROOT / "scripts" / "mutate.py")
+def _script_module(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_mutant_fragment_is_found_once():
-    mutate = _mutate_module()
+    mutate = _script_module("mutate")
     assert len({m.name for m in mutate.MUTANTS}) == len(mutate.MUTANTS)
     for m in mutate.MUTANTS:  # mutated_text raises unless the fragment is found exactly once
         assert mutate.mutated_text(m) != (ROOT / m.file).read_text(encoding="utf-8"), m.name
@@ -76,7 +79,7 @@ def test_every_mutant_fragment_is_found_once():
 
 
 def test_a_mutant_is_killed_by_one_fast_test_and_its_no_op_survives():
-    mutate = _mutate_module()
+    mutate = _script_module("mutate")
     mutant = mutate.MUTANTS[0]
     assert mutant.tests == ("tests/test_autograd.py::TestTape::test_first_gradient_is_copied_not_aliased",)
     assert mutate.run(mutant) == "killed"
@@ -84,9 +87,66 @@ def test_a_mutant_is_killed_by_one_fast_test_and_its_no_op_survives():
 
 
 def test_a_kill_whose_tests_fail_unmutated_is_an_error(monkeypatch):
-    mutate = _mutate_module()
+    mutate = _script_module("mutate")
     mutant = mutate.MUTANTS[0]
     monkeypatch.setattr(mutate, "run", lambda m: "killed")
     assert mutate.checked_run(mutant) == "error: its tests do not pass unmutated (killed)"
     monkeypatch.setattr(mutate, "run", lambda m: "survived" if m.replacement == m.fragment else "killed")
     assert mutate.checked_run(mutant) == "killed"
+
+
+def test_reach_finds_every_statement_run_or_explained(tmp_path):
+    done = _run_script("reach.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].endswith(" 0 unexplained, 0 allowlist errors"), done.stdout
+
+
+TRACED = """def f(x):
+    \"\"\"Doc.\"\"\"
+    global Y
+    if x:
+        y = 1
+        raise ValueError(y)
+    return 2
+
+
+def g():
+    return 3
+"""
+
+
+def test_reach_traces_a_thread_and_counts_statements_not_lines(tmp_path):
+    reach, path = _script_module("reach"), tmp_path / "m.py"
+    path.write_text(TRACED, encoding="utf-8")
+    code = compile(TRACED, str(path), "exec")
+    space = {}
+    with reach.Tracer([path]) as tracer:
+        exec(code, space)
+        space["f"](0)
+        worker = threading.Thread(target=space["g"])
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and tracer.hits[str(path)] == {1, 4, 7, 10, 11}
+    found = reach.statements(path, tracer.hits[str(path)])
+    # no docstring, global or raise statement; a compound statement is its header alone
+    assert [(s.scope, s.lines.start, s.compound, s.ran) for s in found] == [
+        ("m", 1, True, True), ("m.f", 4, True, True), ("m.f", 5, False, False), ("m.f", 7, False, True),
+        ("m", 10, True, True), ("m.g", 11, False, True)]
+
+
+def test_reach_allowlist_entries_cannot_go_stale(tmp_path):
+    reach, path = _script_module("reach"), tmp_path / "m.py"
+    path.write_text(TRACED, encoding="utf-8")
+    found = reach.statements(path, {1, 4, 7, 10})  # g was never called
+    where = os.path.relpath(path, reach.ROOT)
+    assert reach.check(found, ()) == ([f"{where}:5 m.f: y = 1", f"{where}:11 m.g: return 3"], [])
+    assert reach.check(found, (reach.Allowed("m.f", "if x:", "r"), reach.Allowed("m.g", None, "r"))) == ([], [])
+    stale = (reach.Allowed("m.h", None, "r"), reach.Allowed("m.f", "y = 2", "r"), reach.Allowed("m.f", "return 2", "r"),
+             reach.Allowed("m.f", None, "r"), reach.Allowed("m.g", None, "r"))
+    assert reach.check(found, stale) == ([], [
+        "allowlist entry m.h names no statement",
+        "allowlist entry m.f [y = 2] names no statement",
+        "allowlist entry m.f [return 2] explains no statement the run missed",
+        f"allowlist entry m.f [return 2] explains a statement the run executed: {where}:7 m.f: return 2",
+        f"allowlist entry m.f explains a statement the run executed: {where}:7 m.f: return 2",
+    ])
