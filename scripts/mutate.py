@@ -63,6 +63,12 @@ MUTANTS = (
            "if not p.data.flags.c_contiguous:", "if False:",
            ("tests/test_autograd.py::TestBlockedAdamWMatchesSeedStep"
             "::test_a_param_that_is_not_c_contiguous_is_refused_and_changes_nothing",)),
+    Mutant("rowgrad-rows-unchecked", AUTOGRAD,
+           "or rows.size and (rows[0] < 0 or rows[-1] >= p.shape[0] or np.any(rows[1:] <= rows[:-1]))", "",
+           ("tests/test_autograd.py::TestRowGrad::test_a_bad_row_gradient_is_refused_and_changes_nothing",)),
+    Mutant("sparse-block-skips-momentum-decay", AUTOGRAD,
+           "                mb *= b1\n                vb *= b2\n", "",
+           ("tests/test_autograd.py::TestRowGrad::test_adamw_matches_the_seed_step_on_the_densified_gradient",)),
     Mutant("attention-backward-overwrites-gy", AUTOGRAD,
            "np.add.reduce(np.multiply(gy, y), axis=-1", "np.add.reduce(np.multiply(gy, y, out=gy), axis=-1",
            ATTENTION_BYTES),

@@ -3,9 +3,11 @@
 Every op computes its forward value eagerly with numpy and, when gradients are
 enabled and an input requires them, records a backward closure on a global
 tape. ``backward(loss)`` replays the tape in reverse (execution order is a
-valid topological order) and then frees it; leaf tensors keep their gradient
-arrays across steps. Arrays are 64-bit floats throughout so finite-difference
-checks can run at tight tolerances.
+valid topological order) and then frees it. A dense leaf keeps its gradient
+array across steps; a table that ``embedding_lookup`` reads gets a fresh
+row-sparse ``RowGrad`` each step instead, so no table-sized gradient exists.
+Arrays are 64-bit floats throughout so finite-difference checks can run at
+tight tolerances.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ from __future__ import annotations
 import contextlib
 import math
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyReduction, LabelOutOfRange, ShapeMismatch
+
+
+class RowGrad(NamedTuple):
+    """A table's row-sparse gradient: the sorted distinct ``rows`` the step touched and each
+    one's summed gradient in ``values``, of shape (len(rows), *table.shape[1:]); other rows are zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
 
 
 class Tensor:
@@ -26,7 +37,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = requires_grad
         self._grad_buf: np.ndarray | None = None  # the array the tape allocated for grad
 
@@ -35,8 +46,9 @@ class Tensor:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        """Drop the gradient. The next backward overwrites the array the tape
-        allocated for it, so copy a gradient that must outlive the step."""
+        """Drop the gradient. The next backward overwrites a dense gradient's array,
+        which the tape keeps, so copy one that must outlive the step; a table's
+        ``RowGrad`` is built afresh each step."""
         self.grad = None
 
     def __repr__(self) -> str:
@@ -113,6 +125,8 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is not None:
+        if type(t.grad) is RowGrad:  # a table's second use in one step
+            _densify(t)
         t.grad += g
     elif t._grad_buf is not None:
         t.grad = t._grad_buf
@@ -123,18 +137,38 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
             t._grad_buf = g
 
 
+def _row_sums(idx: np.ndarray, g: np.ndarray) -> RowGrad:
+    """The distinct row indices of ``idx`` in order, and the sum of the rows of ``g`` at each; a stable
+    sort keeps a row's gradients in their order. Several times faster than ``np.add.at``."""
+    order = np.argsort(idx, kind="stable")
+    rows = idx[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return RowGrad(rows[starts], np.add.reduceat(g[order], starts, axis=0))
+
+
+def _densify(t: Tensor) -> None:
+    """Make ``t.grad`` dense: zeros, then a ``RowGrad`` it holds added at its rows, in the
+    dense scatter's order, so that signed zeros match it."""
+    held, t.grad = t.grad, np.zeros(t.shape)
+    if held is not None:  # a table's second use in one step
+        t.grad[held.rows] += held.values
+
+
 def _scatter_add(t: Tensor, idx, g: np.ndarray) -> None:
-    """Add the rows of ``g`` into ``t.grad`` at the row indices ``idx``; a repeated row's gradients add up."""
-    if t.grad is None:
-        t.grad = t._grad_buf = np.empty_like(t.data) if t._grad_buf is None else t._grad_buf
-        t.grad.fill(0)
-    if idx.size:
-        # sum each row's gradients (a stable sort keeps their order), then one
-        # fancy-index add over distinct rows; several times faster than np.add.at
-        order = np.argsort(idx, kind="stable")
-        rows = idx[order]
-        starts = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-        t.grad[rows[starts]] += np.add.reduceat(g[order], starts, axis=0)
+    """Add the rows of ``g`` into ``t.grad``, dense, at the row indices ``idx``; a repeated row's gradients add up."""
+    if not isinstance(t.grad, np.ndarray):
+        _densify(t)
+    rows, sums = _row_sums(idx, g)
+    t.grad[rows] += sums
+
+
+def _lookup_grad(table: Tensor, idx, g: np.ndarray) -> None:
+    """Give a table with no gradient yet this step the ``RowGrad`` of ``g``'s rows at ``idx``;
+    a table that already holds a gradient takes the dense scatter."""
+    if table.grad is None:
+        table.grad = _row_sums(idx, g)
+    else:
+        _scatter_add(table, idx, g)  # a table's second use in one step
 
 
 def backward(loss: Tensor) -> None:
@@ -401,8 +435,8 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of ``table`` for an id array of any shape; the backward pass
-    scatter-adds every row's gradient into the table at once."""
+    """Gather rows of ``table`` for an id array of any shape; the backward pass sums
+    each row's gradients into a ``RowGrad``, with no table-sized array."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding id out of range [0, {table.shape[0]})")
@@ -411,7 +445,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
                  table.requires_grad)
 
     def fn(g):
-        _scatter_add(table, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
+        _lookup_grad(table, idx.reshape(-1), g.reshape(-1, table.shape[-1]))
 
     _record(out, fn)
     return out
@@ -508,8 +542,12 @@ class AdamW:
     elementwise operations in the same order as a whole-array update, so results are
     bit-identical to it. A parameter that is not C-contiguous raises ShapeMismatch, so each
     block is a view updated in place; a gradient that is not is flattened by a copy, the one
-    parameter-sized temporary a step may allocate. A helper thread takes blocks too, with
-    the same operations, so the bytes do not change.
+    parameter-sized temporary a step may allocate. A table with a ``RowGrad`` goes in blocks
+    of ``max(1, _ADAMW_BLOCK // width)`` whole rows: each block decays both moments whole and
+    adds gradient terms at its touched rows alone. That leaves out only the +0.0 that a dense
+    gradient's zero fill added to each element, which can only make a moment's -0.0 +0.0, and
+    so changes a parameter's bytes only where the parameter is exactly -0.0. A helper thread
+    takes blocks too, with the same operations, so the bytes do not change.
     The moments live as long as the optimizer: a checkpoint holds parameters only.
     """
 
@@ -521,7 +559,9 @@ class AdamW:
         # C order, like every parameter step accepts, so ravel is a view
         self.m = [np.zeros(p.data.shape) for p in self.params]
         self.v = [np.zeros(p.data.shape) for p in self.params]
-        self._scratch = np.empty((2, 2, _ADAMW_BLOCK))  # two blocks for each thread
+        # two blocks for each thread; a block of whole rows holds one row at least
+        width = max([_ADAMW_BLOCK, *(math.prod(p.shape[1:]) for p in self.params)])
+        self._scratch = np.empty((2, 2, width))
         # imported here: concurrent.futures adds about 0.25 MB of RSS to a process that never trains
         from concurrent.futures import ThreadPoolExecutor
         self._helper = ThreadPoolExecutor(max_workers=1)  # its thread starts at the first step
@@ -529,15 +569,32 @@ class AdamW:
     def step(self) -> None:
         # Check every array before touching any, so a raise leaves no half step.
         for p in self.params:
-            if p.grad is not None and p.grad.shape != p.data.shape:
-                raise ShapeMismatch(f"grad shape {p.grad.shape} vs param {p.data.shape}")
+            g = p.grad
+            if type(g) is RowGrad:
+                rows = g.rows
+                if rows.ndim != 1 or rows.dtype.kind not in "iu" or g.values.shape != (rows.size, *p.shape[1:]) \
+                        or rows.size and (rows[0] < 0 or rows[-1] >= p.shape[0] or np.any(rows[1:] <= rows[:-1])):
+                    raise ShapeMismatch(f"row gradient of {rows.shape} rows and {g.values.shape} values is not "
+                                        f"one value row each at sorted, distinct rows of a {p.shape} table")
+            elif g is not None and g.shape != p.data.shape:
+                raise ShapeMismatch(f"grad shape {g.shape} vs param {p.data.shape}")
             if not p.data.flags.c_contiguous:  # ravel would update a copy
                 raise ShapeMismatch(f"param of shape {p.data.shape} is not C-contiguous")
         t = self.step_count + 1
         blocks = deque()
         for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            if type(g) is RowGrad:  # whole rows, each block with its slice of the touched rows
+                n, width = p.shape[0], math.prod(p.shape[1:])
+                w, m, v = (a.reshape(n, width) for a in (p.data, m, v))
+                values, per = g.values.reshape(-1, width), max(1, _ADAMW_BLOCK // width)
+                cuts = np.searchsorted(g.rows, range(0, n + per, per)).tolist()
+                for lo, a, b in zip(range(0, n, per), cuts, cuts[1:]):
+                    hi = lo + per
+                    blocks.append((w[lo:hi], m[lo:hi], v[lo:hi], RowGrad(g.rows[a:b] - lo, values[a:b])))
+                continue
             w, m, v = p.data.ravel(), m.ravel(), v.ravel()
-            g = None if p.grad is None else p.grad.ravel()
+            g = None if g is None else g.ravel()
             for lo in range(0, w.size, _ADAMW_BLOCK):
                 hi = lo + _ADAMW_BLOCK
                 gb = 0.0 if g is None else g[lo:hi]  # a missing gradient is all zeros
@@ -560,17 +617,27 @@ class AdamW:
                 wb, mb, vb, gb = blocks.popleft()
             except IndexError:  # the last block is taken
                 return
-            tmp, upd = scratch[:, :wb.size]
+            tmp, upd = scratch[:, :wb.size].reshape(2, *wb.shape)
             if self.weight_decay != 0.0:
                 np.multiply(wb, decay, out=tmp)
                 wb -= tmp
-            np.multiply(gb, 1.0 - b1, out=tmp)
-            mb *= b1
-            mb += tmp
-            np.multiply(gb, 1.0 - b2, out=tmp)
-            tmp *= gb
-            vb *= b2
-            vb += tmp
+            if type(gb) is RowGrad:  # the gradient terms at the touched rows only
+                mb *= b1
+                vb *= b2
+                part = tmp[:gb.rows.size]
+                np.multiply(gb.values, 1.0 - b1, out=part)
+                mb[gb.rows] += part
+                np.multiply(gb.values, 1.0 - b2, out=part)
+                part *= gb.values
+                vb[gb.rows] += part
+            else:
+                np.multiply(gb, 1.0 - b1, out=tmp)
+                mb *= b1
+                mb += tmp
+                np.multiply(gb, 1.0 - b2, out=tmp)
+                tmp *= gb
+                vb *= b2
+                vb += tmp
             np.divide(vb, bc2, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += _EPS

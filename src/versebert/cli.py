@@ -322,7 +322,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 2
+        return int(exc.code or 0)  # 0 after --help, 2 after a usage error
     args.started = time.time()
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:

@@ -1,10 +1,20 @@
-"""Finite-difference gradient checker for the autograd tests."""
+"""Finite-difference gradient checker for the autograd tests, and ``dense_grad``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from versebert.autograd import Tensor, backward, no_grad, reset_tape
+from versebert.autograd import RowGrad, Tensor, backward, no_grad, reset_tape
+
+
+def dense_grad(t: Tensor) -> np.ndarray | None:
+    """A copy of ``t.grad`` as a dense array, or None. A table's ``RowGrad`` is added at its rows into
+    zeros, in the order of the dense scatter it replaced, so its bytes, signed zeros included, match it."""
+    if isinstance(t.grad, RowGrad):
+        dense = np.zeros(t.shape)
+        dense[t.grad.rows] += t.grad.values
+        return dense
+    return None if t.grad is None else t.grad.copy()
 
 
 def grad_check(
@@ -25,7 +35,7 @@ def grad_check(
     reset_tape()
     loss = f()
     backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    analytic = [np.zeros_like(p.data) if p.grad is None else dense_grad(p) for p in params]
 
     coords = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
     if max_samples is not None and max_samples < len(coords):

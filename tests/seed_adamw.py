@@ -5,7 +5,8 @@ Each update is a full pass over parameter-sized arrays; the blocked step does
 the same elementwise operations in the same order, so the two must agree bit
 for bit. ``step`` takes an ``AdamW`` instance and updates its params and
 moments in place, like ``AdamW.step``. It reads the moment decays and the
-denominator floor from the module constants ``AdamW`` uses.
+denominator floor from the module constants ``AdamW`` uses, and a table's
+row-sparse gradient as ``gradcheck.dense_grad`` makes it dense.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ import numpy as np
 from versebert.autograd import _BETA1, _BETA2, _EPS
 from versebert.errors import ShapeMismatch
 
+from gradcheck import dense_grad
+
 
 def step(self) -> None:
     t = self.step_count + 1
     bc1 = 1.0 - _BETA1**t
     bc2 = 1.0 - _BETA2**t
     for p, m, v in zip(self.params, self.m, self.v):
-        g = p.grad
+        g = dense_grad(p)
         if g is not None and g.shape != p.data.shape:
             raise ShapeMismatch(f"grad shape {g.shape} vs param {p.data.shape}")
         if self.weight_decay != 0.0:

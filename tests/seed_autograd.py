@@ -5,9 +5,11 @@ equivalence tests.
 Here ``zero_grad`` drops a gradient for good, and each backward allocates
 every first gradient afresh: a weight's in ``matmul``, the embedding table's
 in ``_scatter_add`` and any other in ``_accumulate``. Writing the first
-gradient into an array kept from the previous step must give the same bits.
-Patch these over the ``versebert.autograd`` names (and ``Tensor.zero_grad``)
-to run the old path.
+gradient into an array kept from the previous step, and giving a table a
+row-sparse gradient that AdamW adds at its rows alone, must give the same
+bits. Patch these over the ``versebert.autograd`` names (and
+``Tensor.zero_grad``; the table's gradient goes to ``_scatter_add`` in place
+of ``_lookup_grad``) to run the old path.
 
 The ops below ``install`` copy or freshly allocate each gradient they hand
 down, and ``gelu`` is the tanh form. Handing a gradient down in place must
@@ -87,6 +89,7 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(autograd.Tensor, "zero_grad", zero_grad)
     for fn in (_accumulate, _scatter_add, matmul):
         monkeypatch.setattr(autograd, fn.__name__, fn)
+    monkeypatch.setattr(autograd, "_lookup_grad", _scatter_add)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

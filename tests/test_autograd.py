@@ -20,7 +20,7 @@ import seed_adamw
 import seed_autograd
 import tape_ops
 from seed_attention import unstack
-from gradcheck import grad_check
+from gradcheck import dense_grad, grad_check
 
 finite = st.floats(-5, 5, allow_nan=False)
 
@@ -369,6 +369,87 @@ class TestBlockedAdamWMatchesSeedStep:
         finally:
             tracemalloc.stop()
         assert peak < 2 * BLOCK * 8  # an 8 MiB parameter; one block is 256 KiB
+
+
+def _row_grad(rng, n: int, width: int, touched: int) -> ag.RowGrad:
+    """``touched`` sorted distinct rows of an (n, width) table, with some exact +0.0 and -0.0 values."""
+    rows = np.sort(rng.choice(n, size=touched, replace=False))
+    values = rng.normal(size=(touched, width))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.1] = -0.0
+    return ag.RowGrad(rows, values)
+
+
+class TestRowGrad:
+    """A table's row-sparse gradient against the dense scatter (``seed_autograd``) and the
+    whole-array AdamW step (``seed_adamw``) it replaced."""
+
+    @staticmethod
+    def _table_grads(rng, build, steps=2) -> list[np.ndarray | None]:
+        """The table's gradient and the other leaf's, as arrays, after each of ``steps`` backwards of ``build``."""
+        table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        other = Tensor(rng.normal(size=(4, 7)), requires_grad=True)
+        got = []
+        for _ in range(steps):
+            for p in (table, other):
+                p.zero_grad()
+            ag.backward(ag.cross_entropy(build(table, other), [0, 4, 2, 1]))
+            got += [dense_grad(table), dense_grad(other)]
+        return got
+
+    @pytest.mark.parametrize("build", [
+        lambda table, other: ag.add(ag.embedding_lookup(table, [1, 3, 3, 6]), ag.embedding_lookup(table, [3, 0, 1, 1])),
+        lambda table, other: ag.add(ag.matmul(other, table), ag.embedding_lookup(table, [1, 3, 3, 6])),
+        lambda table, other: ag.add(ag.embedding_lookup(table, [1, 3, 3, 6]), ag.matmul(other, table)),
+    ], ids=["looked-up-twice", "lookup-backward-first", "matmul-backward-first"])
+    def test_a_table_used_twice_in_a_step_matches_the_dense_scatter(self, monkeypatch, build):
+        """The backward runs the op recorded last first: in the middle case the table holds a ``RowGrad``
+        when the matmul's dense gradient arrives, and in the last the dense gradient comes first."""
+        got = self._table_grads(np.random.default_rng(5), build)
+        seed_autograd.install(monkeypatch)
+        want = self._table_grads(np.random.default_rng(5), build)
+        assert [g if g is None else g.tobytes() for g in got] == [g if g is None else g.tobytes() for g in want]
+
+    def test_one_lookup_gives_the_sums_at_sorted_distinct_rows(self, rng):
+        table = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        ag.backward(ag.cross_entropy(ag.embedding_lookup(table, [6, 3, 3, 1]), [0, 4, 2, 1]))
+        assert type(table.grad) is ag.RowGrad and table.grad.rows.tolist() == [1, 3, 6]
+        assert table.grad.values.shape == (3, 5) and table._grad_buf is None
+
+    def test_adamw_matches_the_seed_step_on_the_densified_gradient(self, rng):
+        """20 steps with weight decay over a dense parameter, a table of several row blocks and one whose
+        row is wider than a block; some steps touch no row or give the table no gradient."""
+        shapes = [(300, 250), (3, BLOCK + 5), (40, 6)]
+        per_step = []
+        for k in range(20):
+            grads = [_row_grad(rng, *shapes[0], touched=[0, 1, 37, 300][k % 4]),
+                     None if k % 5 == 3 else _row_grad(rng, *shapes[1], touched=1 + k % 3),
+                     rng.normal(size=shapes[2])]
+            per_step.append(grads)
+        start = [rng.normal(size=s) for s in shapes]
+        runs = []
+        for step in (AdamW.step, seed_adamw.step):
+            opt = AdamW([Tensor(a.copy(), requires_grad=True) for a in start], lr=1e-2, weight_decay=0.01)
+            for grads in per_step:
+                for p, g in zip(opt.params, grads):
+                    p.grad = g
+                step(opt)
+            runs.append(opt)
+        new, old = runs
+        assert new.step_count == old.step_count == 20
+        for i, (p, q) in enumerate(zip(new.params, old.params)):
+            assert p.data.tobytes() == q.data.tobytes(), i
+            assert np.array_equal(new.m[i], old.m[i]) and np.array_equal(new.v[i], old.v[i]), i
+
+    @pytest.mark.parametrize("rows, values_shape", [
+        ([2, 1], (2, 3)), ([1, 1], (2, 3)), ([0, 4], (2, 3)), ([-1, 2], (2, 3)),
+        ([0.0, 2.0], (2, 3)), ([[0, 2]], (2, 3)), ([0, 2], (2, 4)), ([0, 2], (3, 3)), ([0, 2], (2,)),
+    ], ids=["unsorted", "repeated", "past-the-end", "negative", "float-rows", "2-D-rows", "wide-values",
+            "extra-value-row", "flat-values"])
+    def test_a_bad_row_gradient_is_refused_and_changes_nothing(self, rng, rows, values_shape):
+        grad = ag.RowGrad(np.array(rows), rng.normal(size=values_shape))
+        TestBlockedAdamWMatchesSeedStep._refused_step_changes_nothing(
+            rng, lambda p: setattr(p, "grad", grad), "row gradient")
 
 
 class TestTwoThreadAdamW:

@@ -18,6 +18,7 @@ from versebert.tokenizer import TokenSequence
 
 import seed_cls
 import seed_model
+from gradcheck import dense_grad
 
 TOL = 1e-12
 MAX_LEN = 12
@@ -113,7 +114,7 @@ def test_cls_logits_match(model):
 
 def _grads(params, extra=()):
     """Every gradient by name; the oracle leaves the fused w_qkv without one."""
-    return {name: t.grad.copy() for name, t in params.named_parameters() + list(extra) if t.grad is not None}
+    return {name: dense_grad(t) for name, t in params.named_parameters() + list(extra) if t.grad is not None}
 
 
 def test_mlm_loss_and_every_gradient_match(model):

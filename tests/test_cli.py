@@ -157,6 +157,13 @@ class TestExitCodes:
         assert cli.main(["synth", "--n", "5"]) == 2
         capsys.readouterr()
 
+    def test_help_exits_zero_and_an_unknown_command_two(self, capsys):
+        for argv in (["--help"], ["predict", "--help"]):
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out.startswith("usage: ")
+        assert cli.main(["bogus"]) == 2
+        capsys.readouterr()
+
     def test_domain_error_exits_one_with_error_name(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("hemistich1\tmeter\nقفا\tNotAMeter\n", encoding="utf-8")

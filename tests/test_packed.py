@@ -18,6 +18,7 @@ from versebert.errors import ShapeMismatch
 
 import seed_padded
 import tape_ops
+from gradcheck import dense_grad
 
 TOL = 1e-12
 VOCAB = 64
@@ -62,7 +63,7 @@ def run(encoder, config, params, ids, mask, rows, rate, seed):
     targets = (ids.reshape(-1)[real if rows is None else rows] * 7) % VOCAB
     loss = mdl.mlm_loss(hidden, targets, params)
     ag.backward(loss)
-    grads = {name: t.grad.copy() for name, t in params.named_parameters() if t.grad is not None}
+    grads = {name: dense_grad(t) for name, t in params.named_parameters() if t.grad is not None}
     return hidden.data.copy(), float(loss.data), grads, rng.bit_generator.state
 
 
