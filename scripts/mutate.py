@@ -48,8 +48,8 @@ class Mutant(NamedTuple):
 
 AUTOGRAD, MODEL, TRAINING = "src/versebert/autograd.py", "src/versebert/model.py", "src/versebert/training.py"
 CLI, CORPUS, TOKENIZER = "src/versebert/cli.py", "src/versebert/corpus.py", "src/versebert/tokenizer.py"
-ATTENTION_BYTES = ("tests/test_attention.py::test_scaled_dot_attention_matches_the_composed_chain",
-                   "tests/test_attention.py::test_split_attend_merge_matches_the_composed_chain")
+ATTENTION_BYTES = ("tests/test_attention.py::test_split_attend_merge_matches_the_composed_chain",
+                   "tests/test_attention.py::test_pretrain_checkpoint_bytes_match_the_composed_chain")
 
 MUTANTS = (
     Mutant("add-hands-one-array-to-both-inputs", AUTOGRAD,
@@ -66,6 +66,9 @@ MUTANTS = (
     Mutant("rowgrad-rows-unchecked", AUTOGRAD,
            "or rows.size and (rows[0] < 0 or rows[-1] >= p.shape[0] or np.any(rows[1:] <= rows[:-1]))", "",
            ("tests/test_autograd.py::TestRowGrad::test_a_bad_row_gradient_is_refused_and_changes_nothing",)),
+    Mutant("rowgrad-on-a-scalar-reaches-the-row-checks", AUTOGRAD,
+           "if p.data.ndim == 0 or rows.ndim != 1", "if rows.ndim != 1",
+           ("tests/test_autograd.py::TestRowGrad::test_a_row_gradient_on_a_scalar_is_refused_and_changes_nothing",)),
     Mutant("sparse-block-skips-momentum-decay", AUTOGRAD,
            "                mb *= b1\n                vb *= b2\n", "",
            ("tests/test_autograd.py::TestRowGrad::test_adamw_matches_the_seed_step_on_the_densified_gradient",)),
@@ -76,6 +79,13 @@ MUTANTS = (
            "q, k, v = data.reshape(", "q, v, k = data.reshape(", ATTENTION_BYTES),
     Mutant("head-merge-without-the-swap", AUTOGRAD,
            "o = o.swapaxes(-2, -3)", "o = o.swapaxes(-1, -1)", ATTENTION_BYTES),
+    Mutant("key-bias-on-the-real-keys", MODEL,
+           "np.where(mask == 0, MASK_BIAS, 0.0)", "np.where(mask != 0, MASK_BIAS, 0.0)",
+           ("tests/test_batched.py::test_padded_keys_get_exactly_zero_weight",)),
+    Mutant("all-masked-row-attends", MODEL,
+           "if not mask.any(axis=-1).all():", "if False:",
+           ("tests/test_attention.py::TestEncoder::test_a_row_with_no_attended_position_is_all_masked",
+            "tests/test_model.py::TestScaledDotAttention::test_all_masked_rejected")),
     Mutant("cls-from-row-1", MODEL,
            "np.arange(0, b * t, t)", "np.arange(1, b * t, t)",
            ("tests/test_batched.py::test_cls_logits_match",

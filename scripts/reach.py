@@ -72,17 +72,11 @@ ALLOWED = (
     Allowed("autograd.sum_all", None, PERFBENCH),
     Allowed("autograd.tape_size", None, "perfbench/spans.py and scripts/step_probe.py count tape records with it"),
     Allowed("autograd.Tensor.__repr__", None, "for a person at a debugger or in a failing test's message"),
-    Allowed("autograd.attention", "q, k, v = (s.data for s in srcs)",
-            "the unheaded (q, k, v) form, which scaled_dot_attention and acceptance 01, 02 and 04 call"),
-    Allowed("autograd.attention", "for i in (2, 0, 1)", "the backward of the unheaded (q, k, v) form, as above"),
     Allowed("autograd", "# a table's second use in one step",
             "a second gradient for a table in one step, from a second lookup or a dense use such as a tied "
             "decoder; no model path uses a table twice, and test_autograd's TestRowGrad checks it"),
     Allowed("autograd._unbroadcast", "keepdims=True",
             "add's general broadcast of a size-1 axis, which test_lean_ops checks with a (1, 3, 1) leaf"),
-    Allowed("model.scaled_dot_attention", None, "single-head attention on q, k and v; acceptance 02 and 04 call it"),
-    Allowed("model.multi_head_attention", "bias = key_bias(np.expand_dims(mask, -2)",
-            "the form that builds its own key bias from a mask; acceptance 01 and 02 call it"),
     Allowed("model.paper_config", None, "the paper-shape preset; a model of that shape is too large to trace"),
     Allowed("cli", "sys.exit(main())", "python -m versebert.cli; the paths call main in process, as the "
             "installed versebert command does"),

@@ -286,28 +286,24 @@ def _scattered(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def attention(qkv, bias: np.ndarray, heads: int = 0, real=None) -> tuple[Tensor, np.ndarray]:
-    """softmax(q kᵀ / sqrt(d_k) + bias) v as one taped op; returns it and the weights (off the tape).
+def attention(qkv: Tensor, bias: np.ndarray, heads: int, real: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """softmax(q kᵀ / sqrt(d_k) + bias) v over ``heads`` heads as one taped op; returns it and the weights
+    (off the tape).
 
-    ``qkv`` is (q, k, v) of shapes (..., n, d_k), (..., m, d_k), (..., m, d_v), or with ``heads``
-    one (..., T, 3d) projection [Q heads | K heads | V heads], split into heads and merged back.
-    With ``heads`` and ``real``, the sorted flat indices of the N real positions of a (B, T) batch
-    whose B and T are ``bias``'s first and last axes, ``qkv`` is (N, 3d) and the result (N, d): with
-    padding, the rows go into a zero-padded (B·T, 3d) array first and the merged rows come back out.
-    Every matmul's operands keep the layouts of ``tests/seed_attention.py``'s chain, as numpy picks BLAS
-    or its own loop by stride, so that bits hold. With or without the tape, the scores become the weights
-    in place in one array and the heads merge into one C-order copy, taken from the scratch when
-    forward-only; the backward keeps the weights and allocates its own two score-sized temporaries.
+    ``real`` holds the sorted flat indices of the N real positions of a (B, T) batch, ``bias`` is its
+    (B, 1, 1, T) key bias, and ``qkv`` the (N, 3d) projection of those rows, [Q heads | K heads | V heads];
+    the result is the (N, d) merged heads. With padding, the rows go into a zero-padded (B·T, 3d) array
+    first and the merged rows come back out. Every matmul's operands keep the layouts of
+    ``tests/seed_attention.py``'s chain, as numpy picks BLAS or its own loop by stride, so that bits hold.
+    With or without the tape, the scores become the weights in place in one array and the heads merge
+    into one C-order copy, taken from the scratch when forward-only; the backward keeps the weights and
+    allocates its own two score-sized temporaries.
     """
-    srcs = (qkv,) if heads else qkv
-    pad = real is not None and real.size < bias.shape[0] * bias.shape[-1]
-    if heads:  # (..., T, 3, H, d / H) -> (3, ..., H, T, d / H)
-        lead, t = (qkv.shape[:-2], qkv.shape[-2]) if real is None else (bias.shape[:1], bias.shape[-1])
-        split = (len(lead) + 1, *range(len(lead)), len(lead) + 2, len(lead), len(lead) + 3)
-        data = _scattered(qkv.data, real, lead[0] * t) if pad else qkv.data
-        q, k, v = data.reshape(*lead, t, 3, heads, -1).transpose(split)
-    else:
-        q, k, v = (s.data for s in srcs)
+    b, t = bias.shape[0], bias.shape[-1]
+    pad = real.size < b * t
+    split = (2, 0, 3, 1, 4)  # (B, T, 3, H, d / H) -> (3, B, H, T, d / H)
+    data = _scattered(qkv.data, real, b * t) if pad else qkv.data
+    q, k, v = data.reshape(b, t, 3, heads, -1).transpose(split)
     scale = 1.0 / math.sqrt(q.shape[-1])
     y = np.matmul(q, k.swapaxes(-1, -2), out=_out(q.shape[:-1] + k.shape[-2:-1]))
     y *= scale
@@ -316,32 +312,28 @@ def attention(qkv, bias: np.ndarray, heads: int = 0, real=None) -> tuple[Tensor,
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
     o = np.matmul(y, v, out=_out(y.shape[:-1] + v.shape[-1:]))
-    if heads:  # (..., H, T, d / H) -> (..., T, d). One-column heads merge as a view, the layout numpy's reshape
-        # gives them: the gradient comes back in this layout, and the backward's matmuls pick kernels by stride
-        o = o.swapaxes(-2, -3)
-        o = (o if o.shape[-1] == 1 else np.positive(o, out=_out(o.shape), order="C")).reshape(*lead, t, -1)
-        if real is not None:
-            o = o.reshape(-1, o.shape[-1])
-            o = np.take(o, real, axis=0, out=_out((real.size, o.shape[-1])), mode="clip") if pad else o
-    out = Tensor(o, any(s.requires_grad for s in srcs))
+    # (B, H, T, d / H) -> (B·T, d). One-column heads merge as a view, the layout numpy's reshape gives
+    # them: the gradient comes back in this layout, and the backward's matmuls pick kernels by stride
+    o = o.swapaxes(-2, -3)
+    o = (o if o.shape[-1] == 1 else np.positive(o, out=_out(o.shape), order="C")).reshape(b * t, -1)
+    if pad:
+        o = np.take(o, real, axis=0, out=_out((real.size, o.shape[-1])), mode="clip")
+    out = Tensor(o, qkv.requires_grad)
 
     def fn(g):
-        g = _scattered(g, real, lead[0] * t) if pad else g
-        g = g.reshape(*lead, t, heads, -1).swapaxes(-2, -3) if heads else g
+        g = _scattered(g, real, b * t) if pad else g
+        g = g.reshape(b, t, heads, -1).swapaxes(-2, -3)
         gy = np.matmul(g, v.swapaxes(-1, -2))
         gv = np.matmul(y.swapaxes(-1, -2), g)
         gs = np.subtract(gy, np.add.reduce(np.multiply(gy, y), axis=-1, keepdims=True), out=gy)
         gs *= y
         gs *= scale
         grads = (np.matmul(gs, k), np.matmul(q.swapaxes(-1, -2), gs).swapaxes(-1, -2), gv)
-        if heads:  # + 0.0 makes a -0.0 +0.0, as unstack's zero-filled buffer did
-            buf = np.empty((*lead, t, 3, heads, q.shape[-1]))
-            for part, grad in zip(buf.transpose(split), grads):
-                np.add(grad, 0.0, out=part)
-            _accumulate(qkv, buf.reshape(-1, qkv.shape[-1])[real] if pad else buf.reshape(qkv.shape))
-        else:
-            for i in (2, 0, 1):  # the order the replaced backward reached them
-                _accumulate(srcs[i], grads[i])
+        buf = np.empty((b, t, 3, heads, q.shape[-1]))
+        for part, grad in zip(buf.transpose(split), grads):
+            np.add(grad, 0.0, out=part)  # + 0.0 makes a -0.0 +0.0, as unstack's zero-filled buffer did
+        buf = buf.reshape(b * t, -1)
+        _accumulate(qkv, buf[real] if pad else buf)
 
     _record(out, fn)
     return out, y
@@ -572,7 +564,8 @@ class AdamW:
             g = p.grad
             if type(g) is RowGrad:
                 rows = g.rows
-                if rows.ndim != 1 or rows.dtype.kind not in "iu" or g.values.shape != (rows.size, *p.shape[1:]) \
+                if p.data.ndim == 0 or rows.ndim != 1 or rows.dtype.kind not in "iu" \
+                        or g.values.shape != (rows.size, *p.shape[1:]) \
                         or rows.size and (rows[0] < 0 or rows[-1] >= p.shape[0] or np.any(rows[1:] <= rows[:-1])):
                     raise ShapeMismatch(f"row gradient of {rows.shape} rows and {g.values.shape} values is not "
                                         f"one value row each at sorted, distinct rows of a {p.shape} table")

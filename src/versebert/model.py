@@ -3,10 +3,11 @@ learned positions, stacked multi-head self-attention blocks (post-layer-norm),
 an MLM projection head, and per-task classification heads. The encoder keeps the
 N real positions of a (B, T) batch as one (N, d) array: a layer's QKV projection,
 W_O, layer norms, FFN, residual adds and dropout run on those N rows, and only
-``ag.attention`` puts them into the (B, T) layout and takes them back out. A layer
-records 10 tape ops, one of them ``ag.attention`` (head split, scaled QK^T, key bias,
-softmax, weighting of V and head merge); of its score-sized arrays it keeps only the
-weights for its backward.
+``ag.attention`` puts them into the (B, T) layout and takes them back out. Attention
+has that one form: self-attention of a layer's packed (N, 3d) projection under the
+batch's (B, 1, 1, T) ``key_bias``, built once per forward. A layer records 10 tape ops,
+one of them ``ag.attention`` (head split, scaled QK^T, key bias, softmax, weighting of
+V and head merge); of its score-sized arrays it keeps only the weights for its backward.
 
 Assumptions where the architecture is under-specified: the feed-forward inner
 dimension defaults to 4x hidden, and positions default to the sinusoidal
@@ -190,33 +191,18 @@ def init_head(config: ModelConfig, num_labels: int, rng: np.random.Generator) ->
     )
 
 
-def key_bias(mask, keys: tuple[int, ...]) -> np.ndarray:
-    """-1e9 at masked keys of ``mask`` and 0 elsewhere, a query axis inserted before the key axis.
-    ``mask`` broadcasts against ``keys``, the keys' shape less its last axis; no row may mask every key."""
-    mask = np.asarray(mask)
-    lead_ok = mask.ndim <= len(keys) and all(m in (1, n) for m, n in zip(mask.shape[-2::-1], keys[-2::-1]))
-    if mask.shape[-1:] != keys[-1:] or not lead_ok:
-        raise ShapeMismatch(f"mask shape {mask.shape} vs keys {keys}")
+def key_bias(mask: np.ndarray) -> np.ndarray:
+    """The (B, 1, 1, T) key bias of a (B, T) 0/1 mask: -1e9 at its masked keys and 0 elsewhere, one
+    row for every head and query of a verse. No row may mask every key."""
     if not mask.any(axis=-1).all():
         raise AllMasked("every key is masked; at least one must be attendable")
-    return np.where(mask == 0, MASK_BIAS, 0.0)[..., None, :]
+    return np.where(mask == 0, MASK_BIAS, 0.0)[:, None, None, :]
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor, mask, return_weights: bool = False):
-    """softmax(QK^T / sqrt(d_k) + key_bias(mask)) V as one ``ag.attention`` op; weights come off the tape.
-    q, k and v share any leading batch axes."""
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2] or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
-        raise ShapeMismatch(f"attention shapes q {q.shape}, k {k.shape}, v {v.shape}")
-    out, weights = ag.attention((q, k, v), key_bias(mask, k.shape[:-1]))
-    return (out, Tensor(weights)) if return_weights else out
-
-
-def multi_head_attention(x: Tensor, layer: LayerParams, mask, num_heads: int, bias=None, real=None) -> Tensor:
-    """All heads at once: one fused QKV projection, attention over its (..., H, T, d_k) split with the
-    heads merged back in column order, and W_O. ``x`` is (..., T, d), ``mask`` (..., T), ``bias`` None or key_bias;
-    or, with ``real`` and ``bias`` of a (B, T) mask, ``x`` is the (N, d) rows at the flat indices ``real``."""
-    if bias is None:  # one mask for every head's keys
-        bias = key_bias(np.expand_dims(mask, -2), (*x.shape[:-2], num_heads, x.shape[-2]))
+def multi_head_attention(x: Tensor, layer: LayerParams, num_heads: int, bias: np.ndarray, real: np.ndarray) -> Tensor:
+    """All heads at once on the (N, d) rows ``x`` at the flat indices ``real`` of a (B, T) batch whose
+    ``key_bias`` is ``bias``: one fused QKV projection, ``ag.attention`` with the heads merged back in
+    column order, and W_O."""
     merged, _ = ag.attention(ag.matmul(x, layer.w_qkv), bias, num_heads, real)
     return ag.matmul(merged, layer.w_o)
 
@@ -252,14 +238,14 @@ def encoder_forward(
         raise ShapeMismatch(f"ids {ids.shape} / mask {mask.shape} vs max_len {config.max_len}")
     t = ids.shape[1]
     real = np.flatnonzero(mask)
-    bias = key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
+    bias = key_bias(mask)  # once, for every layer
     if rows is not None and not np.array_equal(np.take(real, at := np.searchsorted(real, rows), mode="clip"), rows):
         raise ShapeMismatch("rows must be flat indices into B*T of real positions")
     learned = config.positional_mode == "learned"
     table = params.positional if learned else Tensor(_positions(config.max_len, config.hidden))
     x = ag.add(ag.embedding_lookup(params.token_embedding, ids.reshape(-1)[real]), ag.embedding_lookup(table, real % t))
     for layer in params.layers:
-        attn = multi_head_attention(x, layer, mask, config.num_heads, bias, real)
+        attn = multi_head_attention(x, layer, config.num_heads, bias, real)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng, (ids.size, real)))
         if cut := rows is not None and layer is params.layers[-1]:
             x = ag.take_rows(x, at)  # rows' places among the real positions, as rows of x

@@ -2,17 +2,20 @@
 kept as the oracle for the equivalence tests.
 
 ``scaled_dot_attention`` records permute, matmul, scale, add, softmax_rows
-and matmul; ``multi_head_attention`` adds the head split (reshape, permute,
+and matmul; ``split_attend_merge`` adds the head split (reshape, permute,
 ``unstack``) before it and the merge (permute, reshape) after it, 22 tape
-records per encoder layer in all. The op must give the same output and the
-same input gradients, bit for bit. ``unstack`` is the op the split used; its
-backward adds each part's gradient into a zero-filled buffer, so a -0.0
-arrives as +0.0. The two batched products (QK^T and the weighting of V) go
-through ``seed_autograd.matmul``, which keeps the batched-operand form that
-``ag.matmul`` dropped when attention became one op. On the encoder's packed
-real rows, ``multi_head_attention`` puts the projection into the (B, T)
-layout and takes the merged rows back out with two more records,
-``scatter_rows`` and ``take_rows``.
+records per encoder layer with the two projections. ``attend_real_rows``
+takes the encoder's packed real rows as the op does: on a batch with
+padding, it puts the (N, 3d) projection into the (B, T) layout and takes the
+merged rows back out with two more records, ``scatter_rows`` and
+``take_rows``. The op must give the same output and the same input gradient,
+bit for bit. ``unstack`` is the op the split used; its backward adds each
+part's gradient into a zero-filled buffer, so a -0.0 arrives as +0.0. The two
+batched products (QK^T and the weighting of V) go through
+``seed_autograd.matmul``, which keeps the batched-operand form that
+``ag.matmul`` dropped when attention became one op. ``multi_head_attention``
+takes the arguments of ``model.multi_head_attention``, so a test can swap it
+in.
 """
 
 from __future__ import annotations
@@ -81,14 +84,20 @@ def scatter_rows(a: Tensor, rows, n: int) -> Tensor:
     return out
 
 
-def multi_head_attention(x: Tensor, layer, mask, num_heads: int, real=None) -> Tensor:
-    """With ``real``, ``x`` holds the (N, d) rows of a (B, T) ``mask``'s real positions: the projection
-    goes into a zero-padded (B*T, 3d) array first, and the merged heads' real rows come back out."""
+def attend_real_rows(qkv: Tensor, mask, num_heads: int, real) -> Tensor:
+    """The chain on the (N, 3d) projection of the real positions ``real`` of a (B, T) ``mask``: with
+    padding, the rows go into a zero-padded (B*T, 3d) array first, and the merged heads' real rows come
+    back out. Without, both are skipped, as the op skips them, so that the output keeps its layout."""
+    b, t = np.shape(mask)
+    pad = real.size < b * t
+    merged = split_attend_merge(tape_ops.reshape(scatter_rows(qkv, real, b * t) if pad else qkv, (b, t, -1)),
+                                mask, num_heads)
+    merged = tape_ops.reshape(merged, (-1, merged.shape[-1]))
+    return ag.take_rows(merged, real) if pad else merged
+
+
+def multi_head_attention(x: Tensor, layer, num_heads: int, bias, real) -> Tensor:
+    """The chain between the QKV and output projections, on the (N, d) rows ``x``; the (B, T) mask is
+    read back from its (B, 1, 1, T) key ``bias``, which is 0 exactly at the real keys."""
     qkv = ag.matmul(x, layer.w_qkv)
-    if real is not None:
-        b, t = np.shape(mask)
-        qkv = tape_ops.reshape(scatter_rows(qkv, real, b * t), (b, t, -1))
-    merged = split_attend_merge(qkv, mask, num_heads)
-    if real is not None:
-        merged = ag.take_rows(tape_ops.reshape(merged, (-1, merged.shape[-1])), real)
-    return ag.matmul(merged, layer.w_o)
+    return ag.matmul(attend_real_rows(qkv, (bias[:, 0, 0] == 0).astype(np.int64), num_heads, real), layer.w_o)

@@ -7,7 +7,8 @@ states, or a (T x d) sequence, and gathered row 0 of each sequence. The
 its own cut of the last layer, and ``classify`` gathered every one of those
 rows a second time. ``encoder_forward``, ``classify`` and ``predict_logits``
 are the replaced code verbatim, except that ``mdl.`` qualifies the model's
-names. ``model.predict_logits`` must give these logits bit for bit, and
+names and attention goes through ``seed_padded.multi_head_attention``.
+``model.predict_logits`` must give these logits bit for bit, and
 ``training.finetune`` this ``classify``'s gradients.
 """
 
@@ -19,6 +20,7 @@ from versebert import autograd as ag
 from versebert import model as mdl
 from versebert.autograd import Tensor
 
+import seed_padded
 import tape_ops
 
 
@@ -36,9 +38,9 @@ def encoder_forward(
         x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
     else:
         x = ag.add(x, Tensor(mdl._positions(config.max_len, config.hidden)[:t]))
-    bias = mdl.key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
+    bias = mdl.key_bias(mask)  # once, for every layer
     for layer in params.layers:
-        attn = mdl.multi_head_attention(x, layer, mask, config.num_heads, bias)
+        attn = seed_padded.multi_head_attention(x, layer, config.num_heads, bias)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
         if cls_only and layer is params.layers[-1]:
             x = tape_ops.reshape(_cls_rows(x), (-1, 1, config.hidden))

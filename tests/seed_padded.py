@@ -7,7 +7,9 @@ key bias kept the padded rows out of the real ones. ``encoder_forward`` gave
 those flat indices into B*T, cut after the last layer's attention and first
 residual add. Each dropout site drew its mask for the whole (B, T, hidden)
 array. It is the replaced code verbatim, except that ``mdl.`` qualifies the
-model's names and ``tape_ops.reshape`` stands for the removed ``ag.reshape``.
+model's names, ``tape_ops.reshape`` stands for the removed ``ag.reshape``, and
+attention goes through ``multi_head_attention`` here, since the model's takes
+packed rows only.
 The packed encoder must give these states at the real positions, and the same
 loss and parameter gradients: bit for bit at the ``pretrain-mid`` shape.
 """
@@ -21,6 +23,15 @@ from versebert import model as mdl
 from versebert.autograd import Tensor
 
 import tape_ops
+
+
+def multi_head_attention(x: Tensor, layer: mdl.LayerParams, num_heads: int, bias: np.ndarray) -> Tensor:
+    """The (B x T x hidden) attention output of (B x T x hidden) states ``x``, through the model's packed
+    one with every position real: its operands keep their layouts, so its bits hold, and a reshape
+    on either side adds two tape records."""
+    b, t, d = x.shape
+    out = mdl.multi_head_attention(tape_ops.reshape(x, (b * t, d)), layer, num_heads, bias, np.arange(b * t))
+    return tape_ops.reshape(out, (b, t, d))
 
 
 def encoder_forward(
@@ -37,9 +48,9 @@ def encoder_forward(
         x = ag.add(x, ag.take_rows(params.positional, np.arange(t)))
     else:
         x = ag.add(x, Tensor(mdl._positions(config.max_len, config.hidden)[:t]))
-    bias = mdl.key_bias(mask[:, None, :], (ids.shape[0], config.num_heads, t))  # once, for every layer
+    bias = mdl.key_bias(mask)  # once, for every layer
     for layer in params.layers:
-        attn = mdl.multi_head_attention(x, layer, mask, config.num_heads, bias)
+        attn = multi_head_attention(x, layer, config.num_heads, bias)
         x = ag.add(x, ag.dropout(attn, dropout_rate, dropout_rng))
         if cut := rows is not None and layer is params.layers[-1]:
             x = ag.take_rows(tape_ops.reshape(x, (-1, config.hidden)), rows)

@@ -13,7 +13,8 @@ masking, whose name this module's own oracle takes, and that they return the
 checkpoint without writing it, as the commands now write it. They
 call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
-``ModelConfig.dropout``, and no row cut), the replaced ``mlm_loss`` (which
+``ModelConfig.dropout``, and no row cut; its attention now goes through
+``seed_padded.multi_head_attention``), the replaced ``mlm_loss`` (which
 gathers the masked rows of the full states itself) and the replaced
 ``classify`` (``seed_cls``, which cuts the [CLS] rows itself) swapped in;
 every other name is looked up on the real module at call time. The per-sequence masking reads its split from
@@ -52,6 +53,7 @@ from versebert.training import (
 )
 
 import seed_cls
+import seed_padded
 import tape_ops
 
 log = logging.getLogger(__name__)
@@ -156,7 +158,7 @@ def encoder_forward(
     else:
         x = ag.add(x, Tensor(model._positions(config.max_len, config.hidden)[:t]))
     for layer in params.layers:
-        attn = model.multi_head_attention(x, layer, mask, config.num_heads)
+        attn = seed_padded.multi_head_attention(x, layer, config.num_heads, model.key_bias(mask))
         attn = ag.dropout(attn, rate if train else 0.0, dropout_rng)
         x = ag.layer_norm(ag.add(x, attn), layer.ln1_gain, layer.ln1_bias)
         ffn = ag.matmul(ag.gelu(ag.matmul(x, layer.ffn_w1)), layer.ffn_w2)

@@ -19,7 +19,7 @@ from versebert.corpus import LabelTaxonomy
 from decoding import decode
 from gradcheck import grad_check
 from test_evaluation import brute_force_report
-from test_model import dense_attention_oracle, multi_head_oracle
+from test_model import attend, attend_layer, dense_attention_oracle, multi_head_oracle
 from test_preprocess import allowed_line_chars
 
 
@@ -45,10 +45,11 @@ def test_criterion_01_gradient_correctness():
     op_errs["softmax"] = grad_check(
         lambda: ag.cross_entropy(ag.scale(ag.softmax_rows(sm), 4.0), [0, 3]), [sm]
     )
-    aq, ak, av = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (5, 4), (5, 2)))
-    key_bias = mdl.key_bias([1, 1, 0, 1, 1], (5,))
+    mask = np.array([[1, 1, 0, 1, 1]])  # one padded position
+    real, key_bias = np.flatnonzero(mask), mdl.key_bias(mask)
+    qkv = Tensor(rng.normal(size=(real.size, 3 * 2 * 2)), requires_grad=True)  # 2 heads of 2 columns
     op_errs["attention"] = grad_check(
-        lambda: ag.cross_entropy(ag.attention((aq, ak, av), key_bias)[0], [1, 0, 1]), [aq, ak, av]
+        lambda: ag.cross_entropy(ag.attention(qkv, key_bias, 2, real)[0], [1, 0, 3, 2]), [qkv]
     )
     ln_x = Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     ln_g = Tensor(1.0 + 0.1 * rng.normal(size=(6,)), requires_grad=True)
@@ -101,23 +102,22 @@ def test_criterion_02_attention_invariants():
     worst_masked = 0.0
     envelope_ok = True
     for _ in range(1000):
-        n = int(rng.integers(1, 6))
-        m = int(rng.integers(1, 7))
+        t = int(rng.integers(1, 7))
         d_k = int(rng.integers(1, 5))
-        d_v = int(rng.integers(1, 5))
-        q = Tensor(rng.normal(size=(n, d_k)) * 2)
-        k = Tensor(rng.normal(size=(m, d_k)) * 2)
-        v = Tensor(rng.normal(size=(m, d_v)))
-        mask = rng.integers(0, 2, size=m)
+        heads = int(rng.integers(1, 4))
+        mask = rng.integers(0, 2, size=t)
         if not mask.any():
-            mask[int(rng.integers(0, m))] = 1
-        out, weights = mdl.scaled_dot_attention(q, k, v, mask, return_weights=True)
-        worst_sum = max(worst_sum, float(np.abs(weights.data.sum(axis=1) - 1.0).max()))
+            mask[int(rng.integers(0, t))] = 1
+        d = heads * d_k
+        qkv = rng.normal(size=(t, 3 * d))
+        qkv[:, :2 * d] *= 2  # the queries and keys
+        out, weights = attend(qkv, mask, heads)
+        worst_sum = max(worst_sum, float(np.abs(weights.sum(axis=-1) - 1.0).max()))
         if (mask == 0).any():
-            worst_masked = max(worst_masked, float(weights.data[:, mask == 0].max()))
-        live = v.data[mask == 1]
+            worst_masked = max(worst_masked, float(weights[..., mask == 0].max()))
+        live = qkv[mask == 1, 2 * d:]  # the values at the real positions, whose rows out holds
         hi, lo = live.max(axis=0), live.min(axis=0)
-        if not (np.all(out.data <= hi + 1e-12) and np.all(out.data >= lo - 1e-12)):
+        if not (np.all(out <= hi + 1e-12) and np.all(out >= lo - 1e-12)):
             envelope_ok = False
     ok = worst_sum <= 1e-12 and worst_masked < 1e-9 and envelope_ok
     report(2, ok, f"attention: 1000 instances, row-sum dev {worst_sum:.1e} (<=1e-12), "
@@ -146,14 +146,13 @@ def test_criterion_04_oracle_equivalence():
     rng = np.random.default_rng(3)
     worst_sda = 0.0
     for _ in range(100):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        d_k, d_v = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        q, k, v = rng.normal(size=(n, d_k)), rng.normal(size=(m, d_k)), rng.normal(size=(m, d_v))
-        mask = rng.integers(0, 2, size=m)
+        t, d_k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        q, k, v = rng.normal(size=(t, d_k)), rng.normal(size=(t, d_k)), rng.normal(size=(t, d_k))
+        mask = rng.integers(0, 2, size=t)
         if not mask.any():
             mask[0] = 1
-        got = mdl.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask).data
-        worst_sda = max(worst_sda, float(np.abs(got - dense_attention_oracle(q, k, v, mask)).max()))
+        got, _ = attend(np.concatenate([q, k, v], axis=1), mask)
+        worst_sda = max(worst_sda, float(np.abs(got - dense_attention_oracle(q, k, v, mask)[mask == 1]).max()))
 
     worst_mha = 0.0
     for trial in range(100):
@@ -162,8 +161,8 @@ def test_criterion_04_oracle_equivalence():
         params = mdl.init_params(cfg, np.random.default_rng(trial))
         x = rng.normal(size=(4, 8))
         mask = [1, 1, 1, 0]
-        got = mdl.multi_head_attention(Tensor(x), params.layers[0], mask, cfg.num_heads).data
-        oracle = multi_head_oracle(x, params.layers[0], mask, cfg.num_heads)
+        got = attend_layer(x, params.layers[0], mask, cfg.num_heads)
+        oracle = multi_head_oracle(x, params.layers[0], mask, cfg.num_heads)[:3]  # the real rows
         worst_mha = max(worst_mha, float(np.abs(got - oracle).max()))
 
     worst_prf = 0.0

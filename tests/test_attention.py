@@ -17,7 +17,6 @@ from versebert.autograd import Tensor
 from versebert.errors import AllMasked
 
 import seed_attention
-import tape_ops
 from gradcheck import grad_check
 
 
@@ -44,89 +43,48 @@ def _run(fn, arrays, n_out):
     ag.reset_tape()
     leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = fn(*leaves)
-    width = out.shape[-1]
-    loss = ag.cross_entropy(tape_ops.reshape(out, (-1, width)), np.arange(out.data.size // width) % n_out)
-    ag.backward(loss)
+    ag.backward(ag.cross_entropy(out, np.arange(out.shape[0]) % n_out))
     return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
 
 
-shapes = st.fixed_dictionaries({
-    "lead": st.sampled_from([(), (1,), (2,), (3,), (4,), (2, 3)]),
-    "n": st.integers(1, 8), "m": st.integers(1, 8), "d_k": st.integers(1, 4), "d_v": st.integers(1, 4),
-    "seed": st.integers(0, 2**32 - 1),
-})
-
-
 @settings(max_examples=150, deadline=None)
-@given(shapes)
-def test_scaled_dot_attention_matches_the_composed_chain(p):
-    rng = np.random.default_rng(p["seed"])
-    lead, n, m = p["lead"], p["n"], p["m"]
-    arrays = [_values(rng, lead + (n, p["d_k"])), _values(rng, lead + (m, p["d_k"])), _values(rng, lead + (m, p["d_v"]))]
-    mask = _masks(rng, lead[:1], m)  # one mask per batch row, broadcast over any further axes
-    mask = mask.reshape(lead[:1] + (1,) * (len(lead) - 1) + (m,))
-    want = _run(lambda q, k, v: seed_attention.scaled_dot_attention(q, k, v, mask), arrays, p["d_v"])
-    got = _run(lambda q, k, v: mdl.scaled_dot_attention(q, k, v, mask), arrays, p["d_v"])
-    assert got == want
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_one_tensor_as_query_key_and_value_matches(n, d, seed):
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_split_attend_merge_matches_the_composed_chain(b, t, heads, d_k, seed):
     rng = np.random.default_rng(seed)
-    x, mask = _values(rng, (2, n, d)), _masks(rng, (2,), n)
-    want = _run(lambda t: seed_attention.scaled_dot_attention(t, t, t, mask), [x], d)
-    got = _run(lambda t: mdl.scaled_dot_attention(t, t, t, mask), [x], d)
-    assert got == want
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from([(), (1,), (2,), (3,), (4,)]), st.integers(1, 8), st.integers(1, 3), st.integers(1, 3),
-       st.integers(0, 2**32 - 1))
-def test_split_attend_merge_matches_the_composed_chain(lead, t, heads, d_k, seed):
-    rng = np.random.default_rng(seed)
-    qkv = _values(rng, lead + (t, 3 * heads * d_k))
-    mask = _masks(rng, lead, t)
-    want = _run(lambda a: seed_attention.split_attend_merge(a, mask, heads), [qkv], heads * d_k)
-    bias = mdl.key_bias(np.expand_dims(mask, -2), (*lead, heads, t))
-    got = _run(lambda a: ag.attention(a, bias, heads)[0], [qkv], heads * d_k)
+    mask = _masks(rng, (b,), t)
+    real = np.flatnonzero(mask)
+    qkv = _values(rng, (real.size, 3 * heads * d_k))
+    want = _run(lambda a: seed_attention.attend_real_rows(a, mask, heads, real), [qkv], heads * d_k)
+    got = _run(lambda a: ag.attention(a, mdl.key_bias(mask), heads, real)[0], [qkv], heads * d_k)
     assert got == want
 
 
 def test_forward_without_tape_gives_the_same_bits():
     # large enough that the scratch holds the scores; the second pass gets them there
     rng = np.random.default_rng(4)
-    qkv, mask = Tensor(rng.normal(size=(4, 32, 3 * 3 * 8)), requires_grad=True), _masks(rng, (4,), 32)
-    bias = mdl.key_bias(mask[:, None, :], (4, 3, 32))
-    taped, _ = ag.attention(qkv, bias, 3)
+    mask = _masks(rng, (4,), 32)
+    real, bias = np.flatnonzero(mask), mdl.key_bias(mask)
+    qkv = Tensor(rng.normal(size=(real.size, 3 * 3 * 8)), requires_grad=True)
+    taped, _ = ag.attention(qkv, bias, 3, real)
     ag.reset_tape()
     for _ in range(2):
         with ag.no_grad(), ag._scratch():
-            free, _ = ag.attention(qkv, bias, 3)
+            free, _ = ag.attention(qkv, bias, 3, real)
             assert free.data.tobytes() == taped.data.tobytes()
 
 
-def _contents(cell):
-    """What a closure cell holds; None for a name that only the other form of the op binds."""
-    try:
-        return cell.cell_contents
-    except ValueError:
-        return None
-
-
-@pytest.mark.parametrize("heads", [0, 2])
-def test_a_taped_forward_keeps_one_score_array_the_weights(heads):
+@pytest.mark.parametrize("padded", [0, 2])  # positions cut from the end of the second verse
+def test_a_taped_forward_keeps_one_score_array_the_weights(padded):
     rng = np.random.default_rng(6)
     b, t, d = 2, 128, 4  # scores of 2 x 2 x 128 x 128 float64s (512 KiB) dwarf every other array
-    if heads:
-        qkv = Tensor(rng.normal(size=(b, t, 3 * d)), requires_grad=True)
-    else:
-        qkv = tuple(Tensor(rng.normal(size=(b, 2, t, d // 2)), requires_grad=True) for _ in range(3))
-    bias = mdl.key_bias(np.ones((b, 1, t)), (b, 2, t))
+    mask = np.ones((b, t), dtype=np.int64)
+    mask[1, t - padded:] = 0
+    real, bias = np.flatnonzero(mask), mdl.key_bias(mask)
+    qkv = Tensor(rng.normal(size=(real.size, 3 * d)), requires_grad=True)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out, weights = ag.attention(qkv, bias, heads)
+        out, weights = ag.attention(qkv, bias, 2, real)
         forward_peak = tracemalloc.get_traced_memory()[1] - base
         kept = tracemalloc.get_traced_memory()[0] - base
         _, fn = ag._tape.pop()
@@ -140,17 +98,17 @@ def test_a_taped_forward_keeps_one_score_array_the_weights(heads):
         ag.reset_tape()
     size = weights.nbytes
     assert size <= kept < 1.5 * size and forward_peak < 1.5 * size
-    held = [a for a in map(_contents, fn.__closure__) if getattr(a, "size", 0) >= weights.size]
+    held = [cell.cell_contents for cell in fn.__closure__ if getattr(cell.cell_contents, "size", 0) >= weights.size]
     assert len(held) == 1 and held[0] is weights
     assert 2 * size <= backward_peak < 2.5 * size  # the weights' gradient and its product with them
 
 
 def test_gradients_against_finite_differences():
     rng = np.random.default_rng(5)
-    qkv = Tensor(rng.normal(size=(2, 4, 3 * 2 * 3)), requires_grad=True)
-    bias = mdl.key_bias(np.array([[1, 1, 0, 1], [1, 0, 0, 0]])[:, None, :], (2, 2, 4))
-    assert grad_check(lambda: ag.cross_entropy(tape_ops.reshape(ag.attention(qkv, bias, 2)[0], (8, 6)),
-                                               [0, 5, 1, 4] * 2), [qkv]) < 1e-5
+    mask = np.array([[1, 1, 0, 1], [1, 0, 0, 0]])
+    real, bias = np.flatnonzero(mask), mdl.key_bias(mask)
+    qkv = Tensor(rng.normal(size=(real.size, 3 * 2 * 3)), requires_grad=True)
+    assert grad_check(lambda: ag.cross_entropy(ag.attention(qkv, bias, 2, real)[0], [0, 5, 1, 4]), [qkv]) < 1e-5
 
 
 def test_pretrain_checkpoint_bytes_match_the_composed_chain(tmp_path, monkeypatch):
@@ -161,8 +119,7 @@ def test_pretrain_checkpoint_bytes_match_the_composed_chain(tmp_path, monkeypatc
     for path in paths:
         tcfg = training.tiny_train_config(batch_size=4, max_steps=3, seed=1, dropout=0.1)
         training.save_checkpoint(training.pretrain(lines, vocab, cfg, tcfg), path)
-        monkeypatch.setattr(mdl, "multi_head_attention", lambda x, layer, mask, heads, bias=None, real=None:
-                            seed_attention.multi_head_attention(x, layer, mask, heads, real))
+        monkeypatch.setattr(mdl, "multi_head_attention", seed_attention.multi_head_attention)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 

@@ -451,6 +451,13 @@ class TestRowGrad:
         TestBlockedAdamWMatchesSeedStep._refused_step_changes_nothing(
             rng, lambda p: setattr(p, "grad", grad), "row gradient")
 
+    def test_a_row_gradient_on_a_scalar_is_refused_and_changes_nothing(self, rng):
+        """A 0-d parameter has no rows to index, so the row checks cannot run on it."""
+        def spoil(p):
+            p.data, p.grad = np.array(1.0), ag.RowGrad(np.array([0]), np.zeros(1))
+
+        TestBlockedAdamWMatchesSeedStep._refused_step_changes_nothing(rng, spoil, "row gradient")
+
 
 class TestTwoThreadAdamW:
     def test_each_block_is_updated_once_under_thread_switching(self, rng, monkeypatch):

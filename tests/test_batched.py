@@ -177,11 +177,12 @@ def test_appended_padding_leaves_real_positions_unchanged(model):
 
 def test_padded_keys_get_exactly_zero_weight():
     rng = np.random.default_rng(0)
-    q, k, v = (ag.Tensor(rng.normal(size=(2, 3, 4, 2))) for _ in range(3))
-    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]])[:, None, :]
-    _, weights = mdl.scaled_dot_attention(q, k, v, mask, return_weights=True)
-    assert np.all(weights.data[0, :, :, 2:] == 0.0)
-    assert np.all(weights.data[1, :, :, 3] == 0.0)
+    mask = np.array([[1, 1, 0, 0], [1, 1, 1, 0]])
+    real = np.flatnonzero(mask)
+    qkv = ag.Tensor(rng.normal(size=(real.size, 3 * 3 * 2)))  # 3 heads of 2 columns
+    _, weights = ag.attention(qkv, mdl.key_bias(mask), 3, real)
+    assert np.all(weights[0, :, :, 2:] == 0.0)
+    assert np.all(weights[1, :, :, 3] == 0.0)
 
 
 def test_predict_one_verse_matches_its_row_in_a_batch(model):

@@ -14,7 +14,9 @@ A reference to ``f`` defined in ``versebert/m.py`` is one of:
 
 A method call such as ``data.decode(...)`` on an unrelated object is no
 reference, so a name shared with a method does not pass by accident. The check
-is there to catch code that only tests call.
+is there to catch code that only tests call, and it excuses none. It also sees
+what ``scripts/reach.py``'s line trace cannot: an unused class without methods,
+whose body runs at import.
 """
 
 import ast
@@ -26,14 +28,6 @@ PROGRAM_DIRS = ("src", "scripts", "perfbench")
 PACKAGE = "versebert"
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-
-# Definitions kept although only tests reach them, each with its reason.
-ALLOWED = {
-    # single-head attention on separate q, k and v with a 0/1 mask, which acceptance
-    # criteria 02 and 04 check; the encoder calls ``ag.attention`` on its fused projection
-    "scaled_dot_attention",
-}
-
 
 def _package_module(dotted) -> str | None:
     """``m`` for ``"versebert.m"``, else None."""
@@ -127,12 +121,7 @@ def _definitions(sources: dict) -> list:
 
 def test_every_definition_in_src_is_reached_by_the_program():
     sources = _program_sources()
-    definitions = [d for d in _definitions(sources) if d[2] not in ALLOWED]
-    assert _unreached(sources, definitions) == []
-
-
-def test_the_allowlist_names_only_existing_definitions():
-    assert ALLOWED <= {name for _, _, name in _definitions(_program_sources())}
+    assert _unreached(sources, _definitions(sources)) == []
 
 
 TOKENIZER = "def decode(ids):\n    return ids\n\n\ndef encode(line):\n    return [line]\n"
