@@ -63,6 +63,10 @@ MUTANTS = (
            "if not p.data.flags.c_contiguous:", "if False:",
            ("tests/test_autograd.py::TestBlockedAdamWMatchesSeedStep"
             "::test_a_param_that_is_not_c_contiguous_is_refused_and_changes_nothing",)),
+    Mutant("adamw-steps-a-read-only-param", AUTOGRAD,
+           "if not p.data.flags.writeable:", "if False:",
+           ("tests/test_autograd.py::TestBlockedAdamWMatchesSeedStep"
+            "::test_a_read_only_param_is_refused_and_changes_nothing",)),
     Mutant("rowgrad-rows-unchecked", AUTOGRAD,
            "or rows.size and (rows[0] < 0 or rows[-1] >= p.shape[0] or np.any(rows[1:] <= rows[:-1]))", "",
            ("tests/test_autograd.py::TestRowGrad::test_a_bad_row_gradient_is_refused_and_changes_nothing",)),
@@ -142,6 +146,10 @@ MUTANTS = (
     Mutant("optimizer-state-loads", TRAINING,
            'if header["optimizer"] is not None:', "if False:",
            ("tests/test_steady_state.py::TestCheckpointWrite::test_a_file_with_optimizer_state_is_refused",)),
+    Mutant("checkpoint-payload-unaligned", TRAINING,
+           "memoryview(raw)[-(raw.ctypes.data + skip) % 64 :]", "memoryview(raw)[1:]",
+           ("tests/test_lean_ops.py::TestCheckpointViews"
+            "::test_the_payload_starts_on_a_64_byte_boundary_whatever_the_header_length",)),
     Mutant("check-vocab-never-raises", TRAINING,
            "if self.vocab_digest != vocab.digest():", "if False:",
            ("tests/test_training.py::TestFinetune::test_digest_mismatch_rejected",
@@ -183,6 +191,9 @@ MUTANTS = (
     Mutant("ffn-dim-from-the-preset", CLI,
            '{"ffn_dim": None, **file_cfg}', "file_cfg",
            ("tests/test_cli.py::TestConfigMerging::test_ffn_dim_follows_hidden_unless_the_config_file_sets_it",)),
+    Mutant("out-of-memory-escapes-as-a-traceback", CLI,
+           "except (VerseBertError, OSError, MemoryError) as exc:", "except (VerseBertError, OSError) as exc:",
+           ("tests/test_cli.py::TestBadInvocations::test_running_out_of_memory_is_a_named_error_and_writes_nothing",)),
     Mutant("no-validation-pre-check", CLI,
            "if not [preprocess.preprocess_verse(r) for r, _ in corpus_mod.task_pairs(val_store, tax.task_id)]:",
            "if not corpus_mod.task_pairs(val_store, tax.task_id):",

@@ -80,6 +80,8 @@ ALLOWED = (
     Allowed("model.paper_config", None, "the paper-shape preset; a model of that shape is too large to trace"),
     Allowed("cli", "sys.exit(main())", "python -m versebert.cli; the paths call main in process, as the "
             "installed versebert command does"),
+    Allowed("cli.main", "OutOfMemory(", "no traced path exhausts memory; test_cli's out-of-memory test reaches it "
+            "through a patched init_params"),
     Allowed("training.Checkpoint.to_params", "got = ", "names what is wrong with a bad array before raising"),
     Allowed("evaluation.confusion_matrix", "t, p = truths[bad[0]]",
             "names the first bad label pair before raising; no command can pass one"),

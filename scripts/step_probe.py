@@ -4,10 +4,12 @@
         [--seed 3] [--steps 40] [--losses 4]
 
 It first prints the directory ``versebert`` was imported from, so an A/B
-between two checkouts shows which tree each run used, and the
-``OPENBLAS_THREAD_TIMEOUT`` that OpenBLAS read as numpy loaded: ``versebert``
-is imported first so that its default applies. For each workload it
-runs ``training.pretrain`` once, in this process, and prints the median
+between two checkouts shows which tree each run used, the
+``OPENBLAS_THREAD_TIMEOUT`` that OpenBLAS read as numpy loaded (``versebert``
+is imported first so that its default applies), and the OpenBLAS kernel set
+(``cli.openblas_core``), as the digests below hold for one kernel set only.
+For each workload it runs ``training.pretrain`` once, in this process, and
+prints the median
 milliseconds per step (step 1 excluded), the mean
 milliseconds per step spent in ``autograd.backward`` and ``AdamW.step``, the
 CPU milliseconds per step of the whole process (``ru_utime + ru_stime``, all
@@ -51,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from versebert import autograd as ag, corpus, evaluation, model as mdl, preprocess, tokenizer, training
+from versebert.cli import openblas_core
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -180,7 +183,7 @@ def main() -> None:
     if args.steps < 2:
         ap.error("--steps must be at least 2")
     print(f"versebert from {Path(versebert.__file__).resolve().parent}, "
-          f"OPENBLAS_THREAD_TIMEOUT={os.environ.get('OPENBLAS_THREAD_TIMEOUT')}")
+          f"OPENBLAS_THREAD_TIMEOUT={os.environ.get('OPENBLAS_THREAD_TIMEOUT')}, OpenBLAS core {openblas_core()}")
     for workload in args.workload or ("pretrain-tiny", "pretrain-mid"):
         if workload == "classify":
             probe_classify(args.seed, args.steps)

@@ -532,9 +532,9 @@ class AdamW:
 
     ``step`` walks each parameter in blocks of ``_ADAMW_BLOCK`` elements with the same
     elementwise operations in the same order as a whole-array update, so results are
-    bit-identical to it. A parameter that is not C-contiguous raises ShapeMismatch, so each
-    block is a view updated in place; a gradient that is not is flattened by a copy, the one
-    parameter-sized temporary a step may allocate. A table with a ``RowGrad`` goes in blocks
+    bit-identical to it. A parameter that is read-only or not C-contiguous raises ShapeMismatch,
+    so each block is a view updated in place; a gradient that is not C-contiguous is flattened
+    by a copy, the one parameter-sized temporary a step may allocate. A table with a ``RowGrad`` goes in blocks
     of ``max(1, _ADAMW_BLOCK // width)`` whole rows: each block decays both moments whole and
     adds gradient terms at its touched rows alone. That leaves out only the +0.0 that a dense
     gradient's zero fill added to each element, which can only make a moment's -0.0 +0.0, and
@@ -573,6 +573,8 @@ class AdamW:
                 raise ShapeMismatch(f"grad shape {g.shape} vs param {p.data.shape}")
             if not p.data.flags.c_contiguous:  # ravel would update a copy
                 raise ShapeMismatch(f"param of shape {p.data.shape} is not C-contiguous")
+            if not p.data.flags.writeable:  # such as a view of a loaded checkpoint, which training copies
+                raise ShapeMismatch(f"param of shape {p.data.shape} is read-only")
         t = self.step_count + 1
         blocks = deque()
         for p, m, v in zip(self.params, self.m, self.v):

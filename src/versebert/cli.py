@@ -3,20 +3,21 @@
 Subcommands: synth, preprocess, train-tokenizer, encode, pretrain, finetune,
 evaluate, predict. Every file-producing run writes a JSON manifest next to its
 main output (command, resolved config, input digests, seed, artifact paths,
-wall-clock duration from ``main``'s start, and the Python, numpy, BLAS and
-OPENBLAS_THREAD_TIMEOUT in effect) so results can be replayed exactly.
+wall-clock duration from ``main``'s start, and the Python, numpy, BLAS, OpenBLAS
+kernel and OPENBLAS_THREAD_TIMEOUT in effect) so results can be replayed exactly.
 
-Exit codes: 0 success, 1 domain error or a file that cannot be read or written
-(error class name on stderr), 2 usage error. ``predict`` answers a stdin line
-that fails preprocessing with an ``ERROR<TAB><ErrorName>: <message>`` row, keeps
-reading, and exits 1 at the end. Configuration precedence: explicit
-flags > --config JSON > preset.
+Exit codes: 0 success, 1 domain error (memory that runs out is ``OutOfMemory``) or a
+file that cannot be read or written (error class name on stderr), 2 usage error.
+``predict`` answers a stdin line that fails preprocessing with an
+``ERROR<TAB><ErrorName>: <message>`` row, keeps reading, and exits 1 at the end.
+Configuration precedence: explicit flags > --config JSON > preset.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import json
 import logging
@@ -25,13 +26,14 @@ import platform
 import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
 from . import evaluation, preprocess, tokenizer, training
 from . import model as mdl
-from .errors import CorruptFile, EmptyCorpus, InvalidConfig, LabelOutOfRange, VerseBertError
+from .errors import CorruptFile, EmptyCorpus, InvalidConfig, LabelOutOfRange, OutOfMemory, VerseBertError
 
 log = logging.getLogger("versebert")
 
@@ -51,6 +53,14 @@ def _digest_file(path) -> str:
     return h.hexdigest()
 
 
+def openblas_core():
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU, such as "SkylakeX"; else None."""
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"):
+        if core := getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None):
+            core.argtypes, core.restype = [], ctypes.c_char_p
+            return core().decode()
+
+
 def _write_manifest(args, config, inputs, seed=None, extra=()):
     """The manifest of ``args``' command next to ``args.out``, timed from ``main``'s start."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -62,7 +72,7 @@ def _write_manifest(args, config, inputs, seed=None, extra=()):
         "artifacts": [str(a) for a in (args.out, *extra)],
         "duration_seconds": round(time.time() - args.started, 3),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "blas": f"{blas['name']} {blas['version']}",
+                        "blas": f"{blas['name']} {blas['version']}", "openblas_core": openblas_core(),
                         "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")},
     }
     with preprocess.atomic_text_file(str(args.out) + ".manifest.json") as fh:
@@ -327,7 +337,9 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s")
     try:
         return args.func(args)
-    except (VerseBertError, OSError) as exc:
+    except (VerseBertError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # from numpy, a model or batch too large for this host
+            exc = OutOfMemory(str(exc) or "an allocation failed")
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -71,6 +71,10 @@ class CorruptFile(VerseBertError):
     pass
 
 
+class OutOfMemory(VerseBertError):  # an allocation failed, as for a model too large for the host
+    pass
+
+
 # evaluation
 class LengthMismatch(VerseBertError):
     pass

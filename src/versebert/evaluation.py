@@ -143,10 +143,10 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
 
 def classifier(ckpt, taxonomy: LabelTaxonomy, vocab: Vocab):
     """(model config, ``seqs -> logits``) of ``ckpt``'s head for ``taxonomy``, served with ``vocab``,
-    the one set-up of ``evaluate`` and ``predict``. Another vocab raises ``DigestMismatch``; a missing
-    head, or one whose outputs are not the task's labels, raises ``LabelOutOfRange``."""
+    the one set-up of ``evaluate`` and ``predict``, which copies no array. Another vocab raises ``DigestMismatch``;
+    a missing head, or one whose outputs are not the task's labels, raises ``LabelOutOfRange``."""
     ckpt.check_vocab(vocab)
-    if taxonomy.task_id not in ckpt.head_tasks():  # checked before to_params copies every array
+    if taxonomy.task_id not in ckpt.head_tasks():
         raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
     config, params = ckpt.model_config, ckpt.to_params()
     head = params.heads[taxonomy.task_id]

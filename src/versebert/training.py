@@ -135,7 +135,7 @@ class Checkpoint:
     global_step: int
 
     def to_params(self) -> mdl.ModelParams:
-        """Rebuild ModelParams (including any task heads) from the named arrays; an array that is
+        """ModelParams (including any task heads) over read-only views of the named arrays; an array that is
         missing, not of the shape the config gives it, or not part of the model raises CorruptFile naming it."""
 
         def tensor(name, shape):
@@ -143,7 +143,8 @@ class Checkpoint:
             if arr is None or arr.shape != shape:
                 got = "missing" if arr is None else f"of shape {arr.shape}"
                 raise CorruptFile(f"checkpoint array {name} is {got}, want shape {shape}")
-            return Tensor(arr.copy(), requires_grad=True)
+            (view := arr.view()).flags.writeable = False  # scoring copies nothing, and training copies what it trains
+            return Tensor(view, requires_grad=True)
 
         params = mdl.ModelParams.from_named(self.model_config, tensor)
         for task in self.head_tasks():  # w is (hidden, labels) and b (labels,), labels read off w's last axis
@@ -166,8 +167,8 @@ class Checkpoint:
 
 def checkpoint_from_params(params: mdl.ModelParams, config: mdl.ModelConfig, vocab_digest: str,
                            global_step: int) -> Checkpoint:
-    arrays = {name: t.data.copy() for name, t in params.named_parameters()}
-    return Checkpoint(config, arrays, vocab_digest, global_step)
+    """The checkpoint of ``params`` over their own arrays: a later write to a parameter writes it too."""
+    return Checkpoint(config, {name: t.data for name, t in params.named_parameters()}, vocab_digest, global_step)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -225,13 +226,15 @@ def load_checkpoint(path) -> Checkpoint:
     and any malformed part CorruptFile.
 
     A file whose header carries optimizer state is refused, as this reader
-    holds parameters only. On a little-endian host every array is a view into
-    one buffer of the file's bytes, which stays alive as long as any of them;
-    ``Checkpoint.to_params`` copies.
+    holds parameters only. The file is read into one buffer whose payload starts
+    on a 64-byte boundary, so every array is aligned; on a little-endian host each
+    is a view into it, and the buffer stays alive as long as any of them.
     """
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob):]
+        skip = 16 + int.from_bytes(fh.peek(16)[8:16], "little")  # the payload's offset in the file
+        raw = np.empty(os.fstat(fh.fileno()).st_size + 64, np.uint8)
+        blob = memoryview(raw)[-(raw.ctypes.data + skip) % 64 :]  # the payload starts 64-byte aligned
+        blob = blob[: fh.readinto(blob)]
     if len(blob) < 16 or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptFile(f"{path}: bad magic")
     version, header_len = struct.unpack("<IQ", blob[4:16])
@@ -239,9 +242,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise VersionMismatch(f"{path}: format version {version}, reader supports {CHECKPOINT_VERSION}")
     if len(blob) < 16 + header_len:
         raise CorruptFile(f"{path}: truncated header")
-    data = memoryview(blob)[16 + header_len :]  # slices of it copy nothing
+    data = blob[16 + header_len :]  # slices of it copy nothing
     try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+        header = json.loads(str(blob[16 : 16 + header_len], "utf-8"))
         if header["payload_sha256"] != hashlib.sha256(data).hexdigest():
             raise CorruptFile(f"{path}: payload does not match its sha256")
         if header["optimizer"] is not None:
@@ -268,7 +271,7 @@ def _fit(texts: list[str], vocab: Vocab, config: mdl.ModelConfig, cfg: TrainConf
          trainable: list[Tensor], batch_loss, on_step, name: str, start_step: int = 0) -> Checkpoint:
     """The step loop of pretrain and finetune: AdamW steps on ``trainable``, each on ``batch_loss(rngs, idx,
     ids, mask)`` of a trimmed batch of ``texts`` (skipped but counted if it raises ``EmptyReduction``).
-    Returns the checkpoint of ``params``; the caller writes it, if anywhere."""
+    Returns the checkpoint of ``params``, over their own arrays; the caller writes it, if anywhere."""
     if not texts:
         raise EmptyCorpus(f"{name} has no lines to train on")
     rngs = make_rngs(cfg.seed)
@@ -332,7 +335,8 @@ def finetune(
     """Attach a fresh classification head and train on (line, label) pairs.
 
     ``pairs`` hold preprocessed verse lines. Only the encoder and the new head
-    are trained; with ``head_only`` the encoder is frozen too.
+    are trained, each copied off ``ckpt``; with ``head_only`` the encoder is
+    frozen too, and stays a view of ``ckpt``, as the MLM head always does.
     """
     ckpt.check_vocab(vocab)
     params = ckpt.to_params()
@@ -348,6 +352,8 @@ def finetune(
 
     # never the MLM head or another task's head: AdamW would decay them, as a missing gradient is zeros
     encoder = [] if head_only else [p for n, p in params.named_parameters() if not n.startswith(("mlm_", "heads."))]
+    for p in encoder:  # to_params gives read-only views, and AdamW writes in place
+        p.data = p.data.copy()
     trainable = [*encoder, head_w, head_b]
     return _fit([line for line, _ in pairs], vocab, ckpt.model_config, cfg, params, trainable, batch_loss,
                 on_step, f"finetune[{taxonomy.task_id}]", ckpt.global_step)

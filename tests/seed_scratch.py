@@ -71,34 +71,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(a.data * s, a.requires_grad)
-
-    def fn(g):
-        g *= s
-        _accumulate(a, g)
-
-    _record(out, fn)
-    return out
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    y = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y, a.requires_grad)
-
-    def fn(g):
-        grad = g * y
-        np.subtract(g, grad.sum(axis=-1, keepdims=True), out=grad)
-        grad *= y
-        _accumulate(a, grad)
-
-    _record(out, fn)
-    return out
-
-
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean/unit variance, then apply the affine pair."""
     d = x.shape[-1]
@@ -188,7 +160,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     return out
 
 
-OPS = ("matmul", "add", "scale", "softmax_rows", "layer_norm", "gelu", "embedding_lookup")
+OPS = ("matmul", "add", "layer_norm", "gelu", "embedding_lookup")
 
 
 @contextlib.contextmanager

@@ -10,7 +10,8 @@ pretrain or finetune run must give the checkpoint bytes and ``on_step``
 calls of ``pretrain`` and ``finetune`` here. Those two and ``_run_steps``
 are the replaced code verbatim, except that ``training.`` qualifies the
 masking, whose name this module's own oracle takes, and that they return the
-checkpoint without writing it, as the commands now write it. They
+checkpoint without writing it, as the commands now write it, and that
+``finetune`` copies the arrays ``to_params`` now gives as views. They
 call the encoder through ``mdl``, which is ``versebert.model`` with the
 replaced ``encoder_forward`` (its ``train`` flag and its fallback to
 ``ModelConfig.dropout``, and no row cut; its attention now goes through
@@ -264,6 +265,8 @@ def finetune(
     config = ckpt.model_config
     rngs = make_rngs(cfg.seed)
     params = ckpt.to_params()
+    for p in params.parameters():  # to_params copied then; it now gives read-only views
+        p.data = p.data.copy()
     head_w, head_b = mdl.init_head(config, taxonomy.num_labels, rngs.init)
     params.heads[taxonomy.task_id] = (head_w, head_b)
 

@@ -25,10 +25,6 @@ from gradcheck import dense_grad, grad_check
 finite = st.floats(-5, 5, allow_nan=False)
 
 
-def small_matrix(rows, cols):
-    return arrays(np.float64, (rows, cols), elements=finite)
-
-
 class TestForwardValues:
     def test_softmax_symmetry(self):
         out = ag.softmax_rows(Tensor([[0.0, 0.0]]))
@@ -355,6 +351,14 @@ class TestBlockedAdamWMatchesSeedStep:
         """Its ravel would be a copy, so the update would not reach the parameter."""
         transposed = rng.normal(size=(3, 4)).T  # the parameter's shape, in Fortran order
         self._refused_step_changes_nothing(rng, lambda p: setattr(p, "data", transposed), "not C-contiguous")
+
+    def test_a_read_only_param_is_refused_and_changes_nothing(self, rng):
+        """Such as ``Checkpoint.to_params``' views: numpy would refuse its first in-place write, half-way."""
+
+        def freeze(p):
+            p.data.flags.writeable = False
+
+        self._refused_step_changes_nothing(rng, freeze, "read-only")
 
     @pytest.mark.parametrize("has_grad", [True, False])
     def test_step_allocates_no_parameter_sized_array(self, rng, has_grad):

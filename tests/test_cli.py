@@ -130,7 +130,9 @@ class TestManifests:
                          "--task", "rhyme", "--vocab", str(pipeline["vocab"]), "--out", str(report)]) == 0
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         want = {"python": platform.python_version(), "numpy": np.__version__,
-                "blas": f"{blas['name']} {blas['version']}", "openblas_thread_timeout": os.environ["OPENBLAS_THREAD_TIMEOUT"]}
+                "blas": f"{blas['name']} {blas['version']}", "openblas_core": cli.openblas_core(),
+                "openblas_thread_timeout": os.environ["OPENBLAS_THREAD_TIMEOUT"]}
+        assert isinstance(want["openblas_core"], (str, type(None)))
         outs = [pipeline[key] for key in ("corpus", "lines", "vocab", "ckpt", "tuned")] + [report]
         manifests = [json.loads(Path(f"{out}.manifest.json").read_text()) for out in outs]
         assert [m["command"] for m in manifests] == ["synth", "preprocess", "train-tokenizer", "pretrain", "finetune",
@@ -414,6 +416,24 @@ class TestBadInvocations:
         assert done.stderr.startswith("InvalidConfig: ") and named in done.stderr
         assert "Traceback" not in done.stderr and done.stderr.count("\n") == 1
         assert os.listdir(tmp_path) == ([] if config is None else ["cfg.json"])
+
+    def test_running_out_of_memory_is_a_named_error_and_writes_nothing(self, pipeline, tmp_path, monkeypatch,
+                                                                        capsys):
+        """A model too large for the host fails in numpy's allocator; the CLI names it rather than
+        printing a traceback."""
+
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array with shape (16384, 16384) "
+                              "and data type float64")
+
+        monkeypatch.setattr(mdl, "init_params", too_large)
+        assert cli.main(["pretrain", "--lines", str(pipeline["lines"]), "--vocab", str(pipeline["vocab"]),
+                         "--out", str(tmp_path / "big.ckpt"), "--hidden", "16384", "--num-heads", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "OutOfMemory: Unable to allocate 2.00 GiB for an array with shape (16384, 16384) " \
+                      "and data type float64\n"
+        assert issubclass(cli.OutOfMemory, cli.VerseBertError)
+        assert os.listdir(tmp_path) == []
 
 
 class TestDeterminism:

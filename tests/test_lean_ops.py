@@ -282,18 +282,75 @@ class TestCheckpointViews:
                                  path)
         return store, vocab, path
 
-    def test_arrays_view_one_buffer_and_to_params_copies(self, pretrained):
+    def test_arrays_view_one_aligned_buffer_and_to_params_read_only(self, pretrained):
         _, _, path = pretrained
         ckpt = training.load_checkpoint(path)
         loaded = list(ckpt.arrays.values())
         buffers = {id(_buffer_of(a)) for a in loaded}
-        assert len(buffers) == 1 and isinstance(_buffer_of(loaded[0]), bytearray)
-        assert sum(a.nbytes for a in loaded) <= len(_buffer_of(loaded[0]))
+        assert len(buffers) == 1 and sum(a.nbytes for a in loaded) <= memoryview(_buffer_of(loaded[0])).nbytes
         assert not any(a.flags.owndata for a in loaded)
+        assert all(a.flags.aligned and a.flags.writeable for a in loaded)
         for name, param in ckpt.to_params().named_parameters():
-            assert param.data.flags.writeable and param.data.flags.owndata, name
-            assert not np.shares_memory(param.data, ckpt.arrays[name]), name
-            assert param.data.tobytes() == ckpt.arrays[name].tobytes(), name
+            assert not param.data.flags.writeable and not param.data.flags.owndata, name
+            assert np.shares_memory(param.data, ckpt.arrays[name]), name
+        assert all(a.flags.writeable for a in loaded)  # the views leave the checkpoint's own arrays as they were
+
+    def test_the_payload_starts_on_a_64_byte_boundary_whatever_the_header_length(self, tmp_path):
+        arrays = {"a": np.arange(3.0), "b": np.linspace(0.0, 1.0, 10).reshape(2, 5), "c": np.array(-0.5)}
+        residues = set()
+        for pad in range(8):  # each byte of the vocab digest lengthens the header by one
+            path = tmp_path / f"{pad}.ckpt"
+            training.save_checkpoint(training.Checkpoint(mdl.tiny_config(vocab_size=40), arrays, "d" * pad, 0), path)
+            residues.add(int.from_bytes(path.read_bytes()[8:16], "little") % 8)
+            for _ in range(3):  # wherever the allocator puts the buffer
+                loaded = training.load_checkpoint(path).arrays
+                assert loaded["a"].ctypes.data % 64 == 0  # the first array, at offset 0 of the payload
+                assert all(arr.flags.aligned and arr.ctypes.data % 8 == 0 for arr in loaded.values())
+                assert all(loaded[k].tobytes() == arrays[k].tobytes() for k in arrays)
+        assert residues == set(range(8))
+
+    def test_pretrain_returns_the_arrays_it_trained(self, pretrained, monkeypatch):
+        store, vocab, _ = pretrained
+        caught, init_params = [], mdl.init_params
+        monkeypatch.setattr(mdl, "init_params", lambda *a, **kw: caught.append(init_params(*a, **kw)) or caught[-1])
+        ckpt = training.pretrain([v.line for v in preprocess.preprocess_corpus(store)], vocab,
+                                 mdl.tiny_config(vocab_size=len(vocab)),
+                                 training.tiny_train_config(batch_size=8, max_steps=2, seed=1))
+        named = dict(caught[0].named_parameters())
+        assert sorted(named) == sorted(ckpt.arrays)
+        assert all(ckpt.arrays[name] is p.data for name, p in named.items())
+
+    @pytest.mark.parametrize("head_only", [False, True])
+    def test_finetune_copies_only_what_it_trains(self, pretrained, tmp_path, monkeypatch, head_only):
+        """The input checkpoint keeps its bytes, the trained arrays are new, the frozen ones stay views
+        of the input, and the output's bytes are those of a set-up whose to_params copied every array."""
+        store, vocab, path = pretrained
+        pairs = [(preprocess.preprocess_verse(r).line, label) for r, label in corpus.task_pairs(store, "Rhyme")]
+        tcfg = training.tiny_train_config(batch_size=8, max_steps=4, seed=5)
+        ckpt = training.load_checkpoint(path)
+        before = {name: arr.tobytes() for name, arr in ckpt.arrays.items()}
+        tuned = training.finetune(ckpt, pairs, corpus.taxonomy("Rhyme"), vocab, tcfg, head_only=head_only)
+        assert {name: arr.tobytes() for name, arr in ckpt.arrays.items()} == before
+        for name, arr in ckpt.arrays.items():
+            frozen = name.startswith("mlm_") or head_only
+            assert np.shares_memory(tuned.arrays[name], arr) == frozen, name
+            assert tuned.arrays[name].flags.writeable != frozen, name
+
+        to_params = training.Checkpoint.to_params
+
+        def copying(self):  # to_params as it was: an owned, writeable copy of every array
+            params = to_params(self)
+            for p in params.parameters():
+                p.data = p.data.copy()
+            return params
+
+        monkeypatch.setattr(training.Checkpoint, "to_params", copying)
+        copied = training.finetune(training.load_checkpoint(path), pairs, corpus.taxonomy("Rhyme"), vocab, tcfg,
+                                   head_only=head_only)
+        outs = [tmp_path / "views.ckpt", tmp_path / "copies.ckpt"]
+        for out, tuned_ckpt in zip(outs, (tuned, copied)):
+            training.save_checkpoint(tuned_ckpt, out)
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_finetune_from_a_loaded_checkpoint_gives_the_same_bytes(self, pretrained, tmp_path):
         store, vocab, path = pretrained

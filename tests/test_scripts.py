@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from versebert import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -46,7 +48,8 @@ def test_step_probe_completes(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     timeout = os.environ["OPENBLAS_THREAD_TIMEOUT"]  # set by versebert, here as in the child
-    assert lines[0] == f"versebert from {ROOT / 'src' / 'versebert'}, OPENBLAS_THREAD_TIMEOUT={timeout}"
+    assert lines[0] == (f"versebert from {ROOT / 'src' / 'versebert'}, OPENBLAS_THREAD_TIMEOUT={timeout}, "
+                        f"OpenBLAS core {cli.openblas_core()}")
     assert lines[1].startswith("pretrain-tiny seed 3: ")
     assert re.search(r" minor faults/step mean \(.*\), \d+ median, ", lines[1]), lines[1]
     assert re.search(r", [\d.]+ padded and [\d.]+ real positions/step \([\d.]+% padding\), ", lines[1]), lines[1]

@@ -245,7 +245,8 @@ class TestCheckpointWrite:
             assert arr.flags.writeable and np.array_equal(arr, ckpt.arrays[name]), name
 
     def test_a_file_with_optimizer_state_is_refused(self, ckpt, tmp_path):
-        opt = AdamW(ckpt.to_params().parameters(), lr=0.1)
+        params = ckpt.to_params().parameters()
+        opt = AdamW([Tensor(p.data.copy(), requires_grad=True) for p in params], lr=0.1)  # to_params gives views
         for p in opt.params:
             p.grad = np.ones_like(p.data)
         opt.step()
