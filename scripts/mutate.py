@@ -56,9 +56,6 @@ MUTANTS = (
            "g.copy() if a.requires_grad and a.shape == b.shape else _unbroadcast(g, b.shape)",
            "_unbroadcast(g, b.shape)",
            ("tests/test_autograd.py::TestTape::test_first_gradient_is_copied_not_aliased",)),
-    Mutant("head-merge-outside-the-scratch", AUTOGRAD,
-           'np.positive(o, out=_out(o.shape), order="C")', 'np.positive(o, order="C")',
-           ("tests/test_scratch.py::TestBuffer::test_a_warm_call_allocates_no_array_of_64_kib",)),
     Mutant("adamw-steps-a-strided-param", AUTOGRAD,
            "if not p.data.flags.c_contiguous:", "if False:",
            ("tests/test_autograd.py::TestBlockedAdamWMatchesSeedStep"
@@ -76,6 +73,9 @@ MUTANTS = (
     Mutant("sparse-block-skips-momentum-decay", AUTOGRAD,
            "                mb *= b1\n                vb *= b2\n", "",
            ("tests/test_autograd.py::TestRowGrad::test_adamw_matches_the_seed_step_on_the_densified_gradient",)),
+    Mutant("embedding-ids-unchecked", AUTOGRAD,
+           "if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):", "if False:",
+           ("tests/test_autograd.py::TestForwardValues::test_embedding_id_out_of_range_raises_and_records_nothing",)),
     Mutant("attention-backward-overwrites-gy", AUTOGRAD,
            "np.add.reduce(np.multiply(gy, y), axis=-1", "np.add.reduce(np.multiply(gy, y, out=gy), axis=-1",
            ATTENTION_BYTES),
@@ -124,9 +124,6 @@ MUTANTS = (
     Mutant("attention-gathers-rows-shifted-by-one", AUTOGRAD,
            "np.take(o, real, axis=0", "np.take(o, real + 1, axis=0",
            ("tests/test_batched.py::test_hidden_states_match_at_real_positions",)),
-    Mutant("padded-projection-outside-the-scratch", AUTOGRAD,
-           "    out = _out((n, *rows.shape[1:]))\n", "    out = None\n",
-           ("tests/test_scratch.py::TestBuffer::test_a_warm_call_on_a_padded_batch_allocates_no_array_of_64_kib",)),
     Mutant("trim-one-short", MODEL,
            "int(mask.any(axis=0).nonzero()[0].max(initial=0)) + 1",
            "int(mask.any(axis=0).nonzero()[0].max(initial=0))",
@@ -163,6 +160,9 @@ MUTANTS = (
            "if (outputs := head[1].shape[0]) != taxonomy.num_labels:",
            "if (outputs := head[1].shape[0]) < 0:",
            ("tests/test_cli.py::TestExitCodes::test_evaluate_and_predict_refuse_a_bad_set_up_alike",)),
+    Mutant("scoring-trims-the-heap", "src/versebert/evaluation.py",
+           'mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)', "mallopt = lambda *_: 0",
+           ("tests/test_scratch.py::TestScoringHeap::test_warm_calls_reuse_the_freed_heap",)),
     Mutant("no-min-frequency-floor", TOKENIZER,
            "floor = max(min_frequency, 1)", "floor = min_frequency",
            ("tests/test_tokenizer.py::TestTrainWordpiece::test_min_frequency_zero_equals_one",)),

@@ -71,39 +71,6 @@ def no_grad():
         _grad_enabled = saved
 
 
-_SCRATCH_MIN, _SCRATCH_CAP = 8192, 4 << 20  # float64s: 64 KiB, 32 MiB
-_scratch_buf = np.empty(0)
-_scratch_top: int | None = None  # float64s handed out in the open context; None when closed
-
-
-@contextlib.contextmanager
-def _scratch():
-    """Inside, with the tape off, each op array of _SCRATCH_MIN float64s or more is a
-    64-byte aligned view of one kept buffer, valid until the context exits. On exit
-    the buffer grows to what the context asked for, up to _SCRATCH_CAP."""
-    global _scratch_buf, _scratch_top
-    saved, _scratch_top = _scratch_top, _scratch_top or 0
-    try:
-        yield
-    finally:
-        want = min(_scratch_top, _SCRATCH_CAP)
-        if saved is None and want > _scratch_buf.size:
-            raw = np.empty(want + 7)
-            _scratch_buf = raw[(-raw.ctypes.data % 64) // 8:][:want]
-        _scratch_top = saved
-
-
-def _out(shape, other=None) -> np.ndarray | None:
-    """A scratch view for an op result of ``shape`` (broadcast with ``other``), or None."""
-    global _scratch_top
-    if _scratch_top is None or _grad_enabled or math.prod(shape) < _SCRATCH_MIN:
-        return None
-    shape = shape if other in (None, shape) else np.broadcast_shapes(shape, other)
-    lo, n = _scratch_top, math.prod(shape)
-    _scratch_top = lo + -(-n // 8) * 8  # whole 64-byte lines keep the next view aligned
-    return _scratch_buf[lo:lo + n].reshape(shape) if _scratch_top <= _scratch_buf.size else None
-
-
 def reset_tape() -> None:
     _tape.clear()
 
@@ -206,8 +173,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
     # one GEMM over all leading rows instead of one per leading index
     rows = a_data.reshape(-1, a.shape[-1])
-    out = Tensor(np.matmul(rows, b_data, out=_out((rows.shape[0], b_data.shape[1]))).reshape(
-        a.shape[:-1] + b.shape[-1:]), a.requires_grad or b.requires_grad)
+    out = Tensor(np.matmul(rows, b_data).reshape(a.shape[:-1] + b.shape[-1:]), a.requires_grad or b.requires_grad)
 
     def fn(g):
         g_rows = g.reshape(-1, b.shape[-1])
@@ -231,7 +197,7 @@ def transpose(a: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        data = np.add(a.data, b.data, out=_out(a.data.shape, b.data.shape))
+        data = np.add(a.data, b.data)
     except ValueError:
         raise ShapeMismatch(f"add: {a.shape} + {b.shape}") from None
     out = Tensor(data, a.requires_grad or b.requires_grad)
@@ -248,7 +214,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    out = Tensor(np.multiply(a.data, s, out=_out(a.data.shape)), a.requires_grad)
+    out = Tensor(np.multiply(a.data, s), a.requires_grad)
 
     def fn(g):
         g *= s
@@ -260,7 +226,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    y = np.subtract(a.data, np.maximum.reduce(a.data, axis=-1, keepdims=True), out=_out(a.data.shape))
+    y = np.subtract(a.data, np.maximum.reduce(a.data, axis=-1, keepdims=True))
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
     out = Tensor(y, a.requires_grad)
@@ -276,12 +242,8 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 
 def _scattered(rows: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """An n-row array with ``rows`` at the row indices ``idx`` and zeros elsewhere; scratch when forward-only."""
-    out = _out((n, *rows.shape[1:]))
-    if out is None:
-        out = np.zeros((n, *rows.shape[1:]))
-    else:
-        out.fill(0.0)
+    """An n-row array with ``rows`` at the row indices ``idx`` and zeros elsewhere."""
+    out = np.zeros((n, *rows.shape[1:]))
     out[idx] = rows
     return out
 
@@ -296,8 +258,7 @@ def attention(qkv: Tensor, bias: np.ndarray, heads: int, real: np.ndarray) -> tu
     first and the merged rows come back out. Every matmul's operands keep the layouts of
     ``tests/seed_attention.py``'s chain, as numpy picks BLAS or its own loop by stride, so that bits hold.
     With or without the tape, the scores become the weights in place in one array and the heads merge
-    into one C-order copy, taken from the scratch when forward-only; the backward keeps the weights and
-    allocates its own two score-sized temporaries.
+    into one C-order copy; the backward keeps the weights and allocates its own two score-sized temporaries.
     """
     b, t = bias.shape[0], bias.shape[-1]
     pad = real.size < b * t
@@ -305,19 +266,19 @@ def attention(qkv: Tensor, bias: np.ndarray, heads: int, real: np.ndarray) -> tu
     data = _scattered(qkv.data, real, b * t) if pad else qkv.data
     q, k, v = data.reshape(b, t, 3, heads, -1).transpose(split)
     scale = 1.0 / math.sqrt(q.shape[-1])
-    y = np.matmul(q, k.swapaxes(-1, -2), out=_out(q.shape[:-1] + k.shape[-2:-1]))
+    y = np.matmul(q, k.swapaxes(-1, -2))
     y *= scale
     y += bias
     y -= np.maximum.reduce(y, axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-1, keepdims=True)
-    o = np.matmul(y, v, out=_out(y.shape[:-1] + v.shape[-1:]))
+    o = np.matmul(y, v)
     # (B, H, T, d / H) -> (B·T, d). One-column heads merge as a view, the layout numpy's reshape gives
     # them: the gradient comes back in this layout, and the backward's matmuls pick kernels by stride
     o = o.swapaxes(-2, -3)
-    o = (o if o.shape[-1] == 1 else np.positive(o, out=_out(o.shape), order="C")).reshape(b * t, -1)
+    o = (o if o.shape[-1] == 1 else np.positive(o, order="C")).reshape(b * t, -1)
     if pad:
-        o = np.take(o, real, axis=0, out=_out((real.size, o.shape[-1])), mode="clip")
+        o = np.take(o, real, axis=0)
     out = Tensor(o, qkv.requires_grad)
 
     def fn(g):
@@ -347,8 +308,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatch(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs d={d}")
-    xhat = np.subtract(x.data, np.add.reduce(x.data, axis=-1, keepdims=True) / d, out=_out(x.data.shape))
-    y = np.square(xhat, out=_out(xhat.shape))
+    xhat = np.subtract(x.data, np.add.reduce(x.data, axis=-1, keepdims=True) / d)
+    y = np.square(xhat)
     inv_std = 1.0 / np.sqrt(np.add.reduce(y, axis=-1, keepdims=True) / d + _LN_EPS)
     xhat *= inv_std
     np.multiply(xhat, gain.data, out=y)
@@ -395,8 +356,8 @@ def gelu(x: Tensor) -> Tensor:
     """
     x_data = x.data
     needs_grad = x.requires_grad and _grad_enabled
-    d = np.clip(x_data, -_GELU_CLIP, _GELU_CLIP, out=_out(x_data.shape))
-    v = np.add(d, _GELU_TINY, out=_out(d.shape))
+    d = np.clip(x_data, -_GELU_CLIP, _GELU_CLIP)
+    v = np.add(d, _GELU_TINY)
     np.square(v, out=v)
     v *= 0.044715
     v += 1.0
@@ -432,9 +393,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeMismatch(f"embedding id out of range [0, {table.shape[0]})")
-    # ids are checked, so "clip" never clips; it lets take write to out unbuffered
-    out = Tensor(np.take(table.data, idx, axis=0, out=_out(idx.shape + table.data.shape[1:]), mode="clip"),
-                 table.requires_grad)
+    out = Tensor(np.take(table.data, idx, axis=0), table.requires_grad)
 
     def fn(g):
         _lookup_grad(table, idx.reshape(-1), g.reshape(-1, table.shape[-1]))

@@ -159,6 +159,8 @@ def cmd_encode(args) -> int:
             ids = " ".join(str(i) for i in seq.ids)
             mask = " ".join(str(m) for m in seq.attention_mask)
             out.write(f"{ids}\t{mask}\n")
+    if args.out:
+        _write_manifest(args, {"max_len": args.max_len}, [args.vocab] + ([args.infile] if args.infile else []))
     return 0
 
 

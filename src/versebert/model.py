@@ -285,5 +285,5 @@ def classify(cls: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
 def predict_logits(seqs: list[TokenSequence], config: ModelConfig, params: ModelParams, head) -> np.ndarray:
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
     ids, mask = stack_batch(seqs)
-    with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
-        return classify(encoder_forward(ids, mask, config, params, rows=cls_rows(ids)), *head).data.copy()
+    with ag.no_grad():
+        return classify(encoder_forward(ids, mask, config, params, rows=cls_rows(ids)), *head).data

@@ -66,5 +66,5 @@ def classify(hidden: Tensor, head_w: Tensor, head_b: Tensor) -> Tensor:
 
 def predict_logits(seqs, config: mdl.ModelConfig, params: mdl.ModelParams, head) -> np.ndarray:
     """Forward-only class logits (B x num_labels) of ``seqs`` as one trimmed batch."""
-    with ag.no_grad(), ag._scratch():  # copy the logits out of the scratch, reused by the next call
-        return classify(encoder_forward(*mdl.stack_batch(seqs), config, params, cls_only=True), *head).data.copy()
+    with ag.no_grad():
+        return classify(encoder_forward(*mdl.stack_batch(seqs), config, params, cls_only=True), *head).data

@@ -1,6 +1,7 @@
 """The forward ops as they were before forward-only passes drew their large
-arrays from the autograd scratch, and the positional table as it was before
-it was cached, kept as the oracle for the scratch tests.
+arrays from a scratch buffer (since removed: they allocate as these do again),
+and the positional table as it was before it was cached, kept as the oracle
+for ``test_scratch.py``.
 
 Each op here allocates every output and temporary afresh; otherwise the code
 is unchanged, backward included. ``oracle_ops()`` swaps them over the

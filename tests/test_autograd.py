@@ -52,6 +52,15 @@ class TestForwardValues:
             with pytest.raises(ShapeMismatch):
                 ag.matmul(Tensor(np.ones(a)), Tensor(np.ones(b)))
 
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_embedding_id_out_of_range_raises_and_records_nothing(self, bad):
+        # np.take would wrap -1 to the last row and raise IndexError at 5
+        ag.reset_tape()
+        table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+        with pytest.raises(ShapeMismatch, match="embedding id out of range"):
+            ag.embedding_lookup(table, [[0, 4], [bad, 1]])
+        assert ag.tape_size() == 0
+
     @given(arrays(np.float64, (4, 5), elements=finite))
     @settings(max_examples=100)
     def test_softmax_rows_sum_to_one(self, data):

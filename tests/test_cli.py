@@ -125,22 +125,26 @@ class TestPipelineSmoke:
 
 class TestManifests:
     def test_each_manifest_records_the_numeric_environment(self, pipeline, tmp_path):
-        report = tmp_path / "report.json"
+        report, encoded = tmp_path / "report.json", tmp_path / "ids.tsv"
         assert cli.main(["evaluate", "--ckpt", str(pipeline["tuned"]), "--corpus", str(pipeline["corpus"]),
                          "--task", "rhyme", "--vocab", str(pipeline["vocab"]), "--out", str(report)]) == 0
+        assert cli.main(["encode", "--vocab", str(pipeline["vocab"]), "--max-len", "16", "--in", str(pipeline["lines"]),
+                         "--out", str(encoded)]) == 0
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         want = {"python": platform.python_version(), "numpy": np.__version__,
                 "blas": f"{blas['name']} {blas['version']}", "openblas_core": cli.openblas_core(),
                 "openblas_thread_timeout": os.environ["OPENBLAS_THREAD_TIMEOUT"]}
         assert isinstance(want["openblas_core"], (str, type(None)))
-        outs = [pipeline[key] for key in ("corpus", "lines", "vocab", "ckpt", "tuned")] + [report]
+        outs = [pipeline[key] for key in ("corpus", "lines", "vocab", "ckpt", "tuned")] + [report, encoded]
         manifests = [json.loads(Path(f"{out}.manifest.json").read_text()) for out in outs]
         assert [m["command"] for m in manifests] == ["synth", "preprocess", "train-tokenizer", "pretrain", "finetune",
-                                                     "evaluate"]
+                                                     "evaluate", "encode"]
         for out, manifest in zip(outs, manifests):
             assert manifest["environment"] == want
             assert manifest["artifacts"][0] == str(out) and manifest["duration_seconds"] >= 0.0
-        assert manifests[-1]["artifacts"] == [str(report), f"{report}.confusion.csv"]
+        assert manifests[-2]["artifacts"] == [str(report), f"{report}.confusion.csv"]
+        assert manifests[-1]["config"] == {"max_len": 16}
+        assert set(manifests[-1]["input_digests"]) == {str(pipeline["vocab"]), str(pipeline["lines"])}
 
     def test_duration_is_timed_from_main(self, pipeline, tmp_path, monkeypatch):
         clock = iter([100.0, 102.5])
@@ -291,7 +295,8 @@ class TestExitCodes:
         argv = ["encode", "--vocab", str(pipeline["vocab"]), "--max-len", "16",
                 "--in", str(pipeline["lines"]), "--out", str(out)]
         assert cli.main(argv) == 0
-        assert os.listdir(tmp_path) == ["enc.tsv"]
+        written = sorted(os.listdir(tmp_path))
+        assert written == ["enc.tsv", "enc.tsv.manifest.json"]
         old = out.read_bytes()
         assert old.count(b"\n") == 120
         encode, calls = tokenizer.encode, []
@@ -308,7 +313,7 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.count("OSError: disk full") == 2
         assert out.read_bytes() == old
-        assert os.listdir(tmp_path) == ["enc.tsv"]
+        assert sorted(os.listdir(tmp_path)) == written
 
 
 class TestTrainingInput:
