@@ -161,8 +161,11 @@ MUTANTS = (
            "if (outputs := head[1].shape[0]) < 0:",
            ("tests/test_cli.py::TestExitCodes::test_evaluate_and_predict_refuse_a_bad_set_up_alike",)),
     Mutant("scoring-trims-the-heap", "src/versebert/evaluation.py",
-           'mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)', "mallopt = lambda *_: 0",
+           "ag.keep_freed_heap()", "None",
            ("tests/test_scratch.py::TestScoringHeap::test_warm_calls_reuse_the_freed_heap",)),
+    Mutant("training-keeps-glibc-defaults", TRAINING,
+           "ag.keep_freed_heap()", "None",
+           ("tests/test_scratch.py::TestTrainingHeap::test_steady_steps_reuse_the_freed_heap",)),
     Mutant("no-min-frequency-floor", TOKENIZER,
            "floor = max(min_frequency, 1)", "floor = min_frequency",
            ("tests/test_tokenizer.py::TestTrainWordpiece::test_min_frequency_zero_equals_one",)),

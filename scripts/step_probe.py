@@ -25,14 +25,17 @@ the first losses as float hex, and a sha256 over the final checkpoint's
 arrays (each name, shape and float64 bytes, in name order), so two trees can
 be compared for bit-identical losses and parameters. Inputs come from
 ``perfbench/workloads.pretrain_inputs``.
-``--workload classify`` times ``--steps`` evaluate calls on the benchmark's
-held-out verses and prints their minor faults per call, the padded and real
-positions of one pass and a sha256 of its labels, so two trees can be
-compared for identical labels. It then scores each held-out verse alone, as
-``predict`` does, and prints the p50 milliseconds and the minor faults per
-B=1 ``predict_logits`` call, and a sha256 over the float64 bytes of every
-logits row of that pass, in corpus order, so two trees can be compared bit for
-bit on the predict path.
+``--workload classify`` first prints the path and sha256 of the fine-tuned
+fixture checkpoint it scores (``perfbench/workloads.prepare_classifier``
+builds it once per program source and then reuses it, so a fixture trained
+under another kernel set changes the logits digest). It then times
+``--steps`` evaluate calls on the benchmark's held-out verses and prints their
+minor faults per call, the padded and real positions of one pass and a sha256
+of its labels, so two trees can be compared for identical labels. It then
+scores each held-out verse alone, as ``predict`` does, and prints the p50
+milliseconds and the minor faults per B=1 ``predict_logits`` call, and a
+sha256 over the float64 bytes of every logits row of that pass, in corpus
+order, so two trees can be compared bit for bit on the predict path.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ def probe(workload: str, seed: int, steps: int, n_losses: int) -> None:
 
 def probe_classify(seed: int, calls: int) -> None:
     ckpt_path, vocab_path = prepare_classifier()
+    print(f"classify fixture {ckpt_path.resolve()}, sha256 {hashlib.sha256(ckpt_path.read_bytes()).hexdigest()}")
     args = (training.load_checkpoint(ckpt_path), heldout(seed), corpus.taxonomy("rhyme"), tokenizer.Vocab.load(vocab_path))
     positions = []
     with counting_positions(positions):

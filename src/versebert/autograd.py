@@ -3,9 +3,11 @@
 Every op computes its forward value eagerly with numpy and, when gradients are
 enabled and an input requires them, records a backward closure on a global
 tape. ``backward(loss)`` replays the tape in reverse (execution order is a
-valid topological order) and then frees it. A dense leaf keeps its gradient
-array across steps; a table that ``embedding_lookup`` reads gets a fresh
-row-sparse ``RowGrad`` each step instead, so no table-sized gradient exists.
+valid topological order) and then frees it. A dense leaf takes over the array
+the tape hands it as its gradient; a table that ``embedding_lookup`` reads gets
+a row-sparse ``RowGrad`` instead, so no table-sized gradient exists. Neither
+outlives the next ``zero_grad``, and ``keep_freed_heap`` lets the next step
+reuse the memory.
 Arrays are 64-bit floats throughout so finite-difference checks can run at
 tight tolerances.
 """
@@ -13,6 +15,7 @@ tight tolerances.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
 from collections import deque
 from typing import NamedTuple
@@ -33,22 +36,19 @@ class RowGrad(NamedTuple):
 class Tensor:
     """A dense array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_grad_buf")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | RowGrad | None = None
         self.requires_grad = requires_grad
-        self._grad_buf: np.ndarray | None = None  # the array the tape allocated for grad
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def zero_grad(self) -> None:
-        """Drop the gradient. The next backward overwrites a dense gradient's array,
-        which the tape keeps, so copy one that must outlive the step; a table's
-        ``RowGrad`` is built afresh each step."""
+        """Drop the gradient; the next backward gives a fresh array or ``RowGrad``."""
         self.grad = None
 
     def __repr__(self) -> str:
@@ -79,6 +79,15 @@ def tape_size() -> int:
     return len(_tape)
 
 
+def keep_freed_heap() -> None:
+    """Raise glibc's trim and mmap thresholds for the whole process (no effect without ``mallopt``),
+    so the arrays one training step or forward pass frees serve the next rather than going back to
+    the OS and faulting in again. Training and scoring call it as they set up, not at import."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
+    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: the heap keeps up to 256 MiB of freed top
+    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD: arrays under 64 MiB come from the heap, not fresh mappings
+
+
 def _record(out: Tensor, backward_fn) -> None:
     out.requires_grad = out.requires_grad and _grad_enabled  # off the tape, a constant
     if out.requires_grad:
@@ -86,22 +95,15 @@ def _record(out: Tensor, backward_fn) -> None:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g``, an array no other tensor holds, to ``t.grad``; a first gradient
-    goes into the array kept from an earlier step, or else is taken over. Only a
-    C-contiguous array is kept, so a kept buffer ravels without a copy in ``AdamW.step``."""
+    """Add ``g``, an array no other tensor holds, to ``t.grad``; a first gradient is taken over."""
     if not t.requires_grad:
         return
     if t.grad is not None:
         if type(t.grad) is RowGrad:  # a table's second use in one step
             _densify(t)
         t.grad += g
-    elif t._grad_buf is not None:
-        t.grad = t._grad_buf
-        np.copyto(t.grad, g)
     else:
         t.grad = g
-        if g.flags.c_contiguous:
-            t._grad_buf = g
 
 
 def _row_sums(idx: np.ndarray, g: np.ndarray) -> RowGrad:
@@ -151,7 +153,7 @@ def backward(loss: Tensor) -> None:
             out, fn = _tape.pop()
             if out.grad is not None:
                 fn(out.grad)
-                out.grad = out._grad_buf = None  # an op output's gradient is used once
+                out.grad = None  # an op output's gradient is used once
     finally:
         reset_tape()
 
@@ -178,10 +180,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def fn(g):
         g_rows = g.reshape(-1, b.shape[-1])
         _accumulate(a, (g_rows @ b_data.T).reshape(a.shape))
-        if b.grad is None and b._grad_buf is not None:  # the step's first weight gradient
-            b.grad = np.matmul(rows.T, g_rows, out=b._grad_buf)
-        else:
-            _accumulate(b, rows.T @ g_rows)
+        _accumulate(b, rows.T @ g_rows)
 
     _record(out, fn)
     return out

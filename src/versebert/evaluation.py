@@ -9,12 +9,12 @@ support-weighted mean of per-class F1 values (not derived from weighted P/R).
 
 from __future__ import annotations
 
-import ctypes
 import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autograd as ag
 from . import model as mdl
 from . import preprocess
 from .corpus import CorpusStore, LabelTaxonomy, task_pairs
@@ -144,12 +144,9 @@ def prf_report(confusion: np.ndarray, taxonomy: LabelTaxonomy) -> EvalReport:
 
 def classifier(ckpt, taxonomy: LabelTaxonomy, vocab: Vocab):
     """(model config, ``seqs -> logits``) of ``ckpt``'s head for ``taxonomy``, served with ``vocab``,
-    the one set-up of ``evaluate`` and ``predict``, which copies no array. Another vocab raises ``DigestMismatch``;
-    a missing head, or one whose outputs are not the task's labels, raises ``LabelOutOfRange``.
-
-    It also raises glibc's trim and mmap thresholds for the whole process (no effect without ``mallopt``), so
-    the pages one forward pass frees serve the next rather than going back to the OS and faulting in again.
-    Training and tokenizing processes, which never call it, keep glibc's defaults."""
+    the one set-up of ``evaluate`` and ``predict``, which copies no array and keeps the freed heap for the
+    next forward pass (``ag.keep_freed_heap``, as training does). Another vocab raises ``DigestMismatch``;
+    a missing head, or one whose outputs are not the task's labels, raises ``LabelOutOfRange``."""
     ckpt.check_vocab(vocab)
     if taxonomy.task_id not in ckpt.head_tasks():
         raise LabelOutOfRange(f"checkpoint has no head for task {taxonomy.task_id}")
@@ -158,9 +155,7 @@ def classifier(ckpt, taxonomy: LabelTaxonomy, vocab: Vocab):
     if (outputs := head[1].shape[0]) != taxonomy.num_labels:
         raise LabelOutOfRange(f"checkpoint head for {taxonomy.task_id} has {outputs} outputs, "
                               f"the task has {taxonomy.num_labels} labels")
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", lambda *_: 0)
-    mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD: the heap keeps up to 256 MiB of freed top
-    mallopt(-3, 64 << 20)  # M_MMAP_THRESHOLD: arrays under 64 MiB come from the heap, not fresh mappings
+    ag.keep_freed_heap()
     return config, lambda seqs: mdl.predict_logits(seqs, config, params, head)
 
 

@@ -278,6 +278,7 @@ def _fit(texts: list[str], vocab: Vocab, config: mdl.ModelConfig, cfg: TrainConf
     all_ids, all_mask = mdl.stack_batch([encode(text, vocab, config.max_len) for text in texts])
     opt = AdamW(trainable, lr=cfg.lr, weight_decay=cfg.weight_decay)
     batches = _epoch_batches(len(texts), cfg.batch_size, rngs.data)
+    ag.keep_freed_heap()
     skipped, reason = 0, ""  # steps that raised EmptyReduction, and the last one's message
     for step in range(1, cfg.max_steps + 1):
         opt.zero_grad()

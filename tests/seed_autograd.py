@@ -1,13 +1,12 @@
-"""The gradient bookkeeping that kept-buffer gradients replaced, and the ops
-whose backward copied every gradient they passed on, kept as oracles for the
-equivalence tests.
+"""The gradient bookkeeping that kept-buffer gradients (since removed) and
+row-sparse table gradients replaced, and the ops whose backward copied every
+gradient they passed on, kept as oracles for the equivalence tests.
 
 Here ``zero_grad`` drops a gradient for good, and each backward allocates
 every first gradient afresh: a weight's in ``matmul``, the embedding table's
-in ``_scatter_add`` and any other in ``_accumulate``. Writing the first
-gradient into an array kept from the previous step, and giving a table a
-row-sparse gradient that AdamW adds at its rows alone, must give the same
-bits. Patch these over the ``versebert.autograd`` names (and
+in ``_scatter_add`` and any other in ``_accumulate``. The program's backward,
+which gives a table a row-sparse gradient that AdamW adds at its rows alone,
+must give the same bits. Patch these over the ``versebert.autograd`` names (and
 ``Tensor.zero_grad``; the table's gradient goes to ``_scatter_add`` in place
 of ``_lookup_grad``) to run the old path.
 

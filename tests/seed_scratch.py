@@ -39,10 +39,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def fn(g):
             g_rows = g.reshape(-1, b.shape[-1])
             _accumulate(a, (g_rows @ b_data.T).reshape(a.shape))
-            if b.grad is None and b._grad_buf is not None:  # the step's first weight gradient
-                b.grad = np.matmul(rows.T, g_rows, out=b._grad_buf)
-            else:
-                _accumulate(b, rows.T @ g_rows)
+            _accumulate(b, rows.T @ g_rows)
     else:
         out = Tensor(a_data @ b_data, a.requires_grad or b.requires_grad)
 

@@ -1,7 +1,8 @@
 """Forward-only scoring: logits bit for bit equal to the fresh-allocating ops
 kept in ``seed_scratch``, logits that outlive later calls, unchanged labels
-and reports from ``evaluate``, a scoring process that reuses its freed heap
-rather than faulting pages in again, and the cached positional table."""
+and reports from ``evaluate``, scoring and training processes that reuse
+their freed heap rather than faulting pages in again, and the cached
+positional table."""
 
 import functools
 import os
@@ -100,10 +101,43 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 """
 
 
+def _child(script: str, *args) -> str:
+    """The stdout of ``python -c script args`` in a fresh process that imports this checkout's ``versebert``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+TRAIN_TWELVE_STEPS = """
+import resource, statistics
+import numpy as np
+from versebert import model as mdl, tokenizer, training
+vocab = tokenizer.Vocab(tokenizer.RESERVED + tuple(f"w{i}" for i in range(8000 - tokenizer.N_RESERVED)), 8000)
+lines = [" ".join(f"w{i}" for i in np.random.default_rng(0).integers(0, 7993, 126)) for _ in range(32)]
+config = mdl.ModelConfig(num_layers=1, num_heads=2, hidden=64, vocab_size=len(vocab), max_len=128, dropout=0.0)
+faults = []
+training.pretrain(lines, vocab, config, training.tiny_train_config(batch_size=8, max_steps=12, seed=0, mask_ratio=0.7),
+                  on_step=lambda step, loss: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(statistics.median(b - a for a, b in zip(faults[4:], faults[5:])))
+"""
+
+
+class TestTrainingHeap:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt and ru_minflt")
+    def test_steady_steps_reuse_the_freed_heap(self):
+        """A fresh process's steady pretrain steps fault in few pages, though each step frees its gradients and
+        logits. Every weight gradient is past glibc's default 128 KiB mmap threshold, and the logits of about
+        700 masked rows over 8,000 ids (45 MB) are past the 32 MiB cap on glibc's sliding threshold, so under
+        glibc's defaults, with ``_fit`` not calling ``ag.keep_freed_heap``, the median step took about 7,700 faults."""
+        assert float(_child(TRAIN_TWELVE_STEPS)) < 10
+
+
 class TestScoringHeap:
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt and ru_minflt")
     def test_warm_calls_reuse_the_freed_heap(self, tuned, tmp_path):
-        """In a fresh process that has not trained (training leaves glibc's thresholds raised), three warm
+        """In a fresh process that has not trained (``_fit`` makes the same setting), three warm
         ``predict_corpus`` calls fault in few pages: each chunk's freed arrays serve the next. With glibc's
         default thresholds the same calls took about 3,800 minor faults, 1 with ``classifier``'s setting."""
         store, tax, vocab, ckpt = tuned
@@ -111,12 +145,7 @@ class TestScoringHeap:
         training.save_checkpoint(ckpt, paths[0])
         corpus.write_corpus(store, paths[1])
         vocab.save(paths[2])
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", SCORE_THREE_TIMES, *map(str, paths)], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout) < 100
+        assert int(_child(SCORE_THREE_TIMES, *map(str, paths))) < 100
 
 
 class TestPositions:

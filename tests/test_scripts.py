@@ -4,6 +4,7 @@ current and its harness tells a kill from a survivor, and the line-reach
 script finds every statement of ``src/`` run or explained, with an allowlist
 that cannot go stale."""
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -60,6 +61,8 @@ def test_step_probe_classify_prints_the_labels_digest(tmp_path):
     done = _run_script("step_probe.py", "--workload", "classify", "--steps", "2", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()[1:]  # after the versebert directory
+    fixture = re.fullmatch(r"classify fixture (.+/rhyme\.ckpt), sha256 ([0-9a-f]{64})", lines.pop(0))
+    assert fixture and hashlib.sha256(Path(fixture[1]).read_bytes()).hexdigest() == fixture[2]
     assert lines[0].startswith("classify seed 3: ") and re.fullmatch(r"  labels sha256: [0-9a-f]{64}", lines[1])
     assert lines[2].startswith("  B=1 predict_logits: ")
     assert re.fullmatch(r"  logits sha256: [0-9a-f]{64}", lines[3])

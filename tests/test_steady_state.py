@@ -1,7 +1,7 @@
-"""Steady-state training steps: kept gradient arrays, a table's row-sparse
-gradient, batched masking, a
-tape-free frozen encoder and the streaming checkpoint writer, each checked
-against the code it replaced (``seed_autograd``, ``seed_training``)."""
+"""Steady-state training steps: gradients taken over from the tape, a table's
+row-sparse gradient, batched masking, a tape-free frozen encoder and the
+streaming checkpoint writer, each checked against the code it replaced
+(``seed_autograd``, ``seed_training``)."""
 
 import contextlib
 import os
@@ -38,6 +38,11 @@ def _catch_params(monkeypatch) -> list:
     return caught
 
 
+def _dense_grad_bytes(params) -> int:
+    """The bytes of one fresh gradient for each parameter but the token table, which takes a ``RowGrad``."""
+    return sum(p.data.nbytes for p in params.parameters() if p is not params.token_embedding)
+
+
 class TestKeptGradients:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     @pytest.mark.parametrize("positional_mode, dropout", [("sinusoidal", 0.0), ("learned", 0.2)])
@@ -54,9 +59,9 @@ class TestKeptGradients:
             seed_autograd.install(monkeypatch)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_each_dense_gradient_is_the_same_array_on_later_steps(self, verses, monkeypatch):
+    def test_each_table_gradient_is_a_fresh_row_grad_each_step(self, verses, monkeypatch):
         """Each table's gradient, the token and the learned position table's, is a fresh ``RowGrad``
-        each step instead, and no table keeps a buffer."""
+        each step; every other gradient is a dense array."""
         _, lines, vocab = verses
         caught = _catch_params(monkeypatch)
         grads = []
@@ -70,9 +75,9 @@ class TestKeptGradients:
         for later in grads[2:]:
             for p, g, first in zip(params.parameters(), later, grads[1]):
                 if any(p is t for t in tables):
-                    assert type(g) is ag.RowGrad and g is not first and p._grad_buf is None
+                    assert type(g) is ag.RowGrad and g is not first
                 else:
-                    assert type(g) is np.ndarray and g is first
+                    assert type(g) is np.ndarray
 
     def test_caller_assigned_gradient_is_never_written(self, rng):
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
@@ -86,8 +91,8 @@ class TestKeptGradients:
             x = ag.embedding_lookup(table, [[1, 2], [2, 5]])
             ag.backward(ag.cross_entropy(tape_ops.reshape(ag.add(ag.matmul(x, w), bias), (4, 4)), [0, 1, 2, 3]))
 
-        for kept in (False, True):  # before and after the tape has kept an array
-            if kept:
+        for warm in (False, True):  # on the first step and on later ones
+            if warm:
                 step()
             assigned = [np.full(p.shape, 7.0) for p in params]
             for p, g in zip(params, assigned):
@@ -98,7 +103,8 @@ class TestKeptGradients:
                 assert p.grad is not g and np.all(g == 7.0)
 
     def test_steady_state_step_allocates_less_than_the_largest_parameter(self, monkeypatch):
-        # a vocab x hidden table dominates; 4 masked rows keep the logits small
+        """Past the dense parameters' own fresh gradients, the step allocates less than the token table.
+        A vocab x hidden table dominates; 4 masked rows keep the logits small."""
         cfg = mdl.ModelConfig(num_layers=1, num_heads=2, hidden=64, vocab_size=8192, max_len=16, dropout=0.0)
         rng = np.random.default_rng(0)
         ids = rng.integers(7, cfg.vocab_size, size=(2, 16))
@@ -117,17 +123,18 @@ class TestKeptGradients:
                 opt.step()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            return peak, max(p.data.nbytes for p in params.parameters())
+            return peak - _dense_grad_bytes(params), params.token_embedding.data.nbytes
 
-        peak, largest = step_peak()
-        assert peak < largest
-        seed_autograd.install(monkeypatch)  # the old bookkeeping allocates two such tables per step
-        assert step_peak()[0] > largest
+        peak, table = step_peak()
+        assert peak < table
+        seed_autograd.install(monkeypatch)  # the old bookkeeping adds a table-sized gradient each step
+        assert step_peak()[0] > table
 
     def test_a_mid_shaped_step_allocates_no_vocab_by_hidden_gradient(self, monkeypatch):
         """pretrain-mid's encoder and vocab, batch 8 of 24 positions with 4 masked each: past the first
-        step, the backward and the AdamW step allocate less than the token table's size at their peak.
-        (The taped forward's arrays alone outweigh the table, so it runs before the count starts.)"""
+        step, the backward and the AdamW step allocate less than the token table's size at their peak,
+        on top of the dense parameters' own fresh gradients. (The taped forward's arrays alone outweigh
+        the table, so it runs before the count starts.)"""
         cfg = mdl.ModelConfig(num_layers=4, num_heads=4, hidden=256, vocab_size=8000, max_len=32, dropout=0.0)
         rng = np.random.default_rng(2)
         ids = rng.integers(7, cfg.vocab_size, size=(8, 24))
@@ -146,7 +153,7 @@ class TestKeptGradients:
                 opt.step()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            return peak, params.token_embedding.data.nbytes
+            return peak - _dense_grad_bytes(params), params.token_embedding.data.nbytes
 
         peak, table = step_peak()
         assert peak < table
